@@ -100,9 +100,7 @@ def build_regressor(history: IoHistory, dims: ModelDims) -> np.ndarray:
     """
     history.check_dims(dims)
     row = np.concatenate([-history.y_past.ravel(), history.u_past.ravel()])
-    if dims.p == 1:
-        return row.reshape(1, -1)
-    return np.kron(row.reshape(1, -1), np.eye(dims.p))
+    return (np.eye(dims.p)[:, None, :] * row[:, None]).reshape(dims.p, -1)
 
 
 def predict_output(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -120,7 +118,8 @@ def split_coefficients(theta: np.ndarray, dims: ModelDims):
     """Unpack theta into coefficient stacks F (n_hat, p, p) and G (n_hat, p, m).
 
     The layout is column-major vec of the horizontal concatenations
-    [F_1 ... F_n] and [G_1 ... G_n].
+    [F_1 ... F_n] and [G_1 ... G_n], so each F_i and G_i occupies a
+    contiguous run of theta.  F and G are views of theta.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dims.n_theta,):
@@ -128,10 +127,8 @@ def split_coefficients(theta: np.ndarray, dims: ModelDims):
             f"theta length {theta.shape} does not match expected ({dims.n_theta},)"
         )
     n, p, m = dims.n_hat, dims.p, dims.m
-    f_flat = theta[: n * p * p].reshape(p, n * p, order="F")
-    g_flat = theta[n * p * p :].reshape(p, n * m, order="F")
-    F = np.stack([f_flat[:, i * p : (i + 1) * p] for i in range(n)])
-    G = np.stack([g_flat[:, i * m : (i + 1) * m] for i in range(n)])
+    F = theta[: n * p * p].reshape(n, p, p).transpose(0, 2, 1)
+    G = theta[n * p * p :].reshape(n, m, p).transpose(0, 2, 1)
     return F, G
 
 
@@ -139,9 +136,7 @@ def pack_coefficients(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Inverse of :func:`split_coefficients`."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    f_flat = np.hstack(list(F))
-    g_flat = np.hstack(list(G))
-    return np.concatenate([f_flat.ravel(order="F"), g_flat.ravel(order="F")])
+    return np.concatenate([F.transpose(0, 2, 1).ravel(), G.transpose(0, 2, 1).ravel()])
 
 
 def assemble_bocf(theta_next: np.ndarray, dims: ModelDims):
@@ -154,15 +149,9 @@ def assemble_bocf(theta_next: np.ndarray, dims: ModelDims):
     """
     F, G = split_coefficients(theta_next, dims)
     n, p, m = dims.n_hat, dims.p, dims.m
-    A = np.zeros((n * p, n * p))
-    for i in range(n):
-        A[i * p : (i + 1) * p, :p] = -F[i]
-    for j in range(n - 1):
-        A[j * p : (j + 1) * p, (j + 1) * p : (j + 2) * p] = np.eye(p)
-    B = G.reshape(n * p, m)
-    C = np.zeros((p, n * p))
-    C[:, :p] = np.eye(p)
-    return A, B, C
+    A = np.eye(n * p, k=p)
+    A[:, :p] = -F.reshape(n * p, p)
+    return A, G.reshape(n * p, m), np.eye(p, n * p)
 
 
 def compute_bocf_state(
@@ -174,31 +163,23 @@ def compute_bocf_state(
     the ARX convolution not yet absorbed into the output:
 
         x(j) = -sum_{i=1}^{n-j+1} F_{i+j-1} y_{k-i} + sum G_{i+j-1} u_{k-i}.
+
+    Blocks 2..n come from one block-Toeplitz product: block j pairs lag
+    l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row l-j+1
+    (row 0 is the newest sample) and reads zero padding where that row
+    index is negative.
     """
     history.check_dims(dims)
     y_now = np.asarray(y_now, dtype=float).reshape(-1)
     if y_now.shape != (dims.p,):
         raise ValueError(f"y_now shape {y_now.shape} does not match p={dims.p}")
-    n, p = dims.n_hat, dims.p
-    if p == 1 and dims.m == 1:
-        # SISO fast path used inside the sample loop.
-        theta_next = np.asarray(theta_next, dtype=float)
-        f = theta_next[:n]
-        g = theta_next[n:]
-        yp = history.y_past[:, 0]
-        up = history.u_past[:, 0]
-        x = np.empty(n)
-        x[0] = y_now[0]
-        for j in range(2, n + 1):
-            x[j - 1] = -f[j - 1 :] @ yp[: n - j + 1] + g[j - 1 :] @ up[: n - j + 1]
-        return x
+    n, p, m = dims.n_hat, dims.p, dims.m
     F, G = split_coefficients(theta_next, dims)
-    x = np.zeros(n * p)
-    x[:p] = y_now
-    for j in range(2, n + 1):
-        block = np.zeros(p)
-        for i in range(1, n - j + 2):
-            block += -F[i + j - 2] @ history.y_past[i - 1]
-            block += G[i + j - 2] @ history.u_past[i - 1]
-        x[(j - 1) * p : j * p] = block
-    return x
+    offset = np.arange(n) - np.arange(1, n)[:, None] + (n - 1)
+    y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
+    u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
+    tail = (
+        u_pad[offset].reshape(n - 1, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
+        - y_pad[offset].reshape(n - 1, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
+    )
+    return np.concatenate([y_now, tail.ravel()])

@@ -6,8 +6,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import harness
 from .errors import NumericalError, PlantDivergedError
 

@@ -7,7 +7,7 @@ propagation, backward Riccati sweep, gain application, and saturation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

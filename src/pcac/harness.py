@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .arx import split_coefficients
 from .controller import PcacConfig, default_config, pcac_init, pcac_step
 from .plant import EmulatorParams, PlantState, operating_grid, plant_output, plant_zoh_step
 
@@ -101,7 +102,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
 
     state = PlantState(q=spec.q0, qdot=spec.qdot0)
     ctrl = None
-    n_fg = spec.controller.dims.n_hat * spec.controller.dims.p ** 2
     shifted = False
 
     for k in range(n + 1):
@@ -120,8 +120,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             phase[k] = 1
             u_req[k] = ctrl.u_requested[0]
             u[k] = ctrl.u_implemented[0]
-            th_f[k] = np.linalg.norm(ctrl.rls.theta[:n_fg])
-            th_g[k] = np.linalg.norm(ctrl.rls.theta[n_fg:])
+            F, G = split_coefficients(ctrl.rls.theta, spec.controller.dims)
+            th_f[k] = np.linalg.norm(F)
+            th_g[k] = np.linalg.norm(G)
         if k == n:
             break
         if ctrl is not None:
@@ -494,6 +495,8 @@ def write_spec_file(spec: ExperimentSpec, path: str) -> None:
         f"sim.t_open = {spec.t_open!r}",
         f"sim.t_total = {spec.t_total!r}",
         f"sim.q0 = {spec.q0!r}",
+        f"sim.qdot0 = {spec.qdot0!r}",
+        f"sim.kick_q = {spec.kick_q!r}",
     ]
     if spec.omega_shift_time is not None:
         lines.append(f"sim.omega_shift_time = {spec.omega_shift_time!r}")
@@ -514,7 +517,10 @@ def parse_spec_file(path: str) -> ExperimentSpec:
             key, val = (part.strip() for part in line.split("=", 1))
             values[key] = val
 
+    known: set[str] = set()
+
     def get(key, cast, default):
+        known.add(key)
         return cast(values[key]) if key in values else default
 
     plant = EmulatorParams(
@@ -538,13 +544,19 @@ def parse_spec_file(path: str) -> ExperimentSpec:
         u_sat=get("controller.u_sat", float, 8.0),
     )
     shift_time = get("sim.omega_shift_time", float, None)
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         plant=plant,
         controller=controller,
         t_s=get("sim.t_s", float, 1e-3),
         t_open=get("sim.t_open", float, 3.0),
         t_total=get("sim.t_total", float, 5.0),
         q0=get("sim.q0", float, 1e-3),
+        qdot0=get("sim.qdot0", float, 0.0),
         omega_shift_time=shift_time,
         omega_shift_factor=get("sim.omega_shift_factor", float, 1.0),
+        kick_q=get("sim.kick_q", float, 0.0),
     )
+    unknown = sorted(values.keys() - known)
+    if unknown:
+        raise ValueError(f"unknown spec keys in {path}: {', '.join(unknown)}")
+    return spec

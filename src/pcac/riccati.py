@@ -7,7 +7,7 @@ follows.  The requested control is then clamped to the actuator range.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -19,18 +19,12 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class HorizonWeights:
-    """Horizon length, stage weights, and terminal weight.
-
-    E1 maps the state to the performance variable z = E1 x and satisfies
-    E1' E1 = R1; it is carried alongside R1 so the performance variable is
-    available without a separate definition site.
-    """
+    """Horizon length, stage weights, and terminal weight."""
 
     ell: int
     R1: np.ndarray
     R2: np.ndarray
     P_terminal: np.ndarray
-    E1: np.ndarray | None = None
 
     def __post_init__(self):
         if self.ell < 1:
@@ -40,15 +34,6 @@ class HorizonWeights:
         object.__setattr__(
             self, "P_terminal", np.atleast_2d(np.asarray(self.P_terminal, float))
         )
-        if self.E1 is None:
-            # Default performance map: any factor of R1 works.
-            object.__setattr__(self, "E1", _psd_factor(self.R1))
-        else:
-            object.__setattr__(self, "E1", np.atleast_2d(np.asarray(self.E1, float)))
-        if np.max(np.abs(self.E1.T @ self.E1 - self.R1)) > 1e-12 * max(
-            1.0, np.max(np.abs(self.R1))
-        ):
-            raise ValueError("E1' E1 does not match R1")
         _check_symmetric_psd(self.R1, "R1")
         _check_symmetric_psd(self.P_terminal, "P_terminal")
         if np.min(np.linalg.eigvalsh(0.5 * (self.R2 + self.R2.T))) <= 0:
@@ -59,9 +44,7 @@ class HorizonWeights:
         """Weights penalizing only the first state block (the output)."""
         R1 = np.zeros((n_state, n_state))
         R1[0, 0] = 1.0
-        E1 = np.zeros((1, n_state))
-        E1[0, 0] = 1.0
-        return cls(ell=ell, R1=R1, R2=r2 * np.eye(m), P_terminal=R1.copy(), E1=E1)
+        return cls(ell=ell, R1=R1, R2=r2 * np.eye(m), P_terminal=R1.copy())
 
 
 @dataclass(frozen=True)
@@ -86,12 +69,6 @@ class SaturationBounds:
     @classmethod
     def symmetric(cls, level: float, m: int = 1) -> "SaturationBounds":
         return cls(-level * np.ones(m), level * np.ones(m))
-
-
-def _psd_factor(R: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (R + R.T))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def _check_symmetric_psd(M: np.ndarray, name: str) -> None:

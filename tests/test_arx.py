@@ -166,6 +166,29 @@ class TestBocfState:
             expect = arx_sum(theta, dims, shifted.y_past, shifted.u_past)
             np.testing.assert_allclose(y_next, expect, rtol=1e-12, atol=1e-12)
 
+    def test_full_state_propagates_arx_data(self):
+        # On data generated by the ARX model, A x_k + B u_k must equal x_{k+1}
+        # in every block, including blocks 3..n that C (A x + B u) never reads
+        rng = np.random.default_rng(11)
+        for trial in range(120):
+            n = 1 if trial % 10 == 0 else int(rng.integers(2, 11))
+            p, m = (int(v) for v in rng.integers(1, 4, size=2))
+            dims, theta, h = random_model(rng, n, p, m)
+            theta *= 0.3
+            A, B, _ = assemble_bocf(theta, dims)
+            y = rng.standard_normal(p)
+            x = compute_bocf_state(h, y, theta, dims)
+            for _ in range(n + 2):
+                u = rng.standard_normal(m)
+                h = h.push(y, u)
+                y = arx_sum(theta, dims, h.y_past, h.u_past)
+                x_next = compute_bocf_state(h, y, theta, dims)
+                scale = max(1.0, np.max(np.abs(x_next)))
+                np.testing.assert_allclose(
+                    A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
+                )
+                x = x_next
+
     def test_first_block_reads_output(self):
         rng = np.random.default_rng(8)
         dims, theta, h = random_model(rng, 4, 2, 2)

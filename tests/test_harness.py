@@ -185,8 +185,10 @@ class TestSpecFiles:
             controller=default_config(n_hat=6, eta=0.05, r2=0.5),
             t_open=1.0,
             t_total=2.0,
+            qdot0=0.25,
             omega_shift_time=1.5,
             omega_shift_factor=1.1,
+            kick_q=0.75,
         )
         path = str(tmp_path / "spec.txt")
         write_spec_file(spec, path)
@@ -195,8 +197,10 @@ class TestSpecFiles:
         assert back.controller.dims == spec.controller.dims
         assert back.controller.forgetting == spec.controller.forgetting
         assert back.t_open == spec.t_open
+        assert back.qdot0 == spec.qdot0
         assert back.omega_shift_time == spec.omega_shift_time
         assert back.omega_shift_factor == spec.omega_shift_factor
+        assert back.kick_q == spec.kick_q
 
     def test_defaults_when_keys_missing(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -210,6 +214,12 @@ class TestSpecFiles:
         path = tmp_path / "spec.txt"
         path.write_text("plant.mu 5.0\n")
         with pytest.raises(ValueError):
+            parse_spec_file(str(path))
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("plant.mu = 5.0\nsim.kickq = 1.0\n")
+        with pytest.raises(ValueError, match="sim.kickq"):
             parse_spec_file(str(path))
 
 
@@ -249,6 +259,14 @@ class TestCli:
         r2 = open(tmp_path / "o2" / "record.csv", "rb").read()
         r3 = open(tmp_path / "o3" / "record.csv", "rb").read()
         assert r1 != r2 and r1 == r3
+
+    def test_grid_writes_summary(self, tmp_path, capsys):
+        path = str(tmp_path / "spec.txt")
+        write_spec_file(short_spec(q0=1e-3, t_open=1.8, t_total=2.0), path)
+        out = tmp_path / "grid"
+        assert cli_main(["grid", "--spec", path, "--out", str(out)]) == 0
+        assert len((out / "summary.csv").read_text().splitlines()) == 2 + 9
+        assert "summary written" in capsys.readouterr().out
 
     def test_spectrum_subcommand(self, tmp_path, spec_file, capsys):
         out = str(tmp_path / "out")

@@ -17,9 +17,7 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def scalar_weights(ell, r1=1.0, r2=1.0, p_term=0.0):
-    return HorizonWeights(
-        ell=ell, R1=[[r1]], R2=[[r2]], P_terminal=[[p_term]], E1=[[np.sqrt(r1)]]
-    )
+    return HorizonWeights(ell=ell, R1=[[r1]], R2=[[r2]], P_terminal=[[p_term]])
 
 
 def random_stable_system(rng, n, m, sprad=0.9):
@@ -152,18 +150,6 @@ class TestSaturate:
 
 
 class TestHorizonWeights:
-    def test_e1_must_factor_r1(self):
-        with pytest.raises(ValueError):
-            HorizonWeights(
-                ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.zeros((2, 2)),
-                E1=np.array([[2.0, 0.0]]),
-            )
-
-    def test_default_e1_factors_r1(self):
-        R1 = np.diag([1.0, 0.0, 0.0])
-        w = HorizonWeights(ell=5, R1=R1, R2=np.eye(1), P_terminal=R1)
-        np.testing.assert_allclose(w.E1.T @ w.E1, R1, atol=1e-12)
-
     def test_output_weighted_defaults(self):
         w = HorizonWeights.output_weighted(10, 1)
         assert w.ell == 20
