@@ -93,7 +93,6 @@ class PcacState:
     history: IoHistory
     u_implemented: np.ndarray
     u_requested: np.ndarray
-    step: int = 0
     fault_count: int = 0
     last_fault: str | None = None
 
@@ -143,7 +142,6 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
         history=state.history.push(y_k, state.u_implemented),
         u_implemented=u_impl,
         u_requested=np.atleast_1d(u_req),
-        step=state.step + 1,
         fault_count=state.fault_count + (1 if fault else 0),
         last_fault=fault,
     )

@@ -13,9 +13,11 @@ RMS with the RMS over the last 0.5 s of the run.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from inspect import signature
 
 import numpy as np
 
@@ -301,8 +303,6 @@ def run_grid(
     """
     specs = grid_specs(base, base_seed=base_seed)
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         specs = [
             replace(s, output_path=f"{out_dir}/cell_{i}.csv")
@@ -380,8 +380,6 @@ def run_ablation(
     else:
         rows = [_ablation_cell(job) for job in jobs]
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         write_dict_rows(
             rows,
@@ -397,7 +395,20 @@ def run_ablation(
 # ---------------------------------------------------------------------------
 # File I/O
 
-RECORD_COLUMNS = ("t", "y", "u_req", "u", "theta_f_norm", "theta_g_norm", "phase")
+# The record file's columns, in file order, and the type each is written as.
+RECORD_COLUMNS = {"t": float, "y": float, "u_req": float, "u": float,
+                  "theta_f_norm": float, "theta_g_norm": float, "phase": int}
+# Rows converted to Python scalars at a time: bounds the memory of a write.
+_CSV_CHUNK_ROWS = 512
+
+
+def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
+    """Write ``header``, then the rows as reprs of Python floats and ints."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*chunk))
 
 
 def write_record(record: ExperimentRecord, path: str) -> None:
@@ -406,39 +417,24 @@ def write_record(record: ExperimentRecord, path: str) -> None:
     Wall-clock timings are intentionally written to a separate sidecar file
     so that record files are byte-identical across reruns of the same spec.
     """
-    with open(path, "w") as fh:
-        fh.write(f"# k_switch={record.k_switch} t_s={record.t_s!r}\n")
-        fh.write(",".join(RECORD_COLUMNS) + "\n")
-        for k in range(record.t.size):
-            fh.write(
-                f"{float(record.t[k])!r},{float(record.y[k])!r},"
-                f"{float(record.u_req[k])!r},{float(record.u[k])!r},"
-                f"{float(record.theta_f_norm[k])!r},"
-                f"{float(record.theta_g_norm[k])!r},{int(record.phase[k])}\n"
-            )
-    with open(path + ".timing", "w") as fh:
-        fh.write("t,step_wall_s\n")
-        for k in range(record.t.size):
-            fh.write(f"{float(record.t[k])!r},{float(record.step_wall[k])!r}\n")
+    meta = f"# k_switch={record.k_switch} t_s={float(record.t_s)!r}\n"
+    columns = [np.asarray(getattr(record, c), dt) for c, dt in RECORD_COLUMNS.items()]
+    _write_csv(path, meta + ",".join(RECORD_COLUMNS) + "\n", columns)
+    _write_csv(path + ".timing", "t,step_wall_s\n", [record.t, record.step_wall])
 
 
 def read_record(path: str) -> ExperimentRecord:
     with open(path) as fh:
         meta = fh.readline().lstrip("# ").split()
         header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",")
-    if header != list(RECORD_COLUMNS):
-        raise ValueError(f"unexpected record header in {path}")
+        if header != list(RECORD_COLUMNS):
+            raise ValueError(f"unexpected record header in {path}")
+        dtype = list(RECORD_COLUMNS.items())
+        data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
     kv = dict(item.split("=") for item in meta)
     return ExperimentRecord(
-        t=data[:, 0],
-        y=data[:, 1],
-        u_req=data[:, 2],
-        u=data[:, 3],
-        theta_f_norm=data[:, 4],
-        theta_g_norm=data[:, 5],
-        phase=data[:, 6].astype(int),
-        step_wall=np.zeros(data.shape[0]),
+        **{c: data[c] for c in RECORD_COLUMNS},
+        step_wall=np.zeros(data.size),
         k_switch=int(kv["k_switch"]),
         t_s=float(kv["t_s"]),
     )
@@ -468,45 +464,81 @@ def write_grid_summary(summary: list[dict], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Spec files: flat "section.key = value" text format
+# Spec files: flat "section.key = value" text format.  The keys are the
+# EmulatorParams fields (plant.*), the default_config keywords listed in
+# _config_keywords (controller.*) and the other ExperimentSpec fields (sim.*).
+
+_NOT_SIM = ("plant", "controller", "output_path")
+# Declared types; annotations are strings under postponed evaluation.
+_CASTS = {"int": int, "float": float, "float | None": float}
+
+
+def _config_keywords(c: PcacConfig) -> dict:
+    """The default_config keywords that rebuild ``c``, if any do."""
+    return {
+        "n_hat": c.dims.n_hat,
+        "theta0_scale": c.theta0[0],
+        "psi0_scale": c.psi0_scale,
+        "tau_n": c.forgetting.tau_n,
+        "tau_d": c.forgetting.tau_d,
+        "eta": c.forgetting.eta,
+        "alpha": c.forgetting.alpha,
+        "ell": c.weights.ell,
+        "r2": c.weights.R2[0, 0],
+        "u_sat": c.bounds.u_max[0],
+    }
+
+
+def _spec_table(spec: ExperimentSpec) -> dict[str, tuple]:
+    """Every spec-file key, mapped to (type, value in ``spec``)."""
+    keywords = signature(default_config).parameters
+    rows = [(f"plant.{f.name}", f.type, getattr(spec.plant, f.name))
+            for f in fields(spec.plant)]
+    rows += [(f"controller.{k}", keywords[k].annotation, v)
+             for k, v in _config_keywords(spec.controller).items()]
+    rows += [(f"sim.{f.name}", f.type, getattr(spec, f.name))
+             for f in fields(spec) if f.name not in _NOT_SIM]
+    return {key: (_CASTS[kind], value) for key, kind, value in rows}
+
+
+def _build_spec(values: dict) -> ExperimentSpec:
+    sections: dict[str, dict] = {"plant": {}, "controller": {}, "sim": {}}
+    for key, value in values.items():
+        section, name = key.split(".", 1)
+        sections[section][name] = value
+    plant, controller, sim = sections.values()
+    return ExperimentSpec(EmulatorParams(**plant), default_config(**controller), **sim)
+
+
+def _differences(a, b, name: str = "") -> list[str]:
+    """Dotted names of the (nested dataclass) fields in which a and b differ."""
+    if not is_dataclass(a):
+        return [] if np.array_equal(a, b) else [name]
+    return [d for f in fields(a) for d in _differences(
+        getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}".lstrip("."))]
 
 
 def write_spec_file(spec: ExperimentSpec, path: str) -> None:
-    p = spec.plant
-    c = spec.controller
-    lines = [
-        f"plant.omega = {p.omega!r}",
-        f"plant.mu = {p.mu!r}",
-        f"plant.kappa = {p.kappa!r}",
-        f"plant.amp_scale = {p.amp_scale!r}",
-        f"plant.noise_std = {p.noise_std!r}",
-        f"plant.seed = {p.seed}",
-        f"controller.n_hat = {c.dims.n_hat}",
-        f"controller.theta0_scale = {float(c.theta0[0])!r}",
-        f"controller.psi0_scale = {c.psi0_scale!r}",
-        f"controller.tau_n = {c.forgetting.tau_n}",
-        f"controller.tau_d = {c.forgetting.tau_d}",
-        f"controller.eta = {c.forgetting.eta!r}",
-        f"controller.alpha = {c.forgetting.alpha!r}",
-        f"controller.ell = {c.weights.ell}",
-        f"controller.r2 = {float(c.weights.R2[0, 0])!r}",
-        f"controller.u_sat = {float(c.bounds.u_max[0])!r}",
-        f"sim.t_s = {spec.t_s!r}",
-        f"sim.t_open = {spec.t_open!r}",
-        f"sim.t_total = {spec.t_total!r}",
-        f"sim.q0 = {spec.q0!r}",
-        f"sim.qdot0 = {spec.qdot0!r}",
-        f"sim.kick_q = {spec.kick_q!r}",
-    ]
-    if spec.omega_shift_time is not None:
-        lines.append(f"sim.omega_shift_time = {spec.omega_shift_time!r}")
-        lines.append(f"sim.omega_shift_factor = {spec.omega_shift_factor!r}")
+    """Write every set value of ``spec`` (all but ``output_path``).
+
+    Raises ValueError, and writes nothing, for a spec the keys cannot
+    reproduce, such as a controller that is not a SISO default_config.
+    """
+    values = {key: None if value is None else cast(value)
+              for key, (cast, value) in _spec_table(spec).items()}
+    lost = _differences(_build_spec(values), replace(spec, output_path=None))
+    if lost:
+        raise ValueError(f"spec keys cannot hold spec fields {', '.join(lost)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} = {value!r}\n"
+                      for key, value in values.items() if value is not None)
 
 
 def parse_spec_file(path: str) -> ExperimentSpec:
-    values: dict[str, str] = {}
+    """Read a spec file; a missing key takes its default_spec() value."""
+    table = _spec_table(default_spec())
+    values = {key: value for key, (_, value) in table.items()}
+    seen: set[str] = set()
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -514,49 +546,16 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed spec line: {raw!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key] = val
-
-    known: set[str] = set()
-
-    def get(key, cast, default):
-        known.add(key)
-        return cast(values[key]) if key in values else default
-
-    plant = EmulatorParams(
-        omega=get("plant.omega", float, 2.0 * np.pi * 150.0),
-        mu=get("plant.mu", float, 0.015 * 2.0 * np.pi * 150.0),
-        kappa=get("plant.kappa", float, 4.0e4),
-        amp_scale=get("plant.amp_scale", float, 50.0),
-        noise_std=get("plant.noise_std", float, 0.0),
-        seed=get("plant.seed", int, 0),
-    )
-    controller = default_config(
-        n_hat=get("controller.n_hat", int, 10),
-        theta0_scale=get("controller.theta0_scale", float, 1e-10),
-        psi0_scale=get("controller.psi0_scale", float, 1e-4),
-        tau_n=get("controller.tau_n", int, 40),
-        tau_d=get("controller.tau_d", int, 200),
-        eta=get("controller.eta", float, 0.1),
-        alpha=get("controller.alpha", float, 0.001),
-        ell=get("controller.ell", int, 20),
-        r2=get("controller.r2", float, 1e-2),
-        u_sat=get("controller.u_sat", float, 8.0),
-    )
-    shift_time = get("sim.omega_shift_time", float, None)
-    spec = ExperimentSpec(
-        plant=plant,
-        controller=controller,
-        t_s=get("sim.t_s", float, 1e-3),
-        t_open=get("sim.t_open", float, 3.0),
-        t_total=get("sim.t_total", float, 5.0),
-        q0=get("sim.q0", float, 1e-3),
-        qdot0=get("sim.qdot0", float, 0.0),
-        omega_shift_time=shift_time,
-        omega_shift_factor=get("sim.omega_shift_factor", float, 1.0),
-        kick_q=get("sim.kick_q", float, 0.0),
-    )
-    unknown = sorted(values.keys() - known)
-    if unknown:
-        raise ValueError(f"unknown spec keys in {path}: {', '.join(unknown)}")
-    return spec
+            key, text = (part.strip() for part in line.split("=", 1))
+            if key not in table or key in seen:
+                problem = "duplicate" if key in seen else "unknown"
+                raise ValueError(f"{problem} spec key {key} in {path}")
+            seen.add(key)
+            cast = table[key][0]
+            try:
+                values[key] = cast(text)
+            except ValueError:
+                raise ValueError(
+                    f"spec key {key} in {path}: expected {cast.__name__}, got {text!r}"
+                ) from None
+    return _build_spec(values)

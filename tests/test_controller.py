@@ -90,7 +90,7 @@ class TestStep:
         rng = np.random.default_rng(33)
         _, u_impl, state = run_sequence(cfg, rng.normal(0, 80, 300))
         assert all(abs(u[0]) <= 8.0 for u in u_impl)
-        assert state.step == 300
+        assert state.rls.step == 300
 
     def test_matches_manual_composition(self):
         # a step must equal the four module operations called in order
@@ -157,4 +157,4 @@ class TestStep:
         np.testing.assert_array_equal(u_impl, u_prev)
         assert new_state.fault_count == state.fault_count + 1
         assert new_state.last_fault is not None
-        assert new_state.step == state.step + 1  # identification still advanced
+        assert new_state.rls.step == state.rls.step + 1  # identification still advanced

@@ -1,7 +1,9 @@
 """Experiment runner, analysis helpers, record/spec files, and the CLI."""
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcac import (
     EmulatorParams,
@@ -20,6 +22,7 @@ from pcac import (
     write_spec_file,
 )
 from pcac.cli import main as cli_main
+from pcac.harness import RECORD_COLUMNS
 
 
 def short_spec(**kw):
@@ -29,6 +32,61 @@ def short_spec(**kw):
     kw.setdefault("t_total", 0.5)
     kw.setdefault("q0", 1.0)
     return replace(base, **kw)
+
+
+def assert_fields_equal(a, b, name="spec"):
+    """Every (nested dataclass) field equal, arrays elementwise."""
+    if is_dataclass(a):
+        assert type(a) is type(b), name
+        for f in fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name),
+                                f"{name}.{f.name}")
+    else:
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def specs(draw):
+    """Any spec a spec file can hold: a SISO default_config controller."""
+    tau_n = draw(st.integers(1, 300))
+    controller = default_config(
+        n_hat=draw(st.integers(1, 12)),
+        theta0_scale=draw(FINITE),
+        psi0_scale=draw(POSITIVE),
+        tau_n=tau_n,
+        tau_d=tau_n + draw(st.integers(1, 300)),
+        eta=draw(NONNEGATIVE),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        ell=draw(st.integers(1, 50)),
+        r2=draw(POSITIVE),
+        u_sat=draw(NONNEGATIVE),
+    )
+    plant = EmulatorParams(
+        omega=draw(POSITIVE),
+        mu=draw(POSITIVE),
+        kappa=draw(FINITE),
+        amp_scale=draw(POSITIVE),
+        noise_std=draw(NONNEGATIVE),
+        seed=draw(st.integers(0, 2**64)),
+    )
+    t_open, t_total = sorted(draw(st.lists(NONNEGATIVE, min_size=2, max_size=2)))
+    return ExperimentSpec(
+        plant=plant,
+        controller=controller,
+        t_s=draw(POSITIVE),
+        t_open=t_open,
+        t_total=t_total,
+        q0=draw(FINITE),
+        qdot0=draw(FINITE),
+        omega_shift_time=draw(st.none() | FINITE),
+        omega_shift_factor=draw(FINITE),
+        kick_q=draw(FINITE),
+    )
 
 
 class TestSpectrum:
@@ -154,12 +212,18 @@ class TestRecordFiles:
         path = str(tmp_path / "record.csv")
         write_record(rec, path)
         back = read_record(path)
-        np.testing.assert_array_equal(back.t, rec.t)
-        np.testing.assert_array_equal(back.y, rec.y)
-        np.testing.assert_array_equal(back.u, rec.u)
-        np.testing.assert_array_equal(back.phase, rec.phase)
+        for column in RECORD_COLUMNS:
+            np.testing.assert_array_equal(getattr(back, column),
+                                          getattr(rec, column), err_msg=column)
         assert back.k_switch == rec.k_switch
         assert back.t_s == rec.t_s
+
+    def test_numpy_sample_time_roundtrips(self, tmp_path):
+        rec = run_experiment(short_spec(t_s=np.float64(1e-3), t_total=0.1,
+                                        t_open=0.05))
+        path = str(tmp_path / "record.csv")
+        write_record(rec, path)
+        assert read_record(path).t_s == 1e-3
 
     def test_byte_identical_across_reruns(self, tmp_path):
         spec = short_spec()
@@ -201,6 +265,44 @@ class TestSpecFiles:
         assert back.omega_shift_time == spec.omega_shift_time
         assert back.omega_shift_factor == spec.omega_shift_factor
         assert back.kick_q == spec.kick_q
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=specs())
+    def test_roundtrip_property(self, spec, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("spec") / "spec.txt")
+        write_spec_file(spec, path)
+        assert_fields_equal(parse_spec_file(path), spec)
+
+    @pytest.mark.parametrize("case", ["nonuniform_theta0", "p2_m2"])
+    def test_write_refuses_what_keys_cannot_hold(self, tmp_path, case):
+        controller = default_config(p=2, m=2)
+        if case == "nonuniform_theta0":
+            controller = default_config()
+            controller.theta0[3] = 0.5
+        path = tmp_path / "spec.txt"
+        with pytest.raises(ValueError, match="controller"):
+            write_spec_file(replace(default_spec(), controller=controller),
+                            str(path))
+        assert not path.exists()
+
+    def test_missing_keys_take_default_spec_values(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("plant.mu = 5.0\n")
+        base = default_spec()
+        assert_fields_equal(parse_spec_file(str(path)),
+                            replace(base, plant=replace(base.plant, mu=5.0)))
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("plant.mu = 5.0\nplant.mu = 7.0\n")
+        with pytest.raises(ValueError, match="plant.mu"):
+            parse_spec_file(str(path))
+
+    def test_bad_value_names_key(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("plant.seed = 1.5\n")
+        with pytest.raises(ValueError, match="plant.seed"):
+            parse_spec_file(str(path))
 
     def test_defaults_when_keys_missing(self, tmp_path):
         path = tmp_path / "spec.txt"
