@@ -46,38 +46,44 @@ class ModelDims:
 class IoHistory:
     """Fixed-length buffer of the ``n_hat`` most recent outputs and inputs.
 
-    Row 0 holds the newest sample (y_{k-1}, u_{k-1}) and row n_hat-1 the
-    oldest.  Pre-start samples are zero, matching the model's zero
-    initialization.  ``push`` returns a new history; instances are treated
-    as immutable values.
+    Row 0 of ``y_past``/``u_past`` holds the newest sample (y_{k-1}, u_{k-1})
+    and row n_hat-1 the oldest; pre-start samples are zero, matching the
+    model's zero initialization.  Each signal is stored below n_hat-1 zero
+    rows (len // 2 of its 2*n_hat-1), the padding :func:`compute_bocf_state`
+    reads.  ``push`` returns a new history; instances are immutable values.
     """
 
-    __slots__ = ("y_past", "u_past")
+    __slots__ = ("_y", "_u")
 
     def __init__(self, y_past: np.ndarray, u_past: np.ndarray):
         y_past = np.atleast_2d(np.asarray(y_past, dtype=float))
         u_past = np.atleast_2d(np.asarray(u_past, dtype=float))
         if y_past.shape[0] != u_past.shape[0]:
             raise ValueError("output and input history lengths differ")
-        self.y_past = y_past
-        self.u_past = u_past
+        pad = y_past.shape[0] - 1
+        self._y = np.concatenate((np.zeros((pad, y_past.shape[1])), y_past))
+        self._u = np.concatenate((np.zeros((pad, u_past.shape[1])), u_past))
 
     @classmethod
     def zeros(cls, dims: ModelDims) -> "IoHistory":
         return cls(np.zeros((dims.n_hat, dims.p)), np.zeros((dims.n_hat, dims.m)))
 
     @property
-    def n_hat(self) -> int:
-        return self.y_past.shape[0]
+    def y_past(self) -> np.ndarray:
+        return self._y[len(self._y) // 2 :]
+
+    @property
+    def u_past(self) -> np.ndarray:
+        return self._u[len(self._u) // 2 :]
 
     def push(self, y: np.ndarray, u: np.ndarray) -> "IoHistory":
         """Shift in (y_k, u_k), dropping the oldest pair."""
         y = np.asarray(y, dtype=float).reshape(1, -1)
         u = np.asarray(u, dtype=float).reshape(1, -1)
-        return IoHistory(
-            np.vstack([y, self.y_past[:-1]]),
-            np.vstack([u, self.u_past[:-1]]),
-        )
+        new, pad = IoHistory.__new__(IoHistory), len(self._y) // 2
+        new._y = np.concatenate((self._y[:pad], y, self._y[pad:-1]))
+        new._u = np.concatenate((self._u[:pad], u, self._u[pad:-1]))
+        return new
 
     def check_dims(self, dims: ModelDims) -> None:
         if self.y_past.shape != (dims.n_hat, dims.p):
@@ -175,11 +181,17 @@ def compute_bocf_state(
         raise ValueError(f"y_now shape {y_now.shape} does not match p={dims.p}")
     n, p, m = dims.n_hat, dims.p, dims.m
     F, G = split_coefficients(theta_next, dims)
-    offset = np.arange(n) - np.arange(1, n)[:, None] + (n - 1)
-    y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
-    u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
+    # Row j-2 of each lag matrix is the padded window of history rows 1-j..n-j,
+    # a view with the buffer's own strides (one buffer row per row), copied
+    # C-contiguous because a strided operand changes the BLAS summation order.
+    y_lag, u_lag = (
+        np.ascontiguousarray(
+            np.ndarray((n - 1, n * buf.shape[1]), buffer=buf, strides=buf.strides)[::-1]
+        )
+        for buf in (history._y, history._u)
+    )
     tail = (
-        u_pad[offset].reshape(n - 1, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
-        - y_pad[offset].reshape(n - 1, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
+        u_lag @ G.transpose(0, 2, 1).reshape(n * m, p)
+        - y_lag @ F.transpose(0, 2, 1).reshape(n * p, p)
     )
     return np.concatenate([y_now, tail.ravel()])

@@ -59,7 +59,7 @@ def _cmd_grid(args) -> int:
             )
         )
     print(f"summary written to {args.out}/summary.csv")
-    return 0
+    return int(any(r["status"] != "ok" or r["fault_count"] > 0 for r in summary))
 
 
 def _cmd_spectrum(args) -> int:

@@ -99,7 +99,7 @@ class PcacState:
 
 def pcac_init(cfg: PcacConfig) -> PcacState:
     """Fresh controller state: prior estimate, zeroed history, initial control."""
-    rls = RlsState.initialize(cfg.theta0, cfg.psi0_scale, cfg.forgetting)
+    rls = RlsState.initialize(cfg.theta0, cfg.psi0_scale, cfg.forgetting, cfg.dims.p)
     u0 = cfg.u0.copy()
     return PcacState(
         rls=rls,

@@ -36,7 +36,9 @@ class HorizonWeights:
         )
         _check_symmetric_psd(self.R1, "R1")
         _check_symmetric_psd(self.P_terminal, "P_terminal")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.R2 + self.R2.T))) <= 0:
+        # The symmetric part, exactly R2 when R2 is symmetric: (R2 + R2.T) / 2
+        # overflows above 9e307 and R2 / 2 + R2.T / 2 flushes 5e-324 to zero.
+        if np.min(np.linalg.eigvalsh(self.R2 - 0.5 * (self.R2 - self.R2.T))) <= 0:
             raise ValueError("R2 must be positive definite")
 
     @classmethod

@@ -9,8 +9,7 @@ covariance product with matched F degrees of freedom.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,18 +53,19 @@ class RlsState:
 
     theta: np.ndarray
     psi: np.ndarray
-    error_window: deque = field(default_factory=deque)
+    error_window: np.ndarray  # (tau_d+1, p) a-priori errors, oldest first
     step: int = 0
 
     @classmethod
     def initialize(
-        cls, theta0: np.ndarray, psi0_scale: float, cfg: ForgettingConfig
+        cls, theta0: np.ndarray, psi0_scale: float, cfg: ForgettingConfig, p: int = 1
     ) -> "RlsState":
         theta0 = np.asarray(theta0, dtype=float).reshape(-1)
         if psi0_scale <= 0:
             raise ValueError("psi0_scale must be positive")
         psi0 = psi0_scale * np.eye(theta0.size)
-        return cls(theta0, psi0, deque(maxlen=cfg.tau_d + 1), 0)
+        # The F-test starts at step tau_d, once every zero row is shifted out.
+        return cls(theta0, psi0, np.zeros((cfg.tau_d + 1, p)), 0)
 
 
 def inverse_f_cdf(d1: float, d2: float, prob: float) -> float:
@@ -163,11 +163,10 @@ def compute_beta(g: float, cfg: ForgettingConfig, step: int) -> float:
     return 1.0 + cfg.eta * max(g, 0.0)
 
 
-def _window_statistic(window: deque, cfg: ForgettingConfig) -> float:
-    errors = np.asarray(window, dtype=float)
-    if errors.shape[1] == 1:
-        return forgetting_statistic_scalar(errors[:, 0], cfg)
-    return forgetting_statistic_multivariable(errors, cfg)
+def _window_statistic(window: np.ndarray, cfg: ForgettingConfig) -> float:
+    if window.shape[1] == 1:
+        return forgetting_statistic_scalar(window[:, 0], cfg)
+    return forgetting_statistic_multivariable(window, cfg)
 
 
 def rls_update(
@@ -188,8 +187,7 @@ def rls_update(
         )
     e = y - phi @ state.theta
 
-    window = deque(state.error_window, maxlen=cfg.tau_d + 1)
-    window.append(e.copy())
+    window = np.concatenate((state.error_window[1:], e[None]))
     if state.step >= cfg.tau_d:
         beta = compute_beta(_window_statistic(window, cfg), cfg, state.step)
     else:

@@ -32,6 +32,20 @@ def arx_sum(theta, dims, y_past, u_past):
     return out
 
 
+def gathered_state(history, y_now, theta, dims):
+    """BOCF state from a zero-padded copy of the history and a lag-index table."""
+    n, p, m = dims.n_hat, dims.p, dims.m
+    F, G = split_coefficients(theta, dims)
+    offset = np.arange(n) - np.arange(1, n)[:, None] + (n - 1)
+    y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
+    u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
+    tail = (
+        u_pad[offset].reshape(n - 1, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
+        - y_pad[offset].reshape(n - 1, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
+    )
+    return np.concatenate([y_now, tail.ravel()])
+
+
 class TestRegressor:
     def test_first_order_scalar(self):
         dims = ModelDims(1, 1, 1)
@@ -149,23 +163,6 @@ class TestBocfState:
         x = compute_bocf_state(h, [7.0], theta, dims)
         np.testing.assert_allclose(x, [7.0, -0.3 * 2 + 1.5 * 1])
 
-    @pytest.mark.parametrize("p", [1, 2])
-    def test_propagation_matches_arx(self, p):
-        # C (A x + B u) must reproduce the ARX difference equation at k+1
-        rng = np.random.default_rng(100 + p)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(1, 3))
-            dims, theta, h = random_model(rng, n, p, m)
-            y_k = rng.standard_normal(p)
-            u_k = rng.standard_normal(m)
-            x = compute_bocf_state(h, y_k, theta, dims)
-            A, B, C = assemble_bocf(theta, dims)
-            y_next = C @ (A @ x + B @ u_k)
-            shifted = h.push(y_k, u_k)
-            expect = arx_sum(theta, dims, shifted.y_past, shifted.u_past)
-            np.testing.assert_allclose(y_next, expect, rtol=1e-12, atol=1e-12)
-
     def test_full_state_propagates_arx_data(self):
         # On data generated by the ARX model, A x_k + B u_k must equal x_{k+1}
         # in every block, including blocks 3..n that C (A x + B u) never reads
@@ -188,6 +185,24 @@ class TestBocfState:
                     A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
                 )
                 x = x_next
+
+    @pytest.mark.parametrize("n, p, m", [(1, 1, 1), (1, 2, 2), (4, 2, 2), (10, 1, 1)])
+    def test_push_and_state_match_padded_copy(self, n, p, m):
+        # n = 1 has no padding rows; the state must equal, bit for bit, the
+        # product over an explicitly padded and gathered copy of the history
+        rng = np.random.default_rng(300 + n + p)
+        dims, theta, h = random_model(rng, n, p, m)
+        for _ in range(n + 2):
+            y, u = rng.standard_normal(p), rng.standard_normal(m)
+            pushed = h.push(y, u)
+            np.testing.assert_array_equal(pushed.y_past, np.vstack([y, h.y_past[:-1]]))
+            np.testing.assert_array_equal(pushed.u_past, np.vstack([u, h.u_past[:-1]]))
+            h = pushed
+            y_now = rng.standard_normal(p)
+            np.testing.assert_array_equal(
+                compute_bocf_state(h, y_now, theta, dims),
+                gathered_state(h, y_now, theta, dims),
+            )
 
     def test_first_block_reads_output(self):
         rng = np.random.default_rng(8)

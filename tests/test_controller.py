@@ -114,6 +114,23 @@ class TestStep:
             np.testing.assert_array_equal(u_impl, expect_impl)
             np.testing.assert_array_equal(state.rls.theta, rls_next.theta)
 
+    def test_update_and_push_leave_previous_arrays_unchanged(self):
+        # states are values: stepping from one must not write into it
+        cfg = default_config(n_hat=3, tau_n=2, tau_d=5)
+        rng = np.random.default_rng(35)
+        state = pcac_init(cfg)
+        for _ in range(12):
+            y = rng.standard_normal(1)
+            rls, history = state.rls, state.history
+            arrays = (rls.theta, rls.psi, rls.error_window,
+                      history.y_past, history.u_past)
+            kept = [a.copy() for a in arrays]
+            rls_update(rls, build_regressor(history, cfg.dims), y, cfg.forgetting)
+            history.push(y, rng.standard_normal(1))
+            _, _, state = pcac_step(state, y, cfg)
+            for a, b in zip(arrays, kept):
+                np.testing.assert_array_equal(a, b)
+
     def test_stabilizes_known_arx_plant(self):
         # closed loop against an unstable scalar ARX plant: the open loop
         # grows like 1.01^k (~2e8 over this run), so staying bounded and

@@ -21,6 +21,7 @@ from pcac import (
     write_record,
     write_spec_file,
 )
+from pcac import harness
 from pcac.cli import main as cli_main
 from pcac.harness import RECORD_COLUMNS
 
@@ -256,15 +257,7 @@ class TestSpecFiles:
         )
         path = str(tmp_path / "spec.txt")
         write_spec_file(spec, path)
-        back = parse_spec_file(path)
-        assert back.plant == spec.plant
-        assert back.controller.dims == spec.controller.dims
-        assert back.controller.forgetting == spec.controller.forgetting
-        assert back.t_open == spec.t_open
-        assert back.qdot0 == spec.qdot0
-        assert back.omega_shift_time == spec.omega_shift_time
-        assert back.omega_shift_factor == spec.omega_shift_factor
-        assert back.kick_q == spec.kick_q
+        assert_fields_equal(parse_spec_file(path), spec)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=specs())
@@ -369,6 +362,26 @@ class TestCli:
         assert cli_main(["grid", "--spec", path, "--out", str(out)]) == 0
         assert len((out / "summary.csv").read_text().splitlines()) == 2 + 9
         assert "summary written" in capsys.readouterr().out
+
+    def test_grid_exits_nonzero_when_a_cell_fails(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "spec.txt")
+        write_spec_file(short_spec(q0=1e-3, t_open=1.8, t_total=2.0), path)
+        run = harness.run_experiment
+        calls = []
+
+        def fail_second_cell(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise RuntimeError("injected cell failure")
+            return run(spec)
+
+        monkeypatch.setattr(harness, "run_experiment", fail_second_cell)
+        out = tmp_path / "grid"
+        assert cli_main(["grid", "--spec", path, "--out", str(out)]) == 1
+        assert len(calls) == 9
+        rows = (out / "summary.csv").read_text().splitlines()[2:]
+        assert sum("failed: injected cell failure" in r for r in rows) == 1
+        assert sum(",ok," in r for r in rows) == 8
 
     def test_spectrum_subcommand(self, tmp_path, spec_file, capsys):
         out = str(tmp_path / "out")

@@ -1,4 +1,6 @@
 """Backward Riccati sweep, first-step gain, and saturation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from pcac import (
     HorizonWeights,
     SaturationBounds,
     control_gain,
+    default_config,
     riccati_backward,
     saturate,
 )
@@ -155,6 +158,16 @@ class TestHorizonWeights:
         assert w.ell == 20
         assert w.R1[0, 0] == 1.0 and np.count_nonzero(w.R1) == 1
         assert w.R2[0, 0] == pytest.approx(1e-2)
+
+    def test_extreme_r2_symmetrises_exactly(self):
+        # no overflow near the float maximum, no underflow of a subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r2 in (1.7e308, 5e-324):
+                assert default_config(r2=r2).weights.R2[0, 0] == r2
+            with pytest.raises(ValueError, match="R2"):
+                HorizonWeights(ell=5, R1=np.eye(2), R2=[[-1.7e308]],
+                               P_terminal=np.zeros((2, 2)))
 
     def test_r2_must_be_positive_definite(self):
         with pytest.raises(ValueError):

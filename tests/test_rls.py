@@ -260,13 +260,34 @@ class TestRlsUpdate:
     def test_vector_output_update(self):
         cfg = ForgettingConfig(tau_n=5, tau_d=12, eta=0.1)
         rng = np.random.default_rng(14)
-        state = RlsState.initialize(np.zeros(6), 1.0, cfg)
+        state = RlsState.initialize(np.zeros(6), 1.0, cfg, p=2)
         for _ in range(30):
             phi = rng.standard_normal((2, 6))
             y = rng.standard_normal(2)
             state = rls_update(state, phi, y, cfg)
         assert state.step == 30
-        assert len(state.error_window) == cfg.tau_d + 1 or state.step < cfg.tau_d + 1
+        assert state.error_window.shape == (cfg.tau_d + 1, 2)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_window_holds_last_a_priori_errors(self, p):
+        # oldest first, the zero rows of the initial window shifted out
+        cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=0.1)
+        rng = np.random.default_rng(16 + p)
+        state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
+        errors = [np.zeros(p)] * (cfg.tau_d + 1)
+        for _ in range(300):
+            phi = rng.standard_normal((p, 3 * p))
+            y = rng.standard_normal(p)
+            errors.append(y - phi @ state.theta)
+            state = rls_update(state, phi, y, cfg)
+            np.testing.assert_array_equal(state.error_window,
+                                          errors[-(cfg.tau_d + 1):])
+
+    def test_error_width_must_match_window(self):
+        cfg = ForgettingConfig(tau_n=4, tau_d=10)
+        state = RlsState.initialize(np.zeros(4), 1.0, cfg)
+        with pytest.raises(ValueError):
+            rls_update(state, np.zeros((2, 4)), np.zeros(2), cfg)
 
     def test_beta_one_during_warmup_even_with_noisy_errors(self):
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=10.0)
