@@ -42,11 +42,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _any_failed(rows: list[dict]) -> int:
+    """1 when a sweep row failed or its runs had numerical faults, else 0."""
+    return int(any(r["status"] != "ok" or r["fault_count"] > 0 for r in rows))
+
+
 def _cmd_grid(args) -> int:
     spec = _load_spec(args)
-    summary = harness.run_grid(
-        spec, out_dir=args.out, base_seed=args.seed or 0, workers=args.workers
-    )
+    summary = harness.run_grid(spec, out_dir=args.out, base_seed=args.seed or 0)
     for row in summary:
         print(
             f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, mu={row['mu']:.2f}): "
@@ -59,7 +62,7 @@ def _cmd_grid(args) -> int:
             )
         )
     print(f"summary written to {args.out}/summary.csv")
-    return int(any(r["status"] != "ok" or r["fault_count"] > 0 for r in summary))
+    return _any_failed(summary)
 
 
 def _cmd_spectrum(args) -> int:
@@ -83,21 +86,24 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ablate(args) -> int:
     spec = _load_spec(args)
-    rows = harness.run_ablation(
-        spec, out_dir=args.out, base_seed=args.seed or 0, workers=args.workers
-    )
+    rows = harness.run_ablation(spec, out_dir=args.out, base_seed=args.seed or 0)
     wins = sum(
         row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
         for row in rows
+        if row["status"] == "ok"
     )
     for row in rows:
         print(
-            f"cell {row['cell']}: forgetting "
-            f"{row['resuppression_forgetting_s']:.3f} s vs "
-            f"{row['resuppression_no_forgetting_s']:.3f} s without"
+            f"cell {row['cell']}: "
+            + (
+                f"forgetting {row['resuppression_forgetting_s']:.3f} s vs "
+                f"{row['resuppression_no_forgetting_s']:.3f} s without"
+                if row["status"] == "ok"
+                else row["status"]
+            )
         )
     print(f"forgetting re-suppressed at least as fast on {wins}/{len(rows)} cells")
-    return 0
+    return _any_failed(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,13 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, workers=False):
+    def common(p):
         p.add_argument("--spec", help="experiment spec file (key = value lines)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="plant noise seed")
-        if workers:
-            p.add_argument("--workers", type=int, default=1,
-                           help="process-pool size for the sweep")
 
     p_run = sub.add_parser("run", help="run a single experiment")
     common(p_run)
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_grid = sub.add_parser("grid", help="run the 3x3 operating-condition sweep")
-    common(p_grid, workers=True)
+    common(p_grid)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_spec = sub.add_parser("spectrum", help="amplitude spectrum of a record file")
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser(
         "ablate", help="paired forgetting-on vs forgetting-off comparison"
     )
-    common(p_abl, workers=True)
+    common(p_abl)
     p_abl.set_defaults(func=_cmd_ablate)
 
     return parser

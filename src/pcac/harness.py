@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from inspect import signature
 
@@ -270,14 +269,28 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
 # Sweeps
 
 
-def _grid_cell(args):
-    index, spec = args
-    try:
-        record = run_experiment(spec)
-        metrics = experiment_metrics(record)
-        return index, "ok", metrics
-    except Exception as exc:  # per-cell failures must not abort the sweep
-        return index, f"failed: {exc}", None
+def _sweep(specs: list[ExperimentSpec], measure) -> list[dict]:
+    """One row per cell: its operating point, ``status`` and ``measure(spec)``.
+
+    The cells run one after another in this process, so the step timings in
+    the rows are single-process timings.  A cell whose ``measure`` raises
+    gets ``status = "failed: <reason>"`` and no measurements; the sweep goes
+    on with the next cell.
+    """
+    rows = []
+    for index, spec in enumerate(specs):
+        row = {
+            "cell": index,
+            "freq_hz": spec.plant.omega / (2.0 * np.pi),
+            "mu": spec.plant.mu,
+            "status": "ok",
+        }
+        try:
+            row.update(measure(spec))
+        except Exception as exc:  # per-cell failures must not abort the sweep
+            row["status"] = f"failed: {exc}"
+        rows.append(row)
+    return rows
 
 
 def grid_specs(base: ExperimentSpec, base_seed: int = 0) -> list[ExperimentSpec]:
@@ -294,12 +307,11 @@ def run_grid(
     base: ExperimentSpec,
     out_dir: str | None = None,
     base_seed: int = 0,
-    workers: int = 1,
 ) -> list[dict]:
     """Run the 3x3 operating sweep with identical controller hyperparameters.
 
-    Returns one summary dict per cell; per-cell failures are reported in the
-    ``status`` field without aborting the sweep.
+    Returns one row per cell: its ``experiment_metrics``, or a ``status``
+    reporting why the cell failed.
     """
     specs = grid_specs(base, base_seed=base_seed)
     if out_dir is not None:
@@ -308,47 +320,16 @@ def run_grid(
             replace(s, output_path=f"{out_dir}/cell_{i}.csv")
             for i, s in enumerate(specs)
         ]
-    jobs = list(enumerate(specs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_cell, jobs))
-    else:
-        results = [_grid_cell(job) for job in jobs]
-
-    summary = []
-    for (index, status, metrics), spec in zip(results, specs):
-        row = {
-            "cell": index,
-            "freq_hz": spec.plant.omega / (2.0 * np.pi),
-            "mu": spec.plant.mu,
-            "status": status,
-        }
-        if metrics:
-            row.update(metrics)
-        summary.append(row)
+    summary = _sweep(specs, lambda spec: experiment_metrics(run_experiment(spec)))
     if out_dir is not None:
         write_grid_summary(summary, f"{out_dir}/summary.csv")
     return summary
-
-
-def _ablation_cell(args):
-    index, spec_on, spec_off, t_event = args
-    rec_on = run_experiment(spec_on)
-    rec_off = run_experiment(spec_off)
-    return {
-        "cell": index,
-        "freq_hz": spec_on.plant.omega / (2.0 * np.pi),
-        "mu": spec_on.plant.mu,
-        "resuppression_forgetting_s": resuppression_time(rec_on, t_event),
-        "resuppression_no_forgetting_s": resuppression_time(rec_off, t_event),
-    }
 
 
 def run_ablation(
     base: ExperimentSpec,
     out_dir: str | None = None,
     base_seed: int = 0,
-    workers: int = 1,
     omega_shift_factor: float = 1.1,
     kick_q: float = 1.0,
 ) -> list[dict]:
@@ -358,27 +339,33 @@ def run_ablation(
     A displacement kick re-excites the oscillation at the change so the
     re-suppression metric is not vacuously zero when the loop absorbs the
     frequency shift without any visible transient.  Each pair shares the
-    plant seed; only eta differs between the runs.
+    plant seed; only eta differs between the runs.  A row's ``fault_count``
+    sums both runs'; a pair whose run raises is reported in ``status``.
     """
     t_event = base.t_open + 1.0
-    t_total = t_event + 1.5
-    jobs = []
-    for i, spec in enumerate(grid_specs(base, base_seed=base_seed)):
-        spec = replace(
+
+    def measure(spec):
+        cfg = spec.controller
+        cfg_off = replace(cfg, forgetting=replace(cfg.forgetting, eta=0.0))
+        rec_on = run_experiment(spec)
+        rec_off = run_experiment(replace(spec, controller=cfg_off))
+        return {
+            "resuppression_forgetting_s": resuppression_time(rec_on, t_event),
+            "resuppression_no_forgetting_s": resuppression_time(rec_off, t_event),
+            "fault_count": rec_on.fault_count + rec_off.fault_count,
+        }
+
+    specs = [
+        replace(
             spec,
-            t_total=t_total,
+            t_total=t_event + 1.5,
             omega_shift_time=t_event,
             omega_shift_factor=omega_shift_factor,
             kick_q=kick_q,
         )
-        cfg = spec.controller
-        cfg_off = replace(cfg, forgetting=replace(cfg.forgetting, eta=0.0))
-        jobs.append((i, spec, replace(spec, controller=cfg_off), t_event))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_ablation_cell, jobs))
-    else:
-        rows = [_ablation_cell(job) for job in jobs]
+        for spec in grid_specs(base, base_seed=base_seed)
+    ]
+    rows = _sweep(specs, measure)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_dict_rows(
@@ -441,7 +428,8 @@ def read_record(path: str) -> ExperimentRecord:
 
 
 def write_dict_rows(rows: list[dict], path: str, comment: str | None = None) -> None:
-    keys = list(rows[0].keys())
+    """CSV of ``rows``; the columns are every row key, in first-seen order."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")

@@ -85,14 +85,14 @@ def f_cdf_quad(x, d1, d2):
 def grid(tmp_path_factory):
     out_dir = str(tmp_path_factory.mktemp("grid"))
     t0 = time.perf_counter()
-    summary = run_grid(default_spec(), out_dir=out_dir, workers=1)
+    summary = run_grid(default_spec(), out_dir=out_dir)
     elapsed = time.perf_counter() - t0
     return summary, out_dir, elapsed
 
 
 @pytest.fixture(scope="module")
 def ablation():
-    return run_ablation(default_spec(), workers=1)
+    return run_ablation(default_spec())
 
 
 # ---------------------------------------------------------------------------

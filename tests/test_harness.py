@@ -1,7 +1,9 @@
 """Experiment runner, analysis helpers, record/spec files, and the CLI."""
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import fields, is_dataclass, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -232,12 +234,12 @@ class TestRecordFiles:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_record(run_experiment(spec), p1)
         write_record(run_experiment(spec), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_timing_sidecar_written(self, tmp_path):
         path = str(tmp_path / "record.csv")
         write_record(run_experiment(short_spec()), path)
-        lines = open(path + ".timing").read().splitlines()
+        lines = Path(path + ".timing").read_text().splitlines()
         assert lines[0] == "t,step_wall_s"
         assert len(lines) == 502
 
@@ -350,9 +352,8 @@ class TestCli:
             assert cli_main(["run", "--spec", path,
                              "--out", str(tmp_path / name),
                              "--seed", str(seed)]) == 0
-        r1 = open(tmp_path / "o1" / "record.csv", "rb").read()
-        r2 = open(tmp_path / "o2" / "record.csv", "rb").read()
-        r3 = open(tmp_path / "o3" / "record.csv", "rb").read()
+        r1, r2, r3 = ((tmp_path / name / "record.csv").read_bytes()
+                      for name in ("o1", "o2", "o3"))
         assert r1 != r2 and r1 == r3
 
     def test_grid_writes_summary(self, tmp_path, capsys):
@@ -393,3 +394,77 @@ class TestCli:
         data = np.loadtxt(spec_csv, delimiter=",", skiprows=1)
         f_peak = data[np.argmax(data[:, 1]), 0]
         assert f_peak == pytest.approx(150.0, abs=3.0)
+
+    def test_sweeps_have_no_workers_option(self):
+        for command in ("grid", "ablate"):
+            with pytest.raises(SystemExit):
+                cli_main([command, "--workers", "2"])
+
+
+def synthetic_record(fault_count=0):
+    """A 5.5 s record at t_s = 0.1: oscillating until the switch at 3 s,
+    silent after it except one sample at 4.5 s."""
+    t = np.arange(56) * 0.1
+    y = np.where(t < 3.0, 1.0, 0.0)
+    y[45] = 1.0
+    zeros = np.zeros_like(t)
+    return harness.ExperimentRecord(
+        t=t, y=y, u_req=zeros, u=zeros, theta_f_norm=zeros,
+        theta_g_norm=zeros, phase=(t >= 3.0).astype(int), step_wall=zeros,
+        k_switch=30, t_s=0.1, fault_count=fault_count,
+    )
+
+
+def stub_runs(monkeypatch, fail_on=None, fault_count=0):
+    """Replace run_experiment: record each spec, raise on call ``fail_on``,
+    else return ``synthetic_record(fault_count)``.  Returns the specs."""
+    calls = []
+
+    def fake_run(spec):
+        calls.append(spec)
+        if len(calls) == fail_on:
+            raise RuntimeError("injected run failure")
+        return synthetic_record(fault_count)
+
+    monkeypatch.setattr(harness, "run_experiment", fake_run)
+    return calls
+
+
+class TestAblation:
+    """The ablation sweep with run_experiment stubbed out."""
+
+    def test_pairs_and_failure_row(self, tmp_path, monkeypatch, capsys):
+        calls = stub_runs(monkeypatch, fail_on=2)  # cell 0's forgetting-off run
+        out = tmp_path / "ablation"
+        assert cli_main(["ablate", "--out", str(out)]) == 1
+        assert "on 8/9 cells" in capsys.readouterr().out
+
+        lines = (out / "ablation.csv").read_text().splitlines()
+        assert lines[1] == ("cell,freq_hz,mu,status,resuppression_forgetting_s,"
+                            "resuppression_no_forgetting_s,fault_count")
+        statuses = [line.split(",")[3] for line in lines[2:]]
+        assert len(statuses) == 9
+        assert statuses[0] == "failed: injected run failure"
+        assert statuses[1:] == ["ok"] * 8
+
+        assert len(calls) == 18
+        t_open = default_spec().t_open
+        for on, off in zip(calls[::2], calls[1::2]):
+            assert on.plant.seed == off.plant.seed
+            assert on.controller.forgetting.eta > 0.0
+            assert off.controller.forgetting.eta == 0.0
+            forgetting = replace(off.controller.forgetting,
+                                 eta=on.controller.forgetting.eta)
+            assert_fields_equal(
+                replace(off, controller=replace(off.controller,
+                                                forgetting=forgetting)), on)
+            assert on.omega_shift_time == t_open + 1.0
+            assert on.t_total == t_open + 2.5
+
+    @pytest.mark.parametrize("fault_count, status", [(0, 0), (1, 1)])
+    def test_exit_status_follows_faults(self, tmp_path, monkeypatch,
+                                        fault_count, status):
+        stub_runs(monkeypatch, fault_count=fault_count)
+        rows = harness.run_ablation(default_spec(), out_dir=None)
+        assert [row["fault_count"] for row in rows] == [2 * fault_count] * 9
+        assert cli_main(["ablate", "--out", str(tmp_path)]) == status
