@@ -7,10 +7,10 @@ follows.  The requested control is then clamped to the actuator range.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NumericalError
 
@@ -81,21 +81,40 @@ def _check_symmetric_psd(M: np.ndarray, name: str) -> None:
 
 
 def _solve_inner(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (R2 + B'PB) x = rhs through a Cholesky factor, guarding
-    against ill-conditioning."""
+    """Solve (R2 + B'PB) x = rhs, guarding against a matrix that is not
+    positive definite or is ill-conditioned.
+
+    For one input this is a checked division.  Otherwise the checks read the
+    eigenvalues of the symmetric part, but the solve uses S as computed: the
+    sweep leaves its iterates unsymmetrized, and dropping S's rounding-level
+    asymmetry from the solve (as a Cholesky solve would) lets that asymmetry
+    grow through the open-loop A instead of decaying through the closed loop.
+    """
     if S.shape == (1, 1):
-        s = S[0, 0]
-        if not np.isfinite(s) or s <= 0.0:
+        s = float(S[0, 0])
+        if not 0.0 < s < math.inf:
             raise NumericalError("R2 + B'PB is not positive definite")
         return rhs / s
-    S = 0.5 * (S + S.T)
-    try:
-        cho = linalg.cho_factor(S, check_finite=False)
-    except linalg.LinAlgError as exc:
-        raise NumericalError("R2 + B'PB is not positive definite") from exc
-    if np.linalg.cond(S) > _COND_LIMIT:
+    lam = np.linalg.eigvalsh(0.5 * (S + S.T))
+    if not lam[0] > 0.0:
+        raise NumericalError("R2 + B'PB is not positive definite")
+    if lam[-1] > _COND_LIMIT * lam[0]:
         raise NumericalError("R2 + B'PB is ill-conditioned")
-    return linalg.cho_solve(cho, rhs, check_finite=False)
+    return np.linalg.solve(S, rhs)
+
+
+def _stack_ab(A, B) -> tuple[np.ndarray, int]:
+    """Z = [A | B] and the state dimension n."""
+    A = np.atleast_2d(np.asarray(A, float))
+    B = np.asarray(B, float).reshape(A.shape[0], -1)
+    return np.concatenate((A, B), axis=1), A.shape[0]
+
+
+def _feedback(Z: np.ndarray, n: int, P: np.ndarray, R2: np.ndarray):
+    """A'PA, A'PB and Gamma = (R2 + B'PB)^{-1} B'PA, all read from the one
+    product Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]]."""
+    M = Z.T @ (P @ Z)
+    return M[:n, :n], M[:n, n:], _solve_inner(R2 + M[n:, n:], M[n:, :n])
 
 
 def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndarray:
@@ -103,21 +122,19 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
 
     Starting from the terminal weight, iterates
 
-        P_j = A' P_{j+1} (A - B Gamma_j) + R1,
+        P_j = A' P_{j+1} A - A' P_{j+1} B Gamma_j + R1,
         Gamma_j = (R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
 
-    down to the second prediction step and returns that matrix; intermediate
-    iterates are symmetrized each step and never stored.
+    down to the second prediction step and returns that matrix,
+    symmetrized; intermediate iterates are never stored.
     """
-    A = np.atleast_2d(np.asarray(A, float))
-    B = np.asarray(B, float).reshape(A.shape[0], -1)
+    Z, n = _stack_ab(A, B)
     P = w.P_terminal
     for _ in range(w.ell - 1):
-        BtP = B.T @ P
-        gamma = _solve_inner(w.R2 + BtP @ B, BtP @ A)
-        P = A.T @ P @ (A - B @ gamma) + w.R1
-        P = 0.5 * (P + P.T)
-    if not np.all(np.isfinite(P)):
+        AtPA, AtPB, gamma = _feedback(Z, n, P, w.R2)
+        P = AtPA - AtPB @ gamma + w.R1
+    P = 0.5 * (P + P.T)
+    if not np.isfinite(P).all():
         raise NumericalError("Riccati sweep diverged")
     return P
 
@@ -126,11 +143,9 @@ def control_gain(
     A: np.ndarray, B: np.ndarray, R2: np.ndarray, P2: np.ndarray
 ) -> np.ndarray:
     """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A."""
-    A = np.atleast_2d(np.asarray(A, float))
-    B = np.asarray(B, float).reshape(A.shape[0], -1)
+    Z, n = _stack_ab(A, B)
     R2 = np.atleast_2d(np.asarray(R2, float))
-    BtP = B.T @ P2
-    return -_solve_inner(R2 + BtP @ B, BtP @ A)
+    return -_feedback(Z, n, P2, R2)[2]
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:

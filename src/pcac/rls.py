@@ -9,6 +9,7 @@ covariance product with matched F degrees of freedom.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,12 +109,18 @@ def forgetting_statistic_scalar(errors: np.ndarray, cfg: ForgettingConfig) -> fl
     errors = np.asarray(errors, dtype=float).reshape(-1)
     if errors.size != cfg.tau_d + 1:
         raise ValueError(f"need {cfg.tau_d + 1} errors, got {errors.size}")
-    var_long = float(np.var(errors, ddof=1))
+    var_long = _sample_variance(errors)
     if var_long < _VAR_FLOOR:
         return 0.0
-    var_short = float(np.var(errors[-(cfg.tau_n + 1) :], ddof=1))
+    var_short = _sample_variance(errors[-(cfg.tau_n + 1) :])
     quant = _cached_f_quantile(float(cfg.tau_n), float(cfg.tau_d), 1.0 - cfg.alpha)
-    return float(np.sqrt(var_short / var_long) - np.sqrt(quant))
+    return math.sqrt(var_short / var_long) - math.sqrt(quant)
+
+
+def _sample_variance(x: np.ndarray) -> float:
+    """Unbiased variance d'd / (N - 1) of the centred samples d."""
+    d = x - x.sum() / x.size
+    return float(d @ d) / (x.size - 1)
 
 
 def multivariable_dof(p: int, cfg: ForgettingConfig):
@@ -169,6 +176,21 @@ def _window_statistic(window: np.ndarray, cfg: ForgettingConfig) -> float:
     return forgetting_statistic_multivariable(window, cfg)
 
 
+def _solve_inner(S: np.ndarray, beta: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I/beta + S) x = rhs, with S = phi psi phi': a checked division
+    by the scalar s = 1/beta + phi psi phi' for one output (the rank-1
+    update), an LU solve otherwise."""
+    if S.shape == (1, 1):
+        s = 1.0 / beta + float(S[0, 0])
+        if not 0.0 < s < math.inf:
+            raise NumericalError("RLS inner term 1/beta + phi psi phi' is not positive")
+        return rhs / s
+    try:
+        return np.linalg.solve(np.eye(S.shape[0]) / beta + S, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("RLS inner term I/beta + phi psi phi' is singular") from exc
+
+
 def rls_update(
     state: RlsState, phi: np.ndarray, y: np.ndarray, cfg: ForgettingConfig
 ) -> RlsState:
@@ -194,10 +216,9 @@ def rls_update(
         beta = 1.0
 
     gain = state.psi @ phi.T
-    inner = np.eye(p) / beta + phi @ gain
-    psi_next = beta * (state.psi - gain @ np.linalg.solve(inner, gain.T))
+    psi_next = beta * (state.psi - gain @ _solve_inner(phi @ gain, beta, gain.T))
     psi_next = 0.5 * (psi_next + psi_next.T)
-    if not np.all(np.isfinite(psi_next)) or np.any(np.diag(psi_next) <= 0):
+    if not np.isfinite(psi_next).all() or (psi_next.diagonal() <= 0).any():
         raise NumericalError("RLS covariance lost positive definiteness")
     theta_next = state.theta + psi_next @ (phi.T @ e)
     if not np.all(np.isfinite(theta_next)):

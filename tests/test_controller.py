@@ -1,6 +1,10 @@
 """Controller orchestration: sequencing, determinism, causality, fallback."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_riccati import textbook_control_gain, textbook_riccati_backward
+from test_rls import textbook_rls_update
 
 from pcac import (
     ModelDims,
@@ -9,12 +13,16 @@ from pcac import (
     compute_bocf_state,
     control_gain,
     default_config,
+    default_spec,
     pcac_init,
     pcac_step,
     riccati_backward,
     rls_update,
+    run_experiment,
     saturate,
+    suppression_time,
 )
+from pcac import controller
 from pcac.controller import PcacConfig
 
 
@@ -175,3 +183,37 @@ class TestStep:
         assert new_state.fault_count == state.fault_count + 1
         assert new_state.last_fault is not None
         assert new_state.rls.step == state.rls.step + 1  # identification still advanced
+
+
+def noisy_shift_spec(seed):
+    """Mid-grid cell with sensor noise 0.5, and 1 s after the switch a 1.1x
+    frequency shift plus a unit kick, then 1.5 s more: the forgetting case."""
+    base = default_spec(seed)
+    t_event = base.t_open + 1.0
+    return replace(base, plant=replace(base.plant, noise_std=0.5),
+                   t_total=t_event + 1.5, omega_shift_time=t_event,
+                   omega_shift_factor=1.1, kick_q=1.0)
+
+
+class TestAgainstTextbookLayers:
+    """Whole experiments with the fused Riccati sweep, rank-1 RLS update and
+    dot-product F-test against the same runs on their textbook forms."""
+
+    # The forms sum in different orders; the closed loop carries the
+    # rounding along, but within 1e-6 on signals of order 100.
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("spec", [default_spec(0), noisy_shift_spec(3)],
+                             ids=["default_0", "noisy_shift_3"])
+    def test_records_within_tolerance(self, spec, monkeypatch):
+        rec = run_experiment(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(controller, "riccati_backward", textbook_riccati_backward)
+            patch.setattr(controller, "control_gain", textbook_control_gain)
+            patch.setattr(controller, "rls_update",
+                          lambda *args: textbook_rls_update(*args)[0])
+            ref = run_experiment(spec)
+        assert np.max(np.abs(rec.y - ref.y)) <= self.TOL
+        assert np.max(np.abs(rec.u - ref.u)) <= self.TOL
+        assert suppression_time(rec) == suppression_time(ref)
+        assert rec.fault_count == ref.fault_count == 0

@@ -415,6 +415,18 @@ def synthetic_record(fault_count=0):
     )
 
 
+def test_step_time_columns_are_percentiles():
+    # samples without a controller step (step_wall 0) are left out
+    rec = run_experiment(short_spec())
+    wall = np.zeros_like(rec.step_wall)
+    wall[-26:] = np.arange(1, 27) * 1e-4  # 0.1 ms ... 2.6 ms
+    m = experiment_metrics(replace(rec, step_wall=wall))
+    assert m["mean_step_ms"] == pytest.approx(1.35)
+    assert m["step_p50_ms"] == pytest.approx(1.35)
+    assert m["step_p99_ms"] == pytest.approx(2.575)
+    assert "max_step_ms" not in m and "budget_violations" not in m
+
+
 def stub_runs(monkeypatch, fail_on=None, fault_count=0):
     """Replace run_experiment: record each spec, raise on call ``fail_on``,
     else return ``synthetic_record(fault_count)``.  Returns the specs."""

@@ -15,7 +15,7 @@ from pcac import (
     inverse_f_cdf,
     rls_update,
 )
-from pcac.rls import multivariable_dof
+from pcac.rls import _VAR_FLOOR, _cached_f_quantile, multivariable_dof
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,60 @@ class TestInverseFCdf:
         assert all(a > b for a, b in zip(quants, quants[1:]))
 
 
+# ---------------------------------------------------------------------------
+# Textbook forms of the scalar F statistic (two np.var calls) and of the RLS
+# update (an np.linalg.solve of I/beta + phi psi phi'), the references for the
+# implementation's dot-product variances and checked rank-1 update.
+
+
+def textbook_statistic(errors, cfg):
+    errors = np.asarray(errors, dtype=float).reshape(-1)
+    var_long = float(np.var(errors, ddof=1))
+    if var_long < _VAR_FLOOR:
+        return 0.0
+    var_short = float(np.var(errors[-(cfg.tau_n + 1):], ddof=1))
+    quant = _cached_f_quantile(float(cfg.tau_n), float(cfg.tau_d), 1.0 - cfg.alpha)
+    return float(np.sqrt(var_short / var_long) - np.sqrt(quant))
+
+
+def textbook_rls_update(state, phi, y, cfg):
+    """One RLS step in the solve form; returns the new state and beta."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    phi = np.atleast_2d(np.asarray(phi, dtype=float))
+    p = y.size
+    e = y - phi @ state.theta
+    window = np.concatenate((state.error_window[1:], e[None]))
+    beta = 1.0
+    if state.step >= cfg.tau_d:
+        g = (textbook_statistic(window[:, 0], cfg) if p == 1
+             else forgetting_statistic_multivariable(window, cfg))
+        beta = compute_beta(g, cfg, state.step)
+    gain = state.psi @ phi.T
+    inner = np.eye(p) / beta + phi @ gain
+    psi = beta * (state.psi - gain @ np.linalg.solve(inner, gain.T))
+    psi = 0.5 * (psi + psi.T)
+    theta = state.theta + psi @ (phi.T @ e)
+    return RlsState(theta, psi, window, state.step + 1), beta
+
+
+def drifting_data(rng, steps, p, dim):
+    """Regressors and outputs whose noise grows tenfold two thirds of the
+    way through, so the F-test forgets (beta > 1) after the change."""
+    theta = rng.standard_normal(dim)
+    for k in range(steps):
+        phi = rng.standard_normal((p, dim))
+        scale = 0.1 if k < 2 * steps // 3 else 1.0
+        yield phi, phi @ theta + scale * rng.standard_normal(p)
+
+
 CFG = ForgettingConfig(tau_n=4, tau_d=10, eta=0.1, alpha=0.001)
 
 
 class TestScalarStatistic:
     def test_constant_window_guarded(self):
-        errors = np.full(CFG.tau_d + 1, 3.7)
-        assert forgetting_statistic_scalar(errors, CFG) == 0.0
+        for c in (3.7, 0.0, -2.5, 1e-3):
+            errors = np.full(CFG.tau_d + 1, c)
+            assert forgetting_statistic_scalar(errors, CFG) == 0.0
 
     def test_equal_variances_negative(self):
         rng = np.random.default_rng(0)
@@ -129,6 +176,18 @@ class TestScalarStatistic:
             e[-(CFG.tau_n + 1):] *= s
             stats.append(forgetting_statistic_scalar(e, CFG))
         assert all(a < b for a, b in zip(stats, stats[1:]))
+
+
+    def test_matches_textbook_variances(self):
+        # d'd / (N-1) sums the squares in another order than np.var
+        cfg = ForgettingConfig(tau_n=40, tau_d=200, eta=0.1, alpha=0.001)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            errors = rng.uniform(-10, 10) + 10.0 ** rng.uniform(-6, 3) * (
+                rng.standard_normal(cfg.tau_d + 1))
+            errors[-(cfg.tau_n + 1):] *= rng.uniform(0.2, 5.0)
+            assert forgetting_statistic_scalar(errors, cfg) == pytest.approx(
+                textbook_statistic(errors, cfg), rel=1e-12, abs=1e-12)
 
 
 class TestMultivariableStatistic:
@@ -302,6 +361,46 @@ class TestRlsUpdate:
             s_a = rls_update(s_a, phi, y, cfg)
             s_b = rls_update(s_b, phi, y, ForgettingConfig(tau_n=4, tau_d=10, eta=0.0))
             np.testing.assert_array_equal(s_a.theta, s_b.theta)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_textbook_solve_form(self, p):
+        # p = 1 is the checked rank-1 update, compared within 1e-12 over a
+        # run that forgets; p = 2 keeps the solve form and must be identical
+        cfg = ForgettingConfig(tau_n=10, tau_d=30, eta=1.0, alpha=0.05)
+        rng = np.random.default_rng(40 + p)
+        dim = 4 * p
+        state = ref = RlsState.initialize(np.zeros(dim), 10.0, cfg, p)
+        betas = []
+        for phi, y in drifting_data(rng, 300, p, dim):
+            state = rls_update(state, phi, y, cfg)
+            ref, beta = textbook_rls_update(ref, phi, y, cfg)
+            betas.append(beta)
+            if p == 1:
+                np.testing.assert_allclose(state.psi, ref.psi, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(ref.psi)))
+                np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12,
+                                           atol=1e-12)
+            else:
+                np.testing.assert_array_equal(state.psi, ref.psi)
+                np.testing.assert_array_equal(state.theta, ref.theta)
+            np.testing.assert_array_equal(state.psi, state.psi.T)
+        assert betas[0] == 1.0 and max(betas) > 1.0
+
+    @pytest.mark.parametrize("psi", [
+        [[-1.0, 0.0], [0.0, 0.0]],     # 1/beta + phi psi phi' = 0
+        [[np.inf, 0.0], [0.0, 1.0]],   # = inf
+        [[np.nan, 0.0], [0.0, 1.0]],   # = nan
+    ])
+    def test_bad_inner_term_raises_numerical_error(self, psi):
+        state = RlsState(np.zeros(2), np.array(psi), np.zeros((CFG.tau_d + 1, 1)))
+        with pytest.raises(NumericalError, match="inner term"):
+            rls_update(state, np.array([[1.0, 0.0]]), np.array([0.5]), CFG)
+
+    def test_singular_vector_inner_term_raises_numerical_error(self):
+        state = RlsState(np.zeros(2), np.array([[-1.0, 0.0], [0.0, -1.0]]),
+                         np.zeros((CFG.tau_d + 1, 2)))
+        with pytest.raises(NumericalError, match="inner term"):
+            rls_update(state, np.eye(2), np.zeros(2), CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
