@@ -10,17 +10,25 @@ covariance product with matched F degrees of freedom.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import NumericalError
 
 # Long-window variance below this is treated as "perfect prediction": no
 # evidence of model change, so no forgetting.
 _VAR_FLOOR = 1e-30
+_EPS = sys.float_info.epsilon
+# Iteration caps of the F quantile.  For shape parameters up to 1e6 the
+# incomplete beta's continued fraction takes at most about 200 terms and the
+# bracketed Newton solve of its inverse about 10 steps.
+_CF_MAX_TERMS = 2000
+_NEWTON_MAX_STEPS = 100
+# Stirling series of lgamma, the coefficients of x^-1, x^-3, ..., x^-11.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # Ridge added to the long-window covariance before inversion (p > 1 case).
 _COV_RIDGE = 1e-12
 
@@ -76,21 +84,179 @@ def inverse_f_cdf(d1: float, d2: float, prob: float) -> float:
     result is round-trip checked through the forward CDF and a failure to
     converge raises instead of returning silently.
     """
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    if not (0 < d1 < math.inf and 0 < d2 < math.inf):
+        raise ValueError("degrees of freedom must be positive and finite")
     if not 0 < prob < 1:
         raise ValueError("prob must lie in (0, 1)")
-    w = special.betaincinv(d1 / 2.0, d2 / 2.0, prob)
-    if not np.isfinite(w) or not 0 < w < 1:
+    a, b, prob_c = d1 / 2.0, d2 / 2.0, 1.0 - prob
+    w, w_c = _beta_quantile(a, b, prob, prob_c)
+    x = d2 * w / (d1 * w_c)
+    if not 0 < x < math.inf:
         raise NumericalError(f"inverse beta failed for ({d1}, {d2}, {prob})")
-    x = d2 * w / (d1 * (1.0 - w))
-    back = special.betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2))
-    if abs(back - prob) > 1e-10:
+    s = d1 * x + d2
+    back = _beta_residual(a, b, prob, prob_c, d1 * x / s, d2 / s)
+    if abs(back) > 1e-10:
         raise NumericalError(
-            f"F quantile round-trip error {abs(back - prob):.3e} for "
-            f"({d1}, {d2}, {prob})"
+            f"F quantile round-trip error {abs(back):.3e} for ({d1}, {d2}, {prob})"
         )
     return float(x)
+
+
+def _betainc(a: float, b: float, x: float, x_c: float) -> tuple[float, float]:
+    """Regularized incomplete beta I_x(a, b) and its complement, for x in
+    [0, 1] given with x_c = 1 - x; the smaller of the two must be exact.
+
+    The continued fraction is evaluated on the side of the mean where it
+    converges fast, so the tail it returns keeps its relative precision.
+    """
+    if x <= 0.0 or x_c <= 0.0:
+        return (0.0, 1.0) if x <= 0.0 else (1.0, 0.0)
+    if x <= x_c:
+        log_x, log_x_c = math.log(x), math.log1p(-x)
+    else:
+        log_x, log_x_c = math.log1p(-x_c), math.log(x_c)
+    front = math.exp(a * log_x + b * log_x_c - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        tail = front * _beta_fraction(a, b, x) / a
+        return tail, 1.0 - tail
+    tail = front * _beta_fraction(b, a, x_c) / b
+    return 1.0 - tail, tail
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  Past 20 the lgamma terms are of order a log a and their
+    difference would lose digits, so it is taken in Stirling's form."""
+    a, b = min(a, b), max(a, b)
+    if b < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    s = a + b
+    # lgamma(b) - lgamma(s) + a, without its terms of order b log b
+    rest = _stirling_tail(b) - _stirling_tail(s) - (b - 0.5) * math.log1p(a / b)
+    if a < 20.0:
+        return math.lgamma(a) + a - a * math.log(s) + rest
+    return (
+        0.5 * math.log(2.0 * math.pi / a)
+        + a * math.log(a / s)
+        + _stirling_tail(a)
+        + rest
+    )
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= 20 (the
+    first omitted term is below 1e-18)."""
+    r, acc = 1.0 / (x * x), 0.0
+    for coef in reversed(_STIRLING):
+        acc = acc * r + coef
+    return acc / x
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) > tiny else tiny
+
+    c, d = 1.0, 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / nonzero(1.0 + coef * d)
+            c = nonzero(1.0 + coef / c)
+            h *= c * d
+        if abs(c * d - 1.0) <= _EPS:
+            return h
+    raise NumericalError(
+        f"incomplete beta continued fraction did not converge for ({a}, {b}, {x})"
+    )
+
+
+def _beta_residual(
+    a: float, b: float, prob: float, prob_c: float, x: float, x_c: float
+) -> float:
+    """I_x(a, b) - prob for prob given with prob_c = 1 - prob, the smaller of
+    the two exact; taken on that tail, the difference keeps its precision at
+    both ends."""
+    lower, upper = _betainc(a, b, x, x_c)
+    return lower - prob if prob <= prob_c else prob_c - upper
+
+
+def _beta_quantile(
+    a: float, b: float, prob: float, prob_c: float
+) -> tuple[float, float]:
+    """(w, 1 - w) with I_w(a, b) = prob, each to full relative precision.
+
+    The solve runs on whichever of w and 1 - w lies below 1/2, through the
+    symmetry I_w(a, b) = 1 - I_{1-w}(b, a).
+    """
+    if _beta_residual(a, b, prob, prob_c, 0.5, 0.5) >= 0.0:
+        w = _lower_beta_quantile(a, b, prob, prob_c)
+        return w, 1.0 - w
+    w_c = _lower_beta_quantile(b, a, prob_c, prob)
+    return 1.0 - w_c, w_c
+
+
+def _lower_beta_quantile(a: float, b: float, prob: float, prob_c: float) -> float:
+    """Root w in (0, 1/2] of I_w(a, b) = prob, given with prob_c = 1 - prob.
+
+    Newton steps on the log of the tail that holds the smaller of the two,
+    which is close to linear far out in either tail, kept inside a bisection
+    bracket that shrinks with every evaluation.
+    """
+    log_beta = _log_beta(a, b)
+    use_lower = prob <= prob_c
+    log_target = math.log(prob if use_lower else prob_c)
+    lo, hi = 0.0, 0.5
+    # Leading term of the series near 0, I_w ~ w^a / (a B(a, b)).
+    guess = (math.log(prob) + math.log(a) + log_beta) / a
+    w = min(0.5, max(sys.float_info.min, math.exp(min(guess, 0.0))))
+    for _ in range(_NEWTON_MAX_STEPS):
+        lower, upper = _betainc(a, b, w, 1.0 - w)
+        tail = lower if use_lower else upper
+        # g rises with w through 0 at the root; an underflowed tail puts w
+        # far out on its own side.
+        if tail > 0.0:
+            g = math.log(tail) - log_target if use_lower else log_target - math.log(tail)
+        else:
+            g = -math.inf if use_lower else math.inf
+        if g == 0.0:
+            return w
+        if g > 0.0:
+            hi = w
+        else:
+            lo = w
+        if hi - lo <= 64.0 * _EPS * hi:
+            return 0.5 * (lo + hi)
+        nxt = math.nan
+        if tail > 0.0:
+            # Newton step g / g' with g' = density / tail, in logs so that
+            # nothing overflows; a step longer than 1 leaves the bracket.
+            log_step = (
+                math.log(abs(g)) + math.log(tail) + log_beta
+                - (a - 1.0) * math.log(w) - (b - 1.0) * math.log1p(-w)
+            )
+            nxt = w - math.copysign(math.exp(min(log_step, 0.0)), g)
+            if abs(nxt - w) <= 64.0 * _EPS * w:
+                return min(max(nxt, lo), hi)
+        if not lo < nxt < hi:
+            edge = hi if nxt >= hi else lo
+            lo_pos = max(lo, sys.float_info.min)
+            if abs(nxt - edge) <= 64.0 * _EPS * edge:
+                # Just past the far end: the root is there, within rounding.
+                nxt = edge + math.copysign(32.0 * _EPS * edge, w - edge)
+            elif hi < 4.0 * lo_pos:
+                # Bisect, geometrically while the bracket spans decades.
+                nxt = 0.5 * (lo_pos + hi)
+            else:
+                nxt = math.sqrt(lo_pos) * math.sqrt(hi)
+        w = nxt
+    raise NumericalError(
+        f"inverse incomplete beta did not converge for ({a}, {b}, {prob})"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -109,18 +275,22 @@ def forgetting_statistic_scalar(errors: np.ndarray, cfg: ForgettingConfig) -> fl
     errors = np.asarray(errors, dtype=float).reshape(-1)
     if errors.size != cfg.tau_d + 1:
         raise ValueError(f"need {cfg.tau_d + 1} errors, got {errors.size}")
-    var_long = _sample_variance(errors)
-    if var_long < _VAR_FLOOR:
+    mean, var_long = _mean_and_variance(errors)
+    # Centring a constant window by its rounded mean leaves a variance of
+    # rounding error, below (N eps mean)^2 at any magnitude: no evidence.
+    if var_long <= _VAR_FLOOR + (errors.size * _EPS * mean) ** 2:
         return 0.0
-    var_short = _sample_variance(errors[-(cfg.tau_n + 1) :])
+    var_short = _mean_and_variance(errors[-(cfg.tau_n + 1) :])[1]
     quant = _cached_f_quantile(float(cfg.tau_n), float(cfg.tau_d), 1.0 - cfg.alpha)
     return math.sqrt(var_short / var_long) - math.sqrt(quant)
 
 
-def _sample_variance(x: np.ndarray) -> float:
-    """Unbiased variance d'd / (N - 1) of the centred samples d."""
-    d = x - x.sum() / x.size
-    return float(d @ d) / (x.size - 1)
+def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
+    """Mean m and unbiased variance d'd / (N - 1) of the centred samples
+    d = x - m."""
+    m = float(x.sum()) / x.size
+    d = x - m
+    return m, float(d @ d) / (x.size - 1)
 
 
 def multivariable_dof(p: int, cfg: ForgettingConfig):

@@ -15,7 +15,15 @@ from pcac import (
     inverse_f_cdf,
     rls_update,
 )
-from pcac.rls import _VAR_FLOOR, _cached_f_quantile, multivariable_dof
+from pcac import rls
+from pcac.rls import (
+    _NEWTON_MAX_STEPS,
+    _VAR_FLOOR,
+    _beta_quantile,
+    _betainc,
+    _cached_f_quantile,
+    multivariable_dof,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +89,94 @@ class TestInverseFCdf:
             inverse_f_cdf(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             inverse_f_cdf(1.0, 1.0, 1.0)
+        # non-finite degrees of freedom or probability
+        for bad in (np.nan, np.inf, -np.inf):
+            for args in ((bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    inverse_f_cdf(*args)
 
     def test_quantile_decreasing_in_alpha(self):
         # larger significance level -> smaller 1-alpha quantile -> larger g
         quants = [inverse_f_cdf(40, 200, 1 - a) for a in (1e-4, 1e-3, 1e-2, 1e-1)]
         assert all(a > b for a, b in zip(quants, quants[1:]))
+
+    @pytest.mark.parametrize("d1,d2,prob", [
+        (1e-3, 1.0, 1e-10),   # the root w ~ 1e-20000 underflows
+        (1e-4, 1.0, 0.5),
+        (1e20, 1e20, 0.5),    # the continued fraction needs ~1e10 terms
+    ])
+    def test_no_convergence_raises_within_the_cap(self, d1, d2, prob, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _betainc(*args)
+
+        monkeypatch.setattr(rls, "_betainc", counted)
+        with pytest.raises(NumericalError, match="did not converge"):
+            inverse_f_cdf(d1, d2, prob)
+        # one evaluation picks the side of 1/2, then at most one per step
+        assert len(calls) <= _NEWTON_MAX_STEPS + 1
+
+
+# ---------------------------------------------------------------------------
+# The incomplete beta and its inverse against scipy.special.  scipy is an
+# oracle of the tests only; pcac itself does not import it.
+
+SHAPES = [0.5, 1.0, 2.5, 20.0, 100.0, 1000.0]
+PROBS = [1e-10, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-6, 1 - 1e-10]
+
+
+def _rel_err(x, ref):
+    return abs(x - ref) / abs(ref)
+
+
+class TestIncompleteBetaOracle:
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_betainc_matches_scipy(self, a):
+        # x = 2^-k and 1 - 2^-k are exact, so both tails are well defined
+        xs = [2.0 ** -k for k in (1, 2, 3, 5, 8, 12, 20, 30)]
+        worst = 0.0
+        for b in SHAPES:
+            for x in xs + [1.0 - x for x in xs[1:]]:
+                lower, upper = _betainc(a, b, x, 1.0 - x)
+                ref_lower = special.betainc(a, b, x)
+                ref_upper = special.betaincc(a, b, x)
+                for got, ref in ((lower, ref_lower), (upper, ref_upper)):
+                    if ref > 1e-300:
+                        worst = max(worst, _rel_err(got, ref))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_inverse_matches_scipy(self, a):
+        # both w and 1 - w keep their relative precision
+        worst = 0.0
+        for b in SHAPES:
+            for prob in PROBS:
+                w, w_c = _beta_quantile(a, b, prob, 1.0 - prob)
+                worst = max(worst,
+                            _rel_err(w, special.betaincinv(a, b, prob)),
+                            _rel_err(w_c, special.betainccinv(b, a, prob)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_f_quantile_matches_scipy(self, a):
+        worst = 0.0
+        for b in SHAPES:
+            for prob in PROBS:
+                x = inverse_f_cdf(2 * a, 2 * b, prob)
+                worst = max(worst, _rel_err(x, special.fdtri(2 * a, 2 * b, prob)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_multivariable_quantile_matches_scipy(self, p):
+        # d2 = b of the multivariable test is not an integer
+        cfg = ForgettingConfig()
+        _, b, _ = multivariable_dof(p, cfg)
+        assert b != round(b)
+        for prob in PROBS + [1.0 - cfg.alpha]:
+            x = inverse_f_cdf(float(p * cfg.tau_n), b, prob)
+            assert _rel_err(x, special.fdtri(p * cfg.tau_n, b, prob)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +230,18 @@ CFG = ForgettingConfig(tau_n=4, tau_d=10, eta=0.1, alpha=0.001)
 
 class TestScalarStatistic:
     def test_constant_window_guarded(self):
-        for c in (3.7, 0.0, -2.5, 1e-3):
-            errors = np.full(CFG.tau_d + 1, c)
-            assert forgetting_statistic_scalar(errors, CFG) == 0.0
+        # centring by the rounded mean leaves a variance of rounding error,
+        # which an absolute floor missed at 42.42, 123.456 and 1000.1
+        for cfg in (CFG, ForgettingConfig()):
+            for c in (3.7, 0.0, -2.5, 1e-3, 7.0, 42.42, 123.456, 1000.1, 1e6, -1e6):
+                errors = np.full(cfg.tau_d + 1, c)
+                g = forgetting_statistic_scalar(errors, cfg)
+                assert g == 0.0
+                assert compute_beta(g, cfg, cfg.tau_d) == 1.0
+                # through the update: with phi = 0, beta alone scales psi
+                state = RlsState(np.zeros(2), np.eye(2), errors[:, None], cfg.tau_d)
+                new = rls_update(state, np.zeros((1, 2)), np.array([c]), cfg)
+                np.testing.assert_array_equal(new.psi, np.eye(2))
 
     def test_equal_variances_negative(self):
         rng = np.random.default_rng(0)
