@@ -122,14 +122,14 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
 
     A, B, _ = assemble_bocf(rls_next.theta, cfg.dims)
     x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims)
-    x_next = A @ x_now + B @ state.u_implemented
+    x_next = np.dot(A, x_now) + np.dot(B, state.u_implemented)
 
     fault = None
     try:
         P2 = riccati_backward(A, B, cfg.weights)
         K = control_gain(A, B, cfg.weights.R2, P2)
-        u_req = K @ x_next
-        if not np.all(np.isfinite(u_req)):
+        u_req = np.dot(K, x_next)
+        if not np.isfinite(u_req).all():
             raise NumericalError("non-finite requested control")
         u_impl = saturate(u_req, cfg.bounds)
     except NumericalError as exc:

@@ -54,14 +54,6 @@ class PlantState:
     t: float = 0.0
 
 
-def _accel(q: float, qdot: float, u: float, params: EmulatorParams) -> float:
-    return (
-        -params.mu * (q * q - 1.0) * qdot
-        - params.omega * params.omega * q
-        + params.kappa * u
-    )
-
-
 def plant_zoh_step(
     state: PlantState,
     u_held: float,
@@ -76,18 +68,22 @@ def plant_zoh_step(
         raise ValueError("need at least one substep")
     h = T_s / substeps
     q, qdot = state.q, state.qdot
-    u = float(u_held)
+    # The oscillator's acceleration, -mu (q^2 - 1) q' - omega^2 q + kappa u,
+    # is written out at each RK4 stage with its constants taken once per call.
+    neg_mu = -params.mu
+    omega_sq = params.omega * params.omega
+    force = params.kappa * float(u_held)
+    half_h, sixth_h = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1q = qdot
-        k1v = _accel(q, qdot, u, params)
-        k2q = qdot + 0.5 * h * k1v
-        k2v = _accel(q + 0.5 * h * k1q, qdot + 0.5 * h * k1v, u, params)
-        k3q = qdot + 0.5 * h * k2v
-        k3v = _accel(q + 0.5 * h * k2q, qdot + 0.5 * h * k2v, u, params)
-        k4q = qdot + h * k3v
-        k4v = _accel(q + h * k3q, qdot + h * k3v, u, params)
-        q += h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        qdot += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        k1v = neg_mu * (q * q - 1.0) * qdot - omega_sq * q + force
+        q2, k2q = q + half_h * qdot, qdot + half_h * k1v
+        k2v = neg_mu * (q2 * q2 - 1.0) * k2q - omega_sq * q2 + force
+        q3, k3q = q + half_h * k2q, qdot + half_h * k2v
+        k3v = neg_mu * (q3 * q3 - 1.0) * k3q - omega_sq * q3 + force
+        q4, k4q = q + h * k3q, qdot + h * k3v
+        k4v = neg_mu * (q4 * q4 - 1.0) * k4q - omega_sq * q4 + force
+        q += sixth_h * (qdot + 2.0 * k2q + 2.0 * k3q + k4q)
+        qdot += sixth_h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     if not (abs(q) < _BLOWUP and abs(qdot) < _BLOWUP):  # also catches NaN
         raise PlantDivergedError(
             f"plant state left sane range at t={state.t + T_s:.4f} s"

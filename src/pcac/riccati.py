@@ -80,27 +80,30 @@ def _check_symmetric_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
-def _solve_inner(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (R2 + B'PB) x = rhs, guarding against a matrix that is not
-    positive definite or is ill-conditioned.
+def _gamma(M: np.ndarray, n: int, R2: np.ndarray) -> np.ndarray:
+    """Gamma = (R2 + B'PB)^{-1} B'PA, read from the one product
+    M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]], guarding against an inner
+    matrix that is not positive definite or is ill-conditioned.
 
     For one input this is a checked division.  Otherwise the checks read the
-    eigenvalues of the symmetric part, but the solve uses S as computed: the
-    sweep leaves its iterates unsymmetrized, and dropping S's rounding-level
-    asymmetry from the solve (as a Cholesky solve would) lets that asymmetry
-    grow through the open-loop A instead of decaying through the closed loop.
+    eigenvalues of the symmetric part, but the solve uses R2 + B'PB as
+    computed: the sweep leaves its iterates unsymmetrized, and dropping the
+    rounding-level asymmetry from the solve (as a Cholesky solve would) lets
+    that asymmetry grow through the open-loop A instead of decaying through
+    the closed loop.
     """
-    if S.shape == (1, 1):
-        s = float(S[0, 0])
+    if M.shape[0] == n + 1:
+        s = R2[0, 0] + M[n, n]
         if not 0.0 < s < math.inf:
             raise NumericalError("R2 + B'PB is not positive definite")
-        return rhs / s
+        return M[n:, :n] / s
+    S = R2 + M[n:, n:]
     lam = np.linalg.eigvalsh(0.5 * (S + S.T))
     if not lam[0] > 0.0:
         raise NumericalError("R2 + B'PB is not positive definite")
     if lam[-1] > _COND_LIMIT * lam[0]:
         raise NumericalError("R2 + B'PB is ill-conditioned")
-    return np.linalg.solve(S, rhs)
+    return np.linalg.solve(S, M[n:, :n])
 
 
 def _stack_ab(A, B) -> tuple[np.ndarray, int]:
@@ -108,13 +111,6 @@ def _stack_ab(A, B) -> tuple[np.ndarray, int]:
     A = np.atleast_2d(np.asarray(A, float))
     B = np.asarray(B, float).reshape(A.shape[0], -1)
     return np.concatenate((A, B), axis=1), A.shape[0]
-
-
-def _feedback(Z: np.ndarray, n: int, P: np.ndarray, R2: np.ndarray):
-    """A'PA, A'PB and Gamma = (R2 + B'PB)^{-1} B'PA, all read from the one
-    product Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]]."""
-    M = Z.T @ (P @ Z)
-    return M[:n, :n], M[:n, n:], _solve_inner(R2 + M[n:, n:], M[n:, :n])
 
 
 def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndarray:
@@ -129,10 +125,13 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
     symmetrized; intermediate iterates are never stored.
     """
     Z, n = _stack_ab(A, B)
-    P = w.P_terminal
+    P, R1, R2 = w.P_terminal, w.R1, w.R2
+    # np.dot, not @: on these 10x11 operands both make the same BLAS call,
+    # with bit-identical results, but np.dot dispatches in about half the
+    # time, and the step's cost is dispatch rather than arithmetic.
     for _ in range(w.ell - 1):
-        AtPA, AtPB, gamma = _feedback(Z, n, P, w.R2)
-        P = AtPA - AtPB @ gamma + w.R1
+        M = np.dot(Z.T, np.dot(P, Z))
+        P = M[:n, :n] - np.dot(M[:n, n:], _gamma(M, n, R2)) + R1
     P = 0.5 * (P + P.T)
     if not np.isfinite(P).all():
         raise NumericalError("Riccati sweep diverged")
@@ -145,9 +144,10 @@ def control_gain(
     """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A."""
     Z, n = _stack_ab(A, B)
     R2 = np.atleast_2d(np.asarray(R2, float))
-    return -_feedback(Z, n, P2, R2)[2]
+    return -_gamma(np.dot(Z.T, np.dot(P2, Z)), n, R2)
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:
     """Componentwise clamp of the requested control to the actuator range."""
-    return np.clip(np.atleast_1d(np.asarray(u_req, float)), b.u_min, b.u_max)
+    u_req = np.atleast_1d(np.asarray(u_req, float))
+    return np.minimum(np.maximum(u_req, b.u_min), b.u_max)

@@ -307,13 +307,28 @@ def multivariable_dof(p: int, cfg: ForgettingConfig):
 def forgetting_statistic_multivariable(
     errors: np.ndarray, cfg: ForgettingConfig
 ) -> float:
-    """Test statistic g for vector outputs (p > 1), via covariance matrices."""
+    """Test statistic g for vector outputs (p > 1), via covariance matrices.
+
+    Channels that are constant over the long window carry no evidence and
+    are left out; the rest are tested with their own p (the scalar test
+    when one is left), each scaled to unit long-window variance, so that g
+    does not depend on the scale of the errors.
+    """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2 or errors.shape[0] != cfg.tau_d + 1:
         raise ValueError(
             f"need a ({cfg.tau_d + 1}, p) error window, got {errors.shape}"
         )
-    p = errors.shape[1]
+    mean, var = errors.mean(axis=0), errors.var(axis=0, ddof=1)
+    # the scalar test's constant-window guard, per channel
+    live = np.flatnonzero(var > _VAR_FLOOR + (errors.shape[0] * _EPS * mean) ** 2)
+    if live.size == 0:
+        return 0.0
+    if live.size == 1:
+        return forgetting_statistic_scalar(errors[:, live[0]], cfg)
+    # unit long-window variances make the floor and the ridge below relative
+    errors = errors[:, live] / np.sqrt(var[live])
+    p = live.size
     sig_long = np.cov(errors, rowvar=False, ddof=1)
     if abs(np.linalg.det(sig_long)) < _VAR_FLOOR:
         return 0.0
@@ -377,7 +392,7 @@ def rls_update(
         raise ValueError(
             f"regressor shape {phi.shape} does not match ({p}, {state.theta.size})"
         )
-    e = y - phi @ state.theta
+    e = y - np.dot(phi, state.theta)
 
     window = np.concatenate((state.error_window[1:], e[None]))
     if state.step >= cfg.tau_d:
@@ -385,12 +400,14 @@ def rls_update(
     else:
         beta = 1.0
 
-    gain = state.psi @ phi.T
-    psi_next = beta * (state.psi - gain @ _solve_inner(phi @ gain, beta, gain.T))
+    gain = np.dot(state.psi, phi.T)
+    psi_next = beta * (
+        state.psi - np.dot(gain, _solve_inner(np.dot(phi, gain), beta, gain.T))
+    )
     psi_next = 0.5 * (psi_next + psi_next.T)
     if not np.isfinite(psi_next).all() or (psi_next.diagonal() <= 0).any():
         raise NumericalError("RLS covariance lost positive definiteness")
-    theta_next = state.theta + psi_next @ (phi.T @ e)
-    if not np.all(np.isfinite(theta_next)):
+    theta_next = state.theta + np.dot(psi_next, np.dot(phi.T, e))
+    if not np.isfinite(theta_next).all():
         raise NumericalError("RLS estimate diverged")
     return RlsState(theta_next, psi_next, window, state.step + 1)

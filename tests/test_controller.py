@@ -163,6 +163,28 @@ class TestStep:
         )
         assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
+    def test_calls_each_layer_by_name_once_per_step(self, monkeypatch):
+        # the benchmark's span tracer wraps these names in pcac.controller;
+        # a refactor that inlines a layer would leave its row empty
+        names = ("build_regressor", "rls_update", "assemble_bocf",
+                 "compute_bocf_state", "riccati_backward", "control_gain",
+                 "saturate")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(controller, name,
+                                counted(name, getattr(controller, name)))
+        cfg = default_config()
+        _, _, state = run_sequence(cfg, np.linspace(0.5, -0.5, 5))
+        assert state.fault_count == 0
+        assert calls == dict.fromkeys(names, 5)
+
     def test_riccati_fault_holds_previous_control(self, monkeypatch):
         from pcac import controller as ctl
         from pcac.errors import NumericalError

@@ -322,6 +322,47 @@ class TestMultivariableStatistic:
         errors = np.ones((cfg.tau_d + 1, 2))
         assert forgetting_statistic_multivariable(errors, cfg) == 0.0
 
+    @staticmethod
+    def shifted_window(cfg):
+        """Standard-normal (tau_d+1, 2) window whose short window is 10x."""
+        errors = np.random.default_rng(0).standard_normal((cfg.tau_d + 1, 2))
+        errors[-(cfg.tau_n + 1):] *= 10.0
+        return errors
+
+    def test_independent_of_error_scale(self):
+        # an absolute determinant floor and ridge gave 0.871 at scale 1,
+        # 0.808 at 1e-6, -1.200 at 1e-8 and 0.0 at 1e-9
+        cfg = ForgettingConfig()
+        errors = self.shifted_window(cfg)
+        g1 = forgetting_statistic_multivariable(errors, cfg)
+        assert g1 > 0.0
+        for k in range(-9, 7):
+            g = forgetting_statistic_multivariable(errors * 10.0**k, cfg)
+            assert g == pytest.approx(g1, rel=1e-9), k
+
+    def test_dead_channel_left_out(self):
+        # a channel constant over the long window used to zero the
+        # determinant, and so g, however much the other channel changed
+        cfg = ForgettingConfig()
+        errors = self.shifted_window(cfg)
+        errors[:, 1] = 5.0
+        g = forgetting_statistic_multivariable(errors, cfg)
+        assert g > 0.0
+        assert g == forgetting_statistic_scalar(errors[:, 0], cfg)
+        # through the update: with phi = 0, beta alone scales psi
+        window = np.concatenate((np.zeros((1, 2)), errors[:-1]))
+        state = RlsState(np.zeros(3), np.eye(3), window, cfg.tau_d)
+        new = rls_update(state, np.zeros((2, 3)), errors[-1], cfg)
+        beta = compute_beta(g, cfg, cfg.tau_d)
+        assert beta > 1.0
+        np.testing.assert_allclose(new.psi, beta * np.eye(3), rtol=1e-15)
+
+    def test_constant_channels_guarded_at_any_level(self):
+        cfg = ForgettingConfig()
+        for level in (1e-9, 3.7, 123.456, -1e6):
+            errors = np.tile([level, -2.0 * level, 0.5], (cfg.tau_d + 1, 1))
+            assert forgetting_statistic_multivariable(errors, cfg) == 0.0
+
 
 class TestComputeBeta:
     def test_warmup_forces_unity(self):
