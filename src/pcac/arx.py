@@ -191,7 +191,7 @@ def compute_bocf_state(
         for buf in (history._y, history._u)
     )
     tail = (
-        np.dot(u_lag, G.transpose(0, 2, 1).reshape(n * m, p))
-        - np.dot(y_lag, F.transpose(0, 2, 1).reshape(n * p, p))
+        u_lag.dot(G.transpose(0, 2, 1).reshape(n * m, p))
+        - y_lag.dot(F.transpose(0, 2, 1).reshape(n * p, p))
     )
     return np.concatenate([y_now, tail.ravel()])

@@ -54,8 +54,20 @@ class PcacConfig:
         object.__setattr__(self, "u0", u0)
         if self.psi0_scale <= 0:
             raise ValueError("psi0_scale must be positive")
-        if self.weights.R1.shape[0] != self.dims.n_state:
-            raise ValueError("R1 size does not match the BOCF state dimension")
+        n, m = self.dims.n_state, self.dims.m
+        mismatched = [
+            f"{name} shape {value.shape} does not match {shape}"
+            for name, value, shape in (
+                ("R1", self.weights.R1, (n, n)),
+                ("R2", self.weights.R2, (m, m)),
+                ("P_terminal", self.weights.P_terminal, (n, n)),
+                ("u_min", self.bounds.u_min, (m,)),
+                ("u_max", self.bounds.u_max, (m,)),
+            )
+            if value.shape != shape
+        ]
+        if mismatched:
+            raise ValueError("; ".join(mismatched))
 
 
 def default_config(
@@ -122,13 +134,13 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
 
     A, B, _ = assemble_bocf(rls_next.theta, cfg.dims)
     x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims)
-    x_next = np.dot(A, x_now) + np.dot(B, state.u_implemented)
+    x_next = A.dot(x_now) + B.dot(state.u_implemented)
 
     fault = None
     try:
         P2 = riccati_backward(A, B, cfg.weights)
         K = control_gain(A, B, cfg.weights.R2, P2)
-        u_req = np.dot(K, x_next)
+        u_req = K.dot(x_next)
         if not np.isfinite(u_req).all():
             raise NumericalError("non-finite requested control")
         u_impl = saturate(u_req, cfg.bounds)

@@ -80,10 +80,11 @@ def _check_symmetric_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
-def _gamma(M: np.ndarray, n: int, R2: np.ndarray) -> np.ndarray:
+def _gamma(M: np.ndarray, n: int, R2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Gamma = (R2 + B'PB)^{-1} B'PA, read from the one product
-    M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]], guarding against an inner
-    matrix that is not positive definite or is ill-conditioned.
+    M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]] and written into ``out``
+    (m x n), guarding against an inner matrix that is not positive definite
+    or is ill-conditioned.
 
     For one input this is a checked division.  Otherwise the checks read the
     eigenvalues of the symmetric part, but the solve uses R2 + B'PB as
@@ -93,17 +94,18 @@ def _gamma(M: np.ndarray, n: int, R2: np.ndarray) -> np.ndarray:
     the closed loop.
     """
     if M.shape[0] == n + 1:
-        s = R2[0, 0] + M[n, n]
+        s = R2.item(0, 0) + M.item(n, n)
         if not 0.0 < s < math.inf:
             raise NumericalError("R2 + B'PB is not positive definite")
-        return M[n:, :n] / s
+        return np.divide(M[n:, :n], s, out=out)
     S = R2 + M[n:, n:]
     lam = np.linalg.eigvalsh(0.5 * (S + S.T))
     if not lam[0] > 0.0:
         raise NumericalError("R2 + B'PB is not positive definite")
     if lam[-1] > _COND_LIMIT * lam[0]:
         raise NumericalError("R2 + B'PB is ill-conditioned")
-    return np.linalg.solve(S, M[n:, :n])
+    out[...] = np.linalg.solve(S, M[n:, :n])
+    return out
 
 
 def _stack_ab(A, B) -> tuple[np.ndarray, int]:
@@ -125,13 +127,23 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
     symmetrized; intermediate iterates are never stored.
     """
     Z, n = _stack_ab(A, B)
-    P, R1, R2 = w.P_terminal, w.R1, w.R2
-    # np.dot, not @: on these 10x11 operands both make the same BLAS call,
-    # with bit-identical results, but np.dot dispatches in about half the
-    # time, and the step's cost is dispatch rather than arithmetic.
+    R1, R2 = w.R1, w.R2
+    # Scratch written in place by every iteration: P, Y = PZ, M = Z'PZ,
+    # Gamma and the rank-m term O = A'PB Gamma.
+    k = Z.shape[1]
+    P = w.P_terminal.copy()
+    Y, M = np.empty_like(Z), np.empty((k, k))
+    G, O = np.empty((k - n, n)), np.empty((n, n))
+    Z_t, M_aa, M_ab = Z.T, M[:n, :n], M[:n, n:]
+    # ndarray.dot, not np.dot or @: on these 10x11 operands all three make
+    # the same BLAS call, with bit-identical results, but the method skips
+    # the __array_function__ dispatcher, and the step's cost is dispatch
+    # rather than arithmetic.
     for _ in range(w.ell - 1):
-        M = np.dot(Z.T, np.dot(P, Z))
-        P = M[:n, :n] - np.dot(M[:n, n:], _gamma(M, n, R2)) + R1
+        Z_t.dot(P.dot(Z, Y), M)
+        M_ab.dot(_gamma(M, n, R2, G), O)
+        np.subtract(M_aa, O, out=P)
+        P += R1
     P = 0.5 * (P + P.T)
     if not np.isfinite(P).all():
         raise NumericalError("Riccati sweep diverged")
@@ -144,7 +156,8 @@ def control_gain(
     """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A."""
     Z, n = _stack_ab(A, B)
     R2 = np.atleast_2d(np.asarray(R2, float))
-    return -_gamma(np.dot(Z.T, np.dot(P2, Z)), n, R2)
+    G = np.empty((Z.shape[1] - n, n))
+    return -_gamma(Z.T.dot(P2.dot(Z)), n, R2, G)
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:

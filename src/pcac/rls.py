@@ -31,6 +31,9 @@ _NEWTON_MAX_STEPS = 100
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # Ridge added to the long-window covariance before inversion (p > 1 case).
 _COV_RIDGE = 1e-12
+# Directions of the unit-variance long-window correlation (p > 1 case) whose
+# eigenvalue is at most this fraction of the largest are taken as collinear.
+_RANK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,7 @@ def _mean_and_variance(x: np.ndarray) -> tuple[float, float]:
     d = x - m."""
     m = float(x.sum()) / x.size
     d = x - m
-    return m, float(d @ d) / (x.size - 1)
+    return m, float(d.dot(d)) / (x.size - 1)
 
 
 def multivariable_dof(p: int, cfg: ForgettingConfig):
@@ -312,7 +315,10 @@ def forgetting_statistic_multivariable(
     Channels that are constant over the long window carry no evidence and
     are left out; the rest are tested with their own p (the scalar test
     when one is left), each scaled to unit long-window variance, so that g
-    does not depend on the scale of the errors.
+    does not depend on the scale of the errors.  When the live channels are
+    collinear over the long window, the test runs on their projection onto
+    the eigenvectors of the long-window correlation that span it, with p
+    equal to its rank.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2 or errors.shape[0] != cfg.tau_d + 1:
@@ -326,12 +332,15 @@ def forgetting_statistic_multivariable(
         return 0.0
     if live.size == 1:
         return forgetting_statistic_scalar(errors[:, live[0]], cfg)
-    # unit long-window variances make the floor and the ridge below relative
+    # unit long-window variances make the rank floor and the ridge relative
     errors = errors[:, live] / np.sqrt(var[live])
     p = live.size
     sig_long = np.cov(errors, rowvar=False, ddof=1)
-    if abs(np.linalg.det(sig_long)) < _VAR_FLOOR:
-        return 0.0
+    lam, vec = np.linalg.eigh(sig_long)
+    keep = lam > _RANK_RTOL * lam[-1]
+    if not keep.all():
+        # Collinear channels: test the errors' independent combinations.
+        return _window_statistic(errors.dot(vec[:, keep]), cfg)
     sig_long = sig_long + _COV_RIDGE * np.eye(p)
     sig_short = np.cov(errors[-(cfg.tau_n + 1) :], rowvar=False, ddof=1)
     try:
@@ -392,7 +401,7 @@ def rls_update(
         raise ValueError(
             f"regressor shape {phi.shape} does not match ({p}, {state.theta.size})"
         )
-    e = y - np.dot(phi, state.theta)
+    e = y - phi.dot(state.theta)
 
     window = np.concatenate((state.error_window[1:], e[None]))
     if state.step >= cfg.tau_d:
@@ -400,14 +409,14 @@ def rls_update(
     else:
         beta = 1.0
 
-    gain = np.dot(state.psi, phi.T)
+    gain = state.psi.dot(phi.T)
     psi_next = beta * (
-        state.psi - np.dot(gain, _solve_inner(np.dot(phi, gain), beta, gain.T))
+        state.psi - gain.dot(_solve_inner(phi.dot(gain), beta, gain.T))
     )
     psi_next = 0.5 * (psi_next + psi_next.T)
     if not np.isfinite(psi_next).all() or (psi_next.diagonal() <= 0).any():
         raise NumericalError("RLS covariance lost positive definiteness")
-    theta_next = state.theta + np.dot(psi_next, np.dot(phi.T, e))
+    theta_next = state.theta + psi_next.dot(phi.T.dot(e))
     if not np.isfinite(theta_next).all():
         raise NumericalError("RLS estimate diverged")
     return RlsState(theta_next, psi_next, window, state.step + 1)

@@ -7,7 +7,9 @@ from test_riccati import textbook_control_gain, textbook_riccati_backward
 from test_rls import textbook_rls_update
 
 from pcac import (
+    HorizonWeights,
     ModelDims,
+    SaturationBounds,
     assemble_bocf,
     build_regressor,
     compute_bocf_state,
@@ -62,6 +64,21 @@ class TestInit:
                 bounds=cfg.bounds,
                 u0=np.zeros(1),
             )
+
+    @pytest.mark.parametrize("field", ["R2", "P_terminal", "u_min", "u_max"])
+    def test_rejects_shape_not_matching_dims(self, field):
+        # a one-input value on two inputs used to be accepted, and then
+        # faulted every step (R2), was broadcast (bounds) or failed inside
+        # numpy (P_terminal); the bounds come as a pair of equal shapes
+        cfg = default_config(m=2)
+        w = cfg.weights
+        if field in ("u_min", "u_max"):
+            changed = {"bounds": SaturationBounds.symmetric(8.0, m=1)}
+        else:
+            weights = {"R2": w.R2, "P_terminal": w.P_terminal, field: np.eye(1)}
+            changed = {"weights": HorizonWeights(ell=w.ell, R1=w.R1, **weights)}
+        with pytest.raises(ValueError, match=field):
+            replace(cfg, **changed)
 
 
 class TestStep:

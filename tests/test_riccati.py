@@ -165,6 +165,38 @@ class TestRiccatiBackward:
             riccati_backward(A, np.ones((2, m)), w)
 
 
+class TestScratchBuffers:
+    """The sweep's in-place scratch stays inside one call."""
+
+    @staticmethod
+    def problem(seed, m, ell):
+        rng = np.random.default_rng(seed)
+        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)),
+                                ModelDims(6, 1, m))
+        return A, B, HorizonWeights.output_weighted(6, m, ell=ell, r2=1e-2)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("ell", [1, 2, 20])
+    def test_inputs_unchanged_and_result_not_shared(self, m, ell):
+        A, B, w = self.problem(30, m, ell)
+        before = [x.copy() for x in (A, B, w.P_terminal, w.R1, w.R2)]
+        P2 = riccati_backward(A, B, w)
+        K = control_gain(A, B, w.R2, P2)
+        for x, x0 in zip((A, B, w.P_terminal, w.R1, w.R2), before):
+            np.testing.assert_array_equal(x, x0)
+        assert not np.shares_memory(P2, w.P_terminal)
+        assert not np.shares_memory(K, P2)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("ell", [1, 2, 20])
+    def test_sweeps_do_not_carry_over(self, m, ell):
+        A1, B1, w = self.problem(31, m, ell)
+        A2, B2, _ = self.problem(32, m, ell)
+        first = riccati_backward(A1, B1, w)
+        riccati_backward(A2, B2, w)
+        assert riccati_backward(A1, B1, w).tobytes() == first.tobytes()
+
+
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
         K = control_gain([[0.7]], [[1.3]], [[1.0]], np.zeros((1, 1)))

@@ -363,6 +363,41 @@ class TestMultivariableStatistic:
             errors = np.tile([level, -2.0 * level, 0.5], (cfg.tau_d + 1, 1))
             assert forgetting_statistic_multivariable(errors, cfg) == 0.0
 
+    def test_collinear_channels_tested_as_one(self):
+        # exactly collinear channels made the long-window correlation
+        # singular, and g was 0.0 however much both channels changed
+        cfg = ForgettingConfig()
+        errors = self.shifted_window(cfg)
+        errors[:, 1] = 2.0 * errors[:, 0]
+        g = forgetting_statistic_multivariable(errors, cfg)
+        assert g > 0.0
+        assert g == pytest.approx(
+            forgetting_statistic_scalar(errors[:, 0], cfg), rel=1e-9)
+
+    @staticmethod
+    def shifted_window3(cfg):
+        """Standard-normal (tau_d+1, 3) window whose short window is 10x."""
+        errors = np.random.default_rng(0).standard_normal((cfg.tau_d + 1, 3))
+        errors[-(cfg.tau_n + 1):] *= 10.0
+        return errors
+
+    def test_rank_deficient_window_tested_at_its_rank(self):
+        # a third channel combining the other two read 0.506 here, against
+        # 0.849 for the two independent channels alone
+        cfg = ForgettingConfig()
+        errors = self.shifted_window3(cfg)
+        errors[:, 2] = errors[:, 0] - 0.5 * errors[:, 1]
+        g = forgetting_statistic_multivariable(errors, cfg)
+        assert g > 0.0
+        assert g == pytest.approx(
+            forgetting_statistic_multivariable(errors[:, :2], cfg), rel=1e-9)
+
+    def test_full_rank_window_keeps_its_statistic(self):
+        # the value from before the rank check, on the same window
+        cfg = ForgettingConfig()
+        g = forgetting_statistic_multivariable(self.shifted_window3(cfg), cfg)
+        assert g == pytest.approx(0.9022506825187755, rel=1e-14)
+
 
 class TestComputeBeta:
     def test_warmup_forces_unity(self):
