@@ -13,6 +13,7 @@ RMS with the RMS over the last 0.5 s of the run.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -20,7 +21,6 @@ from inspect import signature
 
 import numpy as np
 
-from .arx import split_coefficients
 from .controller import PcacConfig, default_config, pcac_init, pcac_step
 from .plant import EmulatorParams, PlantState, operating_grid, plant_output, plant_zoh_step
 
@@ -88,7 +88,9 @@ def default_spec(seed: int = 0) -> ExperimentSpec:
 def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     """Execute the open-loop/closed-loop protocol and return the full log."""
     params = spec.plant
-    rng = np.random.default_rng(params.seed)
+    # A noise-free plant draws nothing: without a generator the run never
+    # imports numpy.random (about 6 MB of resident memory).
+    rng = np.random.default_rng(params.seed) if params.noise_std > 0 else None
     n = spec.n_steps
     k_switch = spec.k_switch
 
@@ -100,6 +102,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     th_g = np.zeros(n + 1)
     phase = np.zeros(n + 1, dtype=int)
     wall = np.zeros(n + 1)
+
+    # theta is vec F followed by vec G (see arx.split_coefficients); the norm
+    # of each contiguous half is np.linalg.norm of F and G, to the bit.
+    dims = spec.controller.dims
+    n_f = dims.n_hat * dims.p * dims.p
 
     state = PlantState(q=spec.q0, qdot=spec.qdot0)
     ctrl = None
@@ -121,9 +128,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             phase[k] = 1
             u_req[k] = ctrl.u_requested[0]
             u[k] = ctrl.u_implemented[0]
-            F, G = split_coefficients(ctrl.rls.theta, spec.controller.dims)
-            th_f[k] = np.linalg.norm(F)
-            th_g[k] = np.linalg.norm(G)
+            f, g = ctrl.rls.theta[:n_f], ctrl.rls.theta[n_f:]
+            th_f[k] = math.sqrt(f.dot(f))
+            th_g[k] = math.sqrt(g.dot(g))
         if k == n:
             break
         if ctrl is not None:

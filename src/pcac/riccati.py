@@ -8,6 +8,7 @@ follows.  The requested control is then clamped to the actuator range.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ class HorizonWeights:
         object.__setattr__(
             self, "P_terminal", np.atleast_2d(np.asarray(self.P_terminal, float))
         )
+        for name in ("R1", "R2", "P_terminal"):
+            shape = getattr(self, name).shape
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"{name} must be a square matrix, got shape {shape}")
         _check_symmetric_psd(self.R1, "R1")
         _check_symmetric_psd(self.P_terminal, "P_terminal")
         # The symmetric part, exactly R2 when R2 is symmetric: (R2 + R2.T) / 2
@@ -80,11 +85,15 @@ def _check_symmetric_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
-def _gamma(M: np.ndarray, n: int, R2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Gamma = (R2 + B'PB)^{-1} B'PA, read from the one product
-    M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]] and written into ``out``
-    (m x n), guarding against an inner matrix that is not positive definite
-    or is ill-conditioned.
+def _gamma_into(
+    M: np.ndarray, n: int, R2: np.ndarray, out: np.ndarray
+) -> Callable[[], np.ndarray]:
+    """A function of no arguments that computes
+    Gamma = (R2 + B'PB)^{-1} B'PA from the current contents of the one
+    product M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]] and writes it into
+    ``out`` (m x n), guarding against an inner matrix that is not positive
+    definite or is ill-conditioned.  The views and constants it reads are
+    taken here, once per sweep, not once per iteration.
 
     For one input this is a checked division.  Otherwise the checks read the
     eigenvalues of the symmetric part, but the solve uses R2 + B'PB as
@@ -93,19 +102,36 @@ def _gamma(M: np.ndarray, n: int, R2: np.ndarray, out: np.ndarray) -> np.ndarray
     that asymmetry grow through the open-loop A instead of decaying through
     the closed loop.
     """
-    if M.shape[0] == n + 1:
-        s = R2.item(0, 0) + M.item(n, n)
-        if not 0.0 < s < math.inf:
+    m = M.shape[0] - n
+    if R2.shape != (m, m):
+        raise ValueError(
+            f"R2 must be ({m}, {m}) for a B with {m} columns, got {R2.shape}"
+        )
+    M_ba = M[n:, :n]
+    if m == 1:
+        r2 = R2.item(0, 0)
+
+        def gamma() -> np.ndarray:
+            s = r2 + M.item(n, n)
+            if not 0.0 < s < math.inf:
+                raise NumericalError("R2 + B'PB is not positive definite")
+            return np.divide(M_ba, s, out=out)
+
+        return gamma
+
+    M_bb = M[n:, n:]
+
+    def gamma() -> np.ndarray:
+        S = R2 + M_bb
+        lam = np.linalg.eigvalsh(0.5 * (S + S.T))
+        if not lam[0] > 0.0:
             raise NumericalError("R2 + B'PB is not positive definite")
-        return np.divide(M[n:, :n], s, out=out)
-    S = R2 + M[n:, n:]
-    lam = np.linalg.eigvalsh(0.5 * (S + S.T))
-    if not lam[0] > 0.0:
-        raise NumericalError("R2 + B'PB is not positive definite")
-    if lam[-1] > _COND_LIMIT * lam[0]:
-        raise NumericalError("R2 + B'PB is ill-conditioned")
-    out[...] = np.linalg.solve(S, M[n:, :n])
-    return out
+        if lam[-1] > _COND_LIMIT * lam[0]:
+            raise NumericalError("R2 + B'PB is ill-conditioned")
+        out[...] = np.linalg.solve(S, M_ba)
+        return out
+
+    return gamma
 
 
 def _stack_ab(A, B) -> tuple[np.ndarray, int]:
@@ -128,6 +154,11 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
     """
     Z, n = _stack_ab(A, B)
     R1, R2 = w.R1, w.R2
+    if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
+        raise ValueError(
+            f"R1 {R1.shape} and P_terminal {w.P_terminal.shape} must be "
+            f"({n}, {n}) for A's {n} states"
+        )
     # Scratch written in place by every iteration: P, Y = PZ, M = Z'PZ,
     # Gamma and the rank-m term O = A'PB Gamma.
     k = Z.shape[1]
@@ -135,13 +166,14 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
     Y, M = np.empty_like(Z), np.empty((k, k))
     G, O = np.empty((k - n, n)), np.empty((n, n))
     Z_t, M_aa, M_ab = Z.T, M[:n, :n], M[:n, n:]
+    gamma = _gamma_into(M, n, R2, G)
     # ndarray.dot, not np.dot or @: on these 10x11 operands all three make
     # the same BLAS call, with bit-identical results, but the method skips
     # the __array_function__ dispatcher, and the step's cost is dispatch
     # rather than arithmetic.
     for _ in range(w.ell - 1):
         Z_t.dot(P.dot(Z, Y), M)
-        M_ab.dot(_gamma(M, n, R2, G), O)
+        M_ab.dot(gamma(), O)
         np.subtract(M_aa, O, out=P)
         P += R1
     P = 0.5 * (P + P.T)
@@ -157,7 +189,7 @@ def control_gain(
     Z, n = _stack_ab(A, B)
     R2 = np.atleast_2d(np.asarray(R2, float))
     G = np.empty((Z.shape[1] - n, n))
-    return -_gamma(Z.T.dot(P2.dot(Z)), n, R2, G)
+    return -_gamma_into(Z.T.dot(P2.dot(Z)), n, R2, G)()
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:

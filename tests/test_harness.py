@@ -18,6 +18,7 @@ from pcac import (
     parse_spec_file,
     read_record,
     run_experiment,
+    split_coefficients,
     suppression_time,
     trailing_rms,
     write_record,
@@ -197,6 +198,30 @@ class TestRunExperiment:
         b = run_experiment(shifted)
         np.testing.assert_array_equal(a.y[:250], b.y[:250])
         assert not np.array_equal(a.y[260:], b.y[260:])
+
+    def test_theta_norms_are_norms_of_split_coefficients(self, monkeypatch):
+        # the logged norms equal np.linalg.norm of F and G to the bit
+        spec = short_spec()
+        step, thetas = harness.pcac_step, []
+
+        def capture(state, y, cfg):
+            result = step(state, y, cfg)
+            if not thetas:
+                thetas.append(state.rls.theta.copy())
+            thetas.append(result[2].rls.theta.copy())
+            return result
+
+        monkeypatch.setattr(harness, "pcac_step", capture)
+        rec = run_experiment(spec)
+        closed = rec.phase == 1
+        assert len(thetas) == np.count_nonzero(closed) == 201
+        dims = spec.controller.dims
+        F, G = zip(*(split_coefficients(theta, dims) for theta in thetas))
+        np.testing.assert_array_equal(rec.theta_f_norm[closed],
+                                      [np.linalg.norm(f) for f in F])
+        np.testing.assert_array_equal(rec.theta_g_norm[closed],
+                                      [np.linalg.norm(g) for g in G])
+        assert np.all(rec.theta_f_norm[closed] > 0)
 
     def test_mid_grid_cell_suppresses(self):
         # the headline behavior: developed limit cycle, switch, suppression

@@ -287,3 +287,24 @@ class TestHorizonWeights:
         with pytest.raises(ValueError):
             HorizonWeights(ell=5, R1=np.eye(2), R2=np.zeros((1, 1)),
                            P_terminal=np.zeros((2, 2)))
+
+    def test_weights_must_be_square(self):
+        with pytest.raises(ValueError, match="R1"):
+            HorizonWeights(ell=5, R1=np.ones((3, 2)), R2=np.eye(1),
+                           P_terminal=np.eye(3))
+
+    def test_r2_must_match_the_inputs(self):
+        # a two-input R2 on a one-input B used to sweep silently
+        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
+        w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(2), P_terminal=np.eye(3))
+        with pytest.raises(ValueError, match="R2"):
+            riccati_backward(A, B, w)
+        with pytest.raises(ValueError, match="R2"):
+            control_gain(A, B, w.R2, np.eye(3))
+
+    def test_terminal_weight_must_match_the_states(self):
+        # used to fail inside numpy: shapes (1,1) and (3,4) not aligned
+        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
+        w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(1), P_terminal=np.eye(1))
+        with pytest.raises(ValueError, match="P_terminal"):
+            riccati_backward(A, B, w)
