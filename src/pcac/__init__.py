@@ -11,9 +11,6 @@ from .arx import (
     assemble_bocf,
     build_regressor,
     compute_bocf_state,
-    pack_coefficients,
-    predict_output,
-    split_coefficients,
 )
 from .controller import PcacConfig, PcacState, default_config, pcac_init, pcac_step
 from .errors import NumericalError, PlantDivergedError

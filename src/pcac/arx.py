@@ -6,7 +6,10 @@ inputs,
     y_k = -sum_i F_i y_{k-i} + sum_i G_i u_{k-i},
 
 with coefficient matrices F_i (p x p) and G_i (p x m) stacked into a single
-parameter vector theta = [vec[F_1 ... F_n] ; vec[G_1 ... G_n]].  The same
+parameter vector theta = [vec[F_1 ... F_n] ; vec[G_1 ... G_n]].  The vec is
+column-major, so each F_i and G_i occupies a contiguous run of theta:
+theta[:n p^2].reshape(n, p, p)[i] is F_{i+1} transposed, and
+theta[n p^2:].reshape(n, m, p)[i] is G_{i+1} transposed.  The same
 coefficients define a block-companion state-space realization whose state is
 an explicit function of past data, which is what makes full-state receding
 horizon control implementable from output measurements alone.
@@ -86,84 +89,114 @@ class IoHistory:
         return new
 
     def check_dims(self, dims: ModelDims) -> None:
-        if self.y_past.shape != (dims.n_hat, dims.p):
+        # n_hat rows below n_hat-1 padding rows: the stored shapes decide
+        rows = 2 * dims.n_hat - 1
+        if self._y.shape != (rows, dims.p):
             raise ValueError(
                 f"output history shape {self.y_past.shape} does not match "
                 f"({dims.n_hat}, {dims.p})"
             )
-        if self.u_past.shape != (dims.n_hat, dims.m):
+        if self._u.shape != (rows, dims.m):
             raise ValueError(
                 f"input history shape {self.u_past.shape} does not match "
                 f"({dims.n_hat}, {dims.m})"
             )
 
 
-def build_regressor(history: IoHistory, dims: ModelDims) -> np.ndarray:
-    """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'] kron I_p.
+class ArxBuffers:
+    """The arrays that :func:`build_regressor`, :func:`assemble_bocf` and
+    :func:`compute_bocf_state` write into when given them as ``out``.
 
-    Returns a (p, n_hat*p*(m+p)) matrix such that phi_k @ theta reproduces
-    the ARX prediction for the stacked coefficient layout.
+    What the data never changes is written here, once: the zeros of phi
+    off its lag columns, the identity superdiagonal blocks of A, and C.
+    A call then writes only the lagged data, -F_i and G_i, or the state,
+    and returns arrays that the next call overwrites.  ``A`` and ``B`` may
+    be given, as the column blocks of the Riccati sweep's Z = [A | B], so
+    that the realization is written where the sweep reads it.
     """
-    history.check_dims(dims)
-    row = np.concatenate([-history.y_past.ravel(), history.u_past.ravel()])
-    return (np.eye(dims.p)[:, None, :] * row[:, None]).reshape(dims.p, -1)
+
+    __slots__ = ("phi", "A", "B", "C", "y_lag", "u_lag", "x", "_neg_f", "_g", "_tail")
+
+    def __init__(self, dims: ModelDims, A=None, B=None):
+        n, p, m = dims.n_hat, dims.p, dims.m
+        self.phi = np.zeros((p, dims.n_theta))
+        self.A = np.empty((n * p, n * p)) if A is None else A
+        self.B = np.empty((n * p, m)) if B is None else B
+        if self.A.shape != (n * p, n * p) or self.B.shape != (n * p, m):
+            raise ValueError(
+                f"A {self.A.shape} and B {self.B.shape} must be "
+                f"({n * p}, {n * p}) and ({n * p}, {m})"
+            )
+        self.A[...] = np.eye(n * p, k=p)
+        self.C = np.eye(p, n * p)
+        # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
+        self._neg_f = self.A[:, :p].reshape(n, p, p)
+        self._g = self.B.reshape(n, p, m)
+        self.y_lag = np.empty((n - 1, n * p))
+        self.u_lag = np.empty((n - 1, n * m))
+        self.x = np.empty(n * p)
+        self._tail = self.x[p:].reshape(n - 1, p)
 
 
-def predict_output(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """One-step prediction y_hat = phi @ theta."""
-    theta = np.asarray(theta, dtype=float)
-    if phi.shape[1] != theta.shape[0]:
-        raise ValueError(
-            f"regressor width {phi.shape[1]} does not match theta length "
-            f"{theta.shape[0]}"
-        )
-    return phi @ theta
-
-
-def split_coefficients(theta: np.ndarray, dims: ModelDims):
-    """Unpack theta into coefficient stacks F (n_hat, p, p) and G (n_hat, p, m).
-
-    The layout is column-major vec of the horizontal concatenations
-    [F_1 ... F_n] and [G_1 ... G_n], so each F_i and G_i occupies a
-    contiguous run of theta.  F and G are views of theta.
-    """
+def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (dims.n_theta,):
         raise ValueError(
             f"theta length {theta.shape} does not match expected ({dims.n_theta},)"
         )
-    n, p, m = dims.n_hat, dims.p, dims.m
-    F = theta[: n * p * p].reshape(n, p, p).transpose(0, 2, 1)
-    G = theta[n * p * p :].reshape(n, m, p).transpose(0, 2, 1)
-    return F, G
+    return theta
 
 
-def pack_coefficients(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_coefficients`."""
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    return np.concatenate([F.transpose(0, 2, 1).ravel(), G.transpose(0, 2, 1).ravel()])
+def build_regressor(
+    history: IoHistory, dims: ModelDims, out: ArxBuffers | None = None
+) -> np.ndarray:
+    """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'] kron I_p.
+
+    Returns a (p, n_hat*p*(m+p)) matrix such that phi_k @ theta reproduces
+    the ARX prediction for the stacked coefficient layout: row i holds the
+    lagged data in columns i, i + p, i + 2p, ... and zeros elsewhere.  With
+    ``out`` it is ``out.phi``.
+    """
+    history.check_dims(dims)
+    if out is None:
+        out = ArxBuffers(dims)
+    p, phi = dims.p, out.phi
+    split = dims.n_hat * p * p
+    for i in range(p):
+        np.negative(history.y_past.ravel(), out=phi[i, i:split:p])
+        phi[i, split + i :: p] = history.u_past.ravel()
+    return phi
 
 
-def assemble_bocf(theta_next: np.ndarray, dims: ModelDims):
+def assemble_bocf(
+    theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers | None = None
+):
     """Build (A, B, C) of the block observable canonical form.
 
     ``theta_next`` holds the coefficient estimate used for the realization
     at the current step (the freshly updated one).  A is block companion
     with -F_i in the first block column and identity superdiagonal blocks,
-    B stacks the G_i, and C reads the first state block.
+    B stacks the G_i, and C reads the first state block.  With ``out`` they
+    are ``out.A``, ``out.B`` and ``out.C``.
     """
-    F, G = split_coefficients(theta_next, dims)
+    theta = _checked_theta(theta_next, dims)
+    if out is None:
+        out = ArxBuffers(dims)
     n, p, m = dims.n_hat, dims.p, dims.m
-    A = np.eye(n * p, k=p)
-    A[:, :p] = -F.reshape(n * p, p)
-    return A, G.reshape(n * p, m), np.eye(p, n * p)
+    split = n * p * p
+    np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
+    out._g[...] = theta[split:].reshape(n, m, p).transpose(0, 2, 1)
+    return out.A, out.B, out.C
 
 
 def compute_bocf_state(
-    history: IoHistory, y_now: np.ndarray, theta_next: np.ndarray, dims: ModelDims
+    history: IoHistory,
+    y_now: np.ndarray,
+    theta_next: np.ndarray,
+    dims: ModelDims,
+    out: ArxBuffers | None = None,
 ) -> np.ndarray:
-    """Explicit BOCF state at the current step.
+    """Explicit BOCF state at the current step; with ``out`` it is ``out.x``.
 
     Block 1 is the current measurement; block j >= 2 collects the tail of
     the ARX convolution not yet absorbed into the output:
@@ -179,19 +212,19 @@ def compute_bocf_state(
     y_now = np.asarray(y_now, dtype=float).reshape(-1)
     if y_now.shape != (dims.p,):
         raise ValueError(f"y_now shape {y_now.shape} does not match p={dims.p}")
+    theta = _checked_theta(theta_next, dims)
+    if out is None:
+        out = ArxBuffers(dims)
     n, p, m = dims.n_hat, dims.p, dims.m
-    F, G = split_coefficients(theta_next, dims)
+    split = n * p * p
     # Row j-2 of each lag matrix is the padded window of history rows 1-j..n-j,
     # a view with the buffer's own strides (one buffer row per row), copied
     # C-contiguous because a strided operand changes the BLAS summation order.
-    y_lag, u_lag = (
-        np.ascontiguousarray(
-            np.ndarray((n - 1, n * buf.shape[1]), buffer=buf, strides=buf.strides)[::-1]
-        )
-        for buf in (history._y, history._u)
-    )
-    tail = (
-        u_lag.dot(G.transpose(0, 2, 1).reshape(n * m, p))
-        - y_lag.dot(F.transpose(0, 2, 1).reshape(n * p, p))
-    )
-    return np.concatenate([y_now, tail.ravel()])
+    for buf, lag in ((history._y, out.y_lag), (history._u, out.u_lag)):
+        np.copyto(lag, np.ndarray(lag.shape, buffer=buf, strides=buf.strides)[::-1])
+    # The stacked F_i' and G_i' are theta's two halves, reshaped.
+    x, tail = out.x, out._tail
+    x[:p] = y_now
+    out.u_lag.dot(theta[split:].reshape(n * m, p), tail)
+    tail -= out.y_lag.dot(theta[:split].reshape(n * p, p))
+    return x

@@ -7,11 +7,13 @@ propagation, backward Riccati sweep, gain application, and saturation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .arx import (
+    ArxBuffers,
     IoHistory,
     ModelDims,
     assemble_bocf,
@@ -22,6 +24,7 @@ from .errors import NumericalError
 from .riccati import (
     HorizonWeights,
     SaturationBounds,
+    SweepBuffers,
     control_gain,
     riccati_backward,
     saturate,
@@ -97,9 +100,31 @@ def default_config(
     )
 
 
+class StepBuffers(NamedTuple):
+    """Scratch of one controller's step, made once by :func:`pcac_init`.
+
+    The realization is written into the column blocks of the sweep's
+    Z = [A | B], which the sweep and the gain read without a copy.  Every
+    step overwrites all of it before reading it, so nothing in it carries
+    from one step to the next.
+    """
+
+    arx: ArxBuffers
+    sweep: SweepBuffers
+
+    @classmethod
+    def for_config(cls, cfg: PcacConfig) -> "StepBuffers":
+        sweep = SweepBuffers(cfg.dims.n_state, cfg.dims.m, cfg.weights.R2)
+        return cls(ArxBuffers(cfg.dims, sweep.A, sweep.B), sweep)
+
+
 @dataclass
 class PcacState:
-    """Controller state between samples."""
+    """Controller state between samples.
+
+    Every field but ``buffers`` is a value that a step never writes into;
+    the states a controller passes through share its one set of buffers.
+    """
 
     rls: RlsState
     history: IoHistory
@@ -107,10 +132,12 @@ class PcacState:
     u_requested: np.ndarray
     fault_count: int = 0
     last_fault: str | None = None
+    buffers: StepBuffers = field(kw_only=True, repr=False, compare=False)
 
 
 def pcac_init(cfg: PcacConfig) -> PcacState:
-    """Fresh controller state: prior estimate, zeroed history, initial control."""
+    """Fresh controller state: prior estimate, zeroed history, initial
+    control, and the step's buffers."""
     rls = RlsState.initialize(cfg.theta0, cfg.psi0_scale, cfg.forgetting, cfg.dims.p)
     u0 = cfg.u0.copy()
     return PcacState(
@@ -118,6 +145,7 @@ def pcac_init(cfg: PcacConfig) -> PcacState:
         history=IoHistory.zeros(cfg.dims),
         u_implemented=u0,
         u_requested=u0.copy(),
+        buffers=StepBuffers.for_config(cfg),
     )
 
 
@@ -129,17 +157,18 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
     state; identification still advances.
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
-    phi = build_regressor(state.history, cfg.dims)
+    arx, sweep = state.buffers
+    phi = build_regressor(state.history, cfg.dims, arx)
     rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
 
-    A, B, _ = assemble_bocf(rls_next.theta, cfg.dims)
-    x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims)
+    A, B, _ = assemble_bocf(rls_next.theta, cfg.dims, arx)
+    x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims, arx)
     x_next = A.dot(x_now) + B.dot(state.u_implemented)
 
     fault = None
     try:
-        P2 = riccati_backward(A, B, cfg.weights)
-        K = control_gain(A, B, cfg.weights.R2, P2)
+        P2 = riccati_backward(A, B, cfg.weights, sweep)
+        K = control_gain(A, B, cfg.weights.R2, P2, sweep)
         u_req = K.dot(x_next)
         if not np.isfinite(u_req).all():
             raise NumericalError("non-finite requested control")
@@ -156,5 +185,6 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
         u_requested=np.atleast_1d(u_req),
         fault_count=state.fault_count + (1 if fault else 0),
         last_fault=fault,
+        buffers=state.buffers,
     )
     return new_state.u_requested, new_state.u_implemented, new_state

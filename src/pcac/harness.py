@@ -103,7 +103,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     phase = np.zeros(n + 1, dtype=int)
     wall = np.zeros(n + 1)
 
-    # theta is vec F followed by vec G (see arx.split_coefficients); the norm
+    # theta is vec F followed by vec G (see the pcac.arx docstring); the norm
     # of each contiguous half is np.linalg.norm of F and G, to the bit.
     dims = spec.controller.dims
     n_f = dims.n_hat * dims.p * dims.p

@@ -39,6 +39,11 @@ class HorizonWeights:
             shape = getattr(self, name).shape
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError(f"{name} must be a square matrix, got shape {shape}")
+        if self.P_terminal.shape != self.R1.shape:
+            raise ValueError(
+                f"P_terminal {self.P_terminal.shape} must have R1's shape "
+                f"{self.R1.shape}"
+            )
         _check_symmetric_psd(self.R1, "R1")
         _check_symmetric_psd(self.P_terminal, "P_terminal")
         # The symmetric part, exactly R2 when R2 is symmetric: (R2 + R2.T) / 2
@@ -93,7 +98,7 @@ def _gamma_into(
     product M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]] and writes it into
     ``out`` (m x n), guarding against an inner matrix that is not positive
     definite or is ill-conditioned.  The views and constants it reads are
-    taken here, once per sweep, not once per iteration.
+    taken here, once per set of buffers, not once per call.
 
     For one input this is a checked division.  Otherwise the checks read the
     eigenvalues of the symmetric part, but the solve uses R2 + B'PB as
@@ -134,14 +139,63 @@ def _gamma_into(
     return gamma
 
 
-def _stack_ab(A, B) -> tuple[np.ndarray, int]:
-    """Z = [A | B] and the state dimension n."""
-    A = np.atleast_2d(np.asarray(A, float))
-    B = np.asarray(B, float).reshape(A.shape[0], -1)
-    return np.concatenate((A, B), axis=1), A.shape[0]
+class SweepBuffers:
+    """Scratch of :func:`riccati_backward` and :func:`control_gain`, given to
+    them as ``out``: made once for an n-state, m-input model and written in
+    place by every call.
+
+    Z = [A | B] is read by both.  A call whose A and B are this Z's own
+    column blocks ``self.A`` and ``self.B`` (an identity test) reads Z as
+    it stands, so the realization can be written there; any other A and B
+    are copied in.  The scratch is P, Y = PZ, M = Z'PZ, Gamma, the rank-m
+    term O and the returned P2, with Gamma computed by one function of M
+    made for the R2 it was last called with.
+    """
+
+    __slots__ = ("Z", "A", "B", "P", "Y", "M", "G", "O", "P2",
+                 "_z_t", "_m_aa", "_m_ab", "_r2", "_gamma")
+
+    def __init__(self, n: int, m: int, R2: np.ndarray):
+        k = n + m
+        self.Z, self.Y, self.M = np.empty((n, k)), np.empty((n, k)), np.empty((k, k))
+        self.P, self.O, self.P2 = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+        self.G = np.empty((m, n))
+        self.A, self.B = self.Z[:, :n], self.Z[:, n:]
+        self._z_t, self._m_aa, self._m_ab = self.Z.T, self.M[:n, :n], self.M[:n, n:]
+        self._r2 = None
+        self._hold_r2(R2)
+
+    @classmethod
+    def like(cls, A, B, R2: np.ndarray) -> "SweepBuffers":
+        """Buffers sized for the model (A, B); B may be flat, one entry per
+        row of A."""
+        A = np.atleast_2d(np.asarray(A, float))
+        return cls(A.shape[0], np.size(B) // A.shape[0], R2)
+
+    def _hold_r2(self, R2: np.ndarray) -> None:
+        if R2 is not self._r2:
+            self._gamma = _gamma_into(self.M, self.A.shape[0], R2, self.G)
+            self._r2 = R2
+
+    def hold(self, A, B, R2: np.ndarray) -> np.ndarray:
+        """Z holding [A | B], with Gamma made for R2."""
+        self._hold_r2(R2)
+        if A is not self.A or B is not self.B:
+            A = np.atleast_2d(np.asarray(A, float))
+            B = np.asarray(B, float).reshape(A.shape[0], -1)
+            if A.shape != self.A.shape or B.shape != self.B.shape:
+                raise ValueError(
+                    f"A {A.shape} and B {B.shape} do not match the buffers' "
+                    f"{self.A.shape} and {self.B.shape}"
+                )
+            self.A[...] = A
+            self.B[...] = B
+        return self.Z
 
 
-def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndarray:
+def riccati_backward(
+    A: np.ndarray, B: np.ndarray, w: HorizonWeights, out: SweepBuffers | None = None
+) -> np.ndarray:
     """Sweep the Riccati recursion backward over the horizon.
 
     Starting from the terminal weight, iterates
@@ -150,23 +204,22 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
         Gamma_j = (R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
 
     down to the second prediction step and returns that matrix,
-    symmetrized; intermediate iterates are never stored.
+    symmetrized (``out.P2`` when given ``out``); intermediate iterates are
+    never stored.
     """
-    Z, n = _stack_ab(A, B)
-    R1, R2 = w.R1, w.R2
+    if out is None:
+        out = SweepBuffers.like(A, B, w.R2)
+    Z, R1 = out.hold(A, B, w.R2), w.R1
+    n = Z.shape[0]
     if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
         raise ValueError(
             f"R1 {R1.shape} and P_terminal {w.P_terminal.shape} must be "
             f"({n}, {n}) for A's {n} states"
         )
-    # Scratch written in place by every iteration: P, Y = PZ, M = Z'PZ,
-    # Gamma and the rank-m term O = A'PB Gamma.
-    k = Z.shape[1]
-    P = w.P_terminal.copy()
-    Y, M = np.empty_like(Z), np.empty((k, k))
-    G, O = np.empty((k - n, n)), np.empty((n, n))
-    Z_t, M_aa, M_ab = Z.T, M[:n, :n], M[:n, n:]
-    gamma = _gamma_into(M, n, R2, G)
+    # Each iteration writes P, Y = PZ, M = Z'PZ, Gamma and O = A'PB Gamma.
+    P, Y, M, O = out.P, out.Y, out.M, out.O
+    Z_t, M_aa, M_ab, gamma = out._z_t, out._m_aa, out._m_ab, out._gamma
+    np.copyto(P, w.P_terminal)
     # ndarray.dot, not np.dot or @: on these 10x11 operands all three make
     # the same BLAS call, with bit-identical results, but the method skips
     # the __array_function__ dispatcher, and the step's cost is dispatch
@@ -176,20 +229,28 @@ def riccati_backward(A: np.ndarray, B: np.ndarray, w: HorizonWeights) -> np.ndar
         M_ab.dot(gamma(), O)
         np.subtract(M_aa, O, out=P)
         P += R1
-    P = 0.5 * (P + P.T)
-    if not np.isfinite(P).all():
+    P2 = np.add(P, P.T, out=out.P2)
+    P2 *= 0.5
+    if not np.isfinite(P2).all():
         raise NumericalError("Riccati sweep diverged")
-    return P
+    return P2
 
 
 def control_gain(
-    A: np.ndarray, B: np.ndarray, R2: np.ndarray, P2: np.ndarray
+    A: np.ndarray,
+    B: np.ndarray,
+    R2: np.ndarray,
+    P2: np.ndarray,
+    out: SweepBuffers | None = None,
 ) -> np.ndarray:
-    """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A."""
-    Z, n = _stack_ab(A, B)
+    """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A, read from
+    Z'P2Z as in the sweep (in ``out``'s scratch when given)."""
     R2 = np.atleast_2d(np.asarray(R2, float))
-    G = np.empty((Z.shape[1] - n, n))
-    return -_gamma_into(Z.T.dot(P2.dot(Z)), n, R2, G)()
+    if out is None:
+        out = SweepBuffers.like(A, B, R2)
+    Z = out.hold(A, B, R2)
+    out._z_t.dot(P2.dot(Z, out.Y), out.M)
+    return -out._gamma()
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:

@@ -410,9 +410,9 @@ def rls_update(
         beta = 1.0
 
     gain = state.psi.dot(phi.T)
-    psi_next = beta * (
-        state.psi - gain.dot(_solve_inner(phi.dot(gain), beta, gain.T))
-    )
+    psi_next = state.psi - gain.dot(_solve_inner(phi.dot(gain), beta, gain.T))
+    if beta != 1.0:  # x * 1.0 == x: without forgetting the pass changes nothing
+        psi_next *= beta
     psi_next = 0.5 * (psi_next + psi_next.T)
     if not np.isfinite(psi_next).all() or (psi_next.diagonal() <= 0).any():
         raise NumericalError("RLS covariance lost positive definiteness")

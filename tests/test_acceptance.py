@@ -24,7 +24,6 @@ from pcac import (
     compute_bocf_state,
     default_spec,
     inverse_f_cdf,
-    predict_output,
     read_record,
     riccati_backward,
     rls_update,
@@ -33,6 +32,7 @@ from pcac import (
     write_spec_file,
 )
 from pcac.cli import main as cli_main
+from test_arx import predict_output
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

@@ -10,10 +10,32 @@ from pcac import (
     assemble_bocf,
     build_regressor,
     compute_bocf_state,
-    pack_coefficients,
-    predict_output,
-    split_coefficients,
 )
+from pcac.arx import ArxBuffers
+
+
+def split_coefficients(theta, dims):
+    """Coefficient stacks F (n_hat, p, p) and G (n_hat, p, m) of theta, as
+    views: the layout that the pcac.arx module docstring states."""
+    theta = np.asarray(theta, dtype=float)
+    assert theta.shape == (dims.n_theta,)
+    n, p, m = dims.n_hat, dims.p, dims.m
+    F = theta[: n * p * p].reshape(n, p, p).transpose(0, 2, 1)
+    G = theta[n * p * p :].reshape(n, m, p).transpose(0, 2, 1)
+    return F, G
+
+
+def pack_coefficients(F, G):
+    """Inverse of :func:`split_coefficients`."""
+    F = np.asarray(F, dtype=float)
+    G = np.asarray(G, dtype=float)
+    return np.concatenate([F.transpose(0, 2, 1).ravel(), G.transpose(0, 2, 1).ravel()])
+
+
+def predict_output(theta, phi):
+    """One-step ARX prediction y_hat = phi @ theta."""
+    assert phi.shape[1] == np.shape(theta)[0]
+    return phi @ theta
 
 
 def random_model(rng, n, p, m):
@@ -211,6 +233,58 @@ class TestBocfState:
         x = compute_bocf_state(h, y_k, theta, dims)
         _, _, C = assemble_bocf(theta, dims)
         np.testing.assert_array_equal(C @ x, y_k)
+
+
+class TestBuffers:
+    """A layer given ArxBuffers returns what it returns without them, bit
+    for bit, however often the buffers are reused."""
+
+    @staticmethod
+    def draws(seed):
+        # n = 1 (no lag rows, no padding) on every third draw; p, m up to 3
+        rng = np.random.default_rng(500 + seed)
+        n = 1 if seed % 3 == 0 else int(rng.integers(2, 7))
+        p, m = (int(v) for v in rng.integers(1, 4, size=2))
+        return rng, *random_model(rng, n, p, m)
+
+    @pytest.mark.parametrize("on_z", [False, True], ids=["own", "z_blocks"])
+    @pytest.mark.parametrize("seed", range(9))
+    def test_buffered_equals_allocating(self, seed, on_z):
+        rng, dims, theta, h = self.draws(seed)
+        n, p, m = dims.n_state, dims.p, dims.m
+        if on_z:
+            # A and B as the column blocks of one Z = [A | B], as the sweep holds them
+            Z = np.full((n, n + m), np.nan)
+            out = ArxBuffers(dims, Z[:, :n], Z[:, n:])
+        else:
+            out = ArxBuffers(dims)
+        for _ in range(4):
+            y_now = rng.standard_normal(p)
+            assert (build_regressor(h, dims, out).tobytes()
+                    == build_regressor(h, dims).tobytes())
+            for got, ref in zip(assemble_bocf(theta, dims, out),
+                                assemble_bocf(theta, dims)):
+                assert got.tobytes() == ref.tobytes()
+            assert (compute_bocf_state(h, y_now, theta, dims, out).tobytes()
+                    == compute_bocf_state(h, y_now, theta, dims).tobytes())
+            if on_z:
+                A, B, _ = assemble_bocf(theta, dims)
+                np.testing.assert_array_equal(Z, np.hstack((A, B)))
+            h = h.push(y_now, rng.standard_normal(m))
+            theta = rng.standard_normal(dims.n_theta)
+
+    def test_rejects_blocks_of_another_shape(self):
+        dims = ModelDims(3, 1, 2)
+        with pytest.raises(ValueError):
+            ArxBuffers(dims, np.empty((3, 3)), np.empty((3, 1)))
+
+    def test_theta_length_checked_with_buffers(self):
+        dims = ModelDims(2, 1, 1)
+        out = ArxBuffers(dims)
+        with pytest.raises(ValueError, match="theta"):
+            assemble_bocf(np.zeros(5), dims, out)
+        with pytest.raises(ValueError, match="theta"):
+            compute_bocf_state(IoHistory.zeros(dims), [1.0], np.zeros(3), dims, out)
 
 
 def test_split_pack_roundtrip():

@@ -24,8 +24,8 @@ from pcac import (
     saturate,
     suppression_time,
 )
-from pcac import controller
-from pcac.controller import PcacConfig
+from pcac import controller, rls
+from pcac.controller import PcacConfig, StepBuffers
 
 
 def run_sequence(cfg, measurements):
@@ -72,12 +72,12 @@ class TestInit:
         # numpy (P_terminal); the bounds come as a pair of equal shapes
         cfg = default_config(m=2)
         w = cfg.weights
-        if field in ("u_min", "u_max"):
-            changed = {"bounds": SaturationBounds.symmetric(8.0, m=1)}
-        else:
-            weights = {"R2": w.R2, "P_terminal": w.P_terminal, field: np.eye(1)}
-            changed = {"weights": HorizonWeights(ell=w.ell, R1=w.R1, **weights)}
         with pytest.raises(ValueError, match=field):
+            if field in ("u_min", "u_max"):
+                changed = {"bounds": SaturationBounds.symmetric(8.0, m=1)}
+            else:
+                weights = {"R2": w.R2, "P_terminal": w.P_terminal, field: np.eye(1)}
+                changed = {"weights": HorizonWeights(ell=w.ell, R1=w.R1, **weights)}
             replace(cfg, **changed)
 
 
@@ -117,13 +117,25 @@ class TestStep:
         assert all(abs(u[0]) <= 8.0 for u in u_impl)
         assert state.rls.step == 300
 
-    def test_matches_manual_composition(self):
-        # a step must equal the four module operations called in order
-        cfg = default_config(n_hat=4)
+    @pytest.mark.parametrize("p, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_manual_composition(self, p, m, monkeypatch):
+        # a step must equal the four module operations called in order, the
+        # layers here allocating what the step writes into its buffers; short
+        # windows, alpha = 0.5 and data that jumps 100x make forgetting fire
+        cfg = default_config(n_hat=4, p=p, m=m, tau_n=3, tau_d=8, alpha=0.5)
+        betas = []
+
+        def recorded(compute_beta):
+            def wrapper(*args):
+                betas.append(compute_beta(*args))
+                return betas[-1]
+            return wrapper
+
+        monkeypatch.setattr(rls, "compute_beta", recorded(rls.compute_beta))
         rng = np.random.default_rng(34)
         state = pcac_init(cfg)
-        for y in rng.normal(0, 10, 25):
-            y_k = np.array([y])
+        for k in range(25):
+            y_k = rng.normal(0, 10 if k < 18 else 1000, p)
             phi = build_regressor(state.history, cfg.dims)
             rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
             A, B, _ = assemble_bocf(rls_next.theta, cfg.dims)
@@ -138,6 +150,7 @@ class TestStep:
             np.testing.assert_array_equal(u_req, expect_req)
             np.testing.assert_array_equal(u_impl, expect_impl)
             np.testing.assert_array_equal(state.rls.theta, rls_next.theta)
+        assert max(betas) > 1.0
 
     def test_update_and_push_leave_previous_arrays_unchanged(self):
         # states are values: stepping from one must not write into it
@@ -222,6 +235,82 @@ class TestStep:
         assert new_state.fault_count == state.fault_count + 1
         assert new_state.last_fault is not None
         assert new_state.rls.step == state.rls.step + 1  # identification still advanced
+
+
+class TestBufferOwnership:
+    """Each controller writes its step into its own buffers, and nothing in
+    them carries from one step to the next."""
+
+    @staticmethod
+    def outputs(steps):
+        # every step's (u_req, u_impl) and the state's values, as bytes
+        return [b"".join(a.tobytes() for a in (r, i, s.rls.theta, s.rls.psi))
+                for r, i, s in steps]
+
+    def test_interleaved_controllers_match_lone_runs(self):
+        cfg = default_config(tau_n=5, tau_d=20)
+        rng = np.random.default_rng(36)
+        ys_a, ys_b = rng.normal(0, 30, (2, 60, 1))
+        a, b = pcac_init(cfg), pcac_init(cfg)
+        assert not np.shares_memory(a.buffers.sweep.Z, b.buffers.sweep.Z)
+        steps_a, steps_b = [], []
+        for y_a, y_b in zip(ys_a, ys_b):
+            steps_a.append(pcac_step(a, y_a, cfg))
+            a = steps_a[-1][2]
+            steps_b.append(pcac_step(b, y_b, cfg))
+            b = steps_b[-1][2]
+        for ys, steps in ((ys_a, steps_a), (ys_b, steps_b)):
+            state, alone = pcac_init(cfg), []
+            for y in ys:
+                alone.append(pcac_step(state, y, cfg))
+                state = alone[-1][2]
+            assert self.outputs(steps) == self.outputs(alone)
+
+    def test_stepping_a_state_twice_repeats_and_leaves_it(self):
+        cfg = default_config(tau_n=5, tau_d=20)
+        rng = np.random.default_rng(37)
+        _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
+        arrays = (state.rls.theta, state.rls.psi, state.rls.error_window,
+                  state.history.y_past, state.history.u_past,
+                  state.u_implemented, state.u_requested)
+        kept = [a.tobytes() for a in arrays]
+        y = np.array([12.5])
+        first = pcac_step(state, y, cfg)
+        first_bytes = self.outputs([first])
+        second = pcac_step(state, y, cfg)
+        assert self.outputs([second]) == first_bytes
+        assert [a.tobytes() for a in arrays] == kept
+
+    def test_fault_leaves_nothing_for_later_steps(self, monkeypatch):
+        # the faulting sweep fills the buffers, spoils them and raises; the
+        # steps after it must equal those of a twin with fresh buffers
+        from pcac.errors import NumericalError
+
+        cfg = default_config(tau_n=5, tau_d=20)
+        rng = np.random.default_rng(38)
+        _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
+        sweep = controller.riccati_backward
+
+        def boom(A, B, w, out):
+            sweep(A, B, w, out)
+            for scratch in (out.P, out.Y, out.M, out.G, out.O, out.P2):
+                scratch.fill(np.nan)
+            raise NumericalError("forced failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(controller, "riccati_backward", boom)
+            _, _, state = pcac_step(state, np.array([3.0]), cfg)
+        assert state.last_fault == "forced failure"
+        twin = replace(state, buffers=StepBuffers.for_config(cfg))
+        assert twin.buffers is not state.buffers
+        steps, twin_steps = [], []
+        for y in rng.normal(0, 30, (20, 1)):
+            steps.append(pcac_step(state, y, cfg))
+            state = steps[-1][2]
+            twin_steps.append(pcac_step(twin, y, cfg))
+            twin = twin_steps[-1][2]
+        assert self.outputs(steps) == self.outputs(twin_steps)
+        assert state.fault_count == twin.fault_count == 1
 
 
 def noisy_shift_spec(seed):

@@ -18,7 +18,6 @@ from pcac import (
     parse_spec_file,
     read_record,
     run_experiment,
-    split_coefficients,
     suppression_time,
     trailing_rms,
     write_record,
@@ -27,6 +26,7 @@ from pcac import (
 from pcac import harness
 from pcac.cli import main as cli_main
 from pcac.harness import RECORD_COLUMNS
+from test_arx import split_coefficients
 
 
 def short_spec(**kw):

@@ -18,6 +18,7 @@ from pcac import (
     riccati_backward,
     saturate,
 )
+from pcac.riccati import SweepBuffers
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -33,9 +34,9 @@ def random_stable_system(rng, n, m, sprad=0.9):
     return A, B
 
 
-def textbook_riccati_backward(A, B, w):
+def textbook_riccati_backward(A, B, w, out=None):
     """The textbook recursion P <- A'P(A - B Gamma) + R1, symmetrized every
-    iteration: the reference for the fused sweep."""
+    iteration: the reference for the fused sweep (``out`` is ignored)."""
     P = w.P_terminal
     for _ in range(w.ell - 1):
         BtP = B.T @ P
@@ -45,17 +46,19 @@ def textbook_riccati_backward(A, B, w):
     return P
 
 
-def textbook_control_gain(A, B, R2, P2):
+def textbook_control_gain(A, B, R2, P2, out=None):
     BtP = B.T @ P2
     return -np.linalg.solve(R2 + BtP @ B, BtP @ A)
 
 
-def random_problem(rng, bocf):
-    """A system with n <= 10 states and m in {1, 2, 3} inputs and a horizon:
-    a BOCF realization of random ARX coefficients (spectral radius up to
-    about 1.7) with output weighting, or a general A with spectral radius in
-    [0.5, 1.2] and full state weighting."""
+def random_problem(rng, bocf, shape=None):
+    """A system with n <= 10 states and m in {1, 2, 3} inputs, or the given
+    (n, m), and a horizon: a BOCF realization of random ARX coefficients
+    (spectral radius up to about 1.7) with output weighting, or a general A
+    with spectral radius in [0.5, 1.2] and full state weighting."""
     n, m = int(rng.integers(1, 11)), int(rng.integers(1, 4))
+    if shape is not None:
+        n, m = shape
     ell, r2 = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 1)
     if bocf:
         A, B, _ = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)),
@@ -197,6 +200,52 @@ class TestScratchBuffers:
         assert riccati_backward(A1, B1, w).tobytes() == first.tobytes()
 
 
+class TestSweepBuffers:
+    """A sweep or gain given SweepBuffers returns what it returns without
+    them, bit for bit, whether A and B are the buffers' own blocks of Z or
+    another model's arrays, which are copied in."""
+
+    @staticmethod
+    def check(A, B, w, out):
+        P2_ref = riccati_backward(A, B, w)
+        K_ref = control_gain(A, B, w.R2, P2_ref)
+        P2 = riccati_backward(A, B, w, out)
+        assert P2.tobytes() == P2_ref.tobytes()
+        assert control_gain(A, B, w.R2, P2, out).tobytes() == K_ref.tobytes()
+
+    @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
+    def test_own_blocks_equal_allocating(self, bocf):
+        rng = np.random.default_rng(40 + bocf)
+        for _ in range(40):
+            A, B, w = random_problem(rng, bocf)
+            out = SweepBuffers(*B.shape, w.R2)
+            out.A[...], out.B[...] = A, B
+            self.check(out.A, out.B, w, out)
+            self.check(A, B, w, out)
+
+    @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
+    def test_buffers_holding_another_model(self, bocf):
+        # Z holds model 1 when model 2 (its own weights, R2 included) is
+        # passed: the sweep must read model 2, then model 1 again
+        rng = np.random.default_rng(42 + bocf)
+        for _ in range(40):
+            A1, B1, w1 = random_problem(rng, bocf)
+            out = SweepBuffers(*B1.shape, w1.R2)
+            out.A[...], out.B[...] = A1, B1
+            A2, B2, w2 = random_problem(rng, bocf, B1.shape)
+            self.check(A2, B2, w2, out)
+            out.A[...], out.B[...] = A1, B1
+            self.check(out.A, out.B, w1, out)
+
+    def test_rejects_a_model_of_another_shape(self):
+        out = SweepBuffers(3, 1, np.eye(1))
+        w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
+        with pytest.raises(ValueError):
+            riccati_backward(np.eye(2), np.ones((2, 1)), w, out)
+        with pytest.raises(ValueError, match="R2"):
+            control_gain(out.A, out.B, np.eye(2), np.eye(3), out)
+
+
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
         K = control_gain([[0.7]], [[1.3]], [[1.0]], np.zeros((1, 1)))
@@ -305,6 +354,11 @@ class TestHorizonWeights:
     def test_terminal_weight_must_match_the_states(self):
         # used to fail inside numpy: shapes (1,1) and (3,4) not aligned
         A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
-        w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(1), P_terminal=np.eye(1))
+        w = HorizonWeights(ell=5, R1=np.eye(1), R2=np.eye(1), P_terminal=np.eye(1))
         with pytest.raises(ValueError, match="P_terminal"):
             riccati_backward(A, B, w)
+
+    def test_terminal_weight_must_match_r1(self):
+        # a P_terminal of another shape than R1 used to be accepted here
+        with pytest.raises(ValueError, match="P_terminal"):
+            HorizonWeights(ell=20, R1=np.eye(3), R2=np.eye(1), P_terminal=np.eye(1))
