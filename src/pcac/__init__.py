@@ -12,7 +12,7 @@ from .arx import (
     build_regressor,
     compute_bocf_state,
 )
-from .controller import PcacConfig, PcacState, default_config, pcac_init, pcac_step
+from .controller import PcacConfig, PcacState, pcac_init, pcac_step
 from .errors import NumericalError, PlantDivergedError
 from .harness import (
     ExperimentRecord,

@@ -34,70 +34,46 @@ from .rls import ForgettingConfig, RlsState, rls_update
 
 @dataclass(frozen=True)
 class PcacConfig:
-    """Everything needed to instantiate the controller."""
+    """The controller's hyperparameters.
 
-    dims: ModelDims
-    theta0: np.ndarray
-    psi0_scale: float
-    forgetting: ForgettingConfig
-    weights: HorizonWeights
-    bounds: SaturationBounds
-    u0: np.ndarray
+    The objects the step reads (model dimensions, forgetting test, horizon
+    weights and saturation bounds) are derived from them once, here, so an
+    out-of-range value raises at construction.
+    """
+
+    n_hat: int = 10
+    p: int = 1
+    m: int = 1
+    theta0_scale: float = 1e-10
+    psi0_scale: float = 1e-4
+    tau_n: int = 40
+    tau_d: int = 200
+    eta: float = 0.1
+    alpha: float = 0.001
+    ell: int = 20
+    r2: float = 1e-2
+    u_sat: float = 8.0
+    dims: ModelDims = field(init=False, repr=False, compare=False)
+    forgetting: ForgettingConfig = field(init=False, repr=False, compare=False)
+    weights: HorizonWeights = field(init=False, repr=False, compare=False)
+    bounds: SaturationBounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        theta0 = np.asarray(self.theta0, float).reshape(-1)
-        if theta0.shape != (self.dims.n_theta,):
-            raise ValueError(
-                f"theta0 length {theta0.size} does not match {self.dims.n_theta}"
-            )
-        object.__setattr__(self, "theta0", theta0)
-        u0 = np.atleast_1d(np.asarray(self.u0, float))
-        if u0.shape != (self.dims.m,):
-            raise ValueError(f"u0 shape {u0.shape} does not match m={self.dims.m}")
-        object.__setattr__(self, "u0", u0)
         if self.psi0_scale <= 0:
             raise ValueError("psi0_scale must be positive")
-        n, m = self.dims.n_state, self.dims.m
-        mismatched = [
-            f"{name} shape {value.shape} does not match {shape}"
-            for name, value, shape in (
-                ("R1", self.weights.R1, (n, n)),
-                ("R2", self.weights.R2, (m, m)),
-                ("P_terminal", self.weights.P_terminal, (n, n)),
-                ("u_min", self.bounds.u_min, (m,)),
-                ("u_max", self.bounds.u_max, (m,)),
-            )
-            if value.shape != shape
-        ]
-        if mismatched:
-            raise ValueError("; ".join(mismatched))
-
-
-def default_config(
-    n_hat: int = 10,
-    p: int = 1,
-    m: int = 1,
-    theta0_scale: float = 1e-10,
-    psi0_scale: float = 1e-4,
-    tau_n: int = 40,
-    tau_d: int = 200,
-    eta: float = 0.1,
-    alpha: float = 0.001,
-    ell: int = 20,
-    r2: float = 1e-2,
-    u_sat: float = 8.0,
-) -> PcacConfig:
-    """Stock hyperparameter set used throughout the experiments."""
-    dims = ModelDims(n_hat=n_hat, p=p, m=m)
-    return PcacConfig(
-        dims=dims,
-        theta0=theta0_scale * np.ones(dims.n_theta),
-        psi0_scale=psi0_scale,
-        forgetting=ForgettingConfig(tau_n=tau_n, tau_d=tau_d, eta=eta, alpha=alpha),
-        weights=HorizonWeights.output_weighted(dims.n_state, m, ell=ell, r2=r2),
-        bounds=SaturationBounds.symmetric(u_sat, m),
-        u0=np.zeros(m),
-    )
+        dims = ModelDims(n_hat=self.n_hat, p=self.p, m=self.m)
+        derived = {
+            "dims": dims,
+            "forgetting": ForgettingConfig(
+                tau_n=self.tau_n, tau_d=self.tau_d, eta=self.eta, alpha=self.alpha
+            ),
+            "weights": HorizonWeights.output_weighted(
+                dims.n_state, self.m, ell=self.ell, r2=self.r2
+            ),
+            "bounds": SaturationBounds.symmetric(self.u_sat, self.m),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 class StepBuffers(NamedTuple):
@@ -138,8 +114,9 @@ class PcacState:
 def pcac_init(cfg: PcacConfig) -> PcacState:
     """Fresh controller state: prior estimate, zeroed history, initial
     control, and the step's buffers."""
-    rls = RlsState.initialize(cfg.theta0, cfg.psi0_scale, cfg.forgetting, cfg.dims.p)
-    u0 = cfg.u0.copy()
+    theta0 = cfg.theta0_scale * np.ones(cfg.dims.n_theta)
+    rls = RlsState.initialize(theta0, cfg.psi0_scale, cfg.forgetting, cfg.p)
+    u0 = np.zeros(cfg.m)
     return PcacState(
         rls=rls,
         history=IoHistory.zeros(cfg.dims),

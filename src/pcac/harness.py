@@ -17,11 +17,10 @@ import math
 import os
 import time
 from dataclasses import dataclass, fields, is_dataclass, replace
-from inspect import signature
 
 import numpy as np
 
-from .controller import PcacConfig, default_config, pcac_init, pcac_step
+from .controller import PcacConfig, pcac_init, pcac_step
 from .plant import EmulatorParams, PlantState, operating_grid, plant_output, plant_zoh_step
 
 SUPPRESSION_WINDOW_S = 0.1
@@ -52,6 +51,12 @@ class ExperimentSpec:
             raise ValueError("t_s must be positive")
         if not 0.0 <= self.t_open <= self.t_total:
             raise ValueError("need 0 <= t_open <= t_total")
+        # the harness drives one actuator from one sensor
+        if (self.controller.p, self.controller.m) != (1, 1):
+            raise ValueError(
+                f"controller must have p = m = 1, got p={self.controller.p}, "
+                f"m={self.controller.m}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -82,7 +87,7 @@ class ExperimentRecord:
 def default_spec(seed: int = 0) -> ExperimentSpec:
     """Mid-grid operating point with the stock controller."""
     plant = operating_grid(base_seed=seed)[4]
-    return ExperimentSpec(plant=plant, controller=default_config())
+    return ExperimentSpec(plant=plant, controller=PcacConfig())
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
@@ -352,8 +357,7 @@ def run_ablation(
     t_event = base.t_open + 1.0
 
     def measure(spec):
-        cfg = spec.controller
-        cfg_off = replace(cfg, forgetting=replace(cfg.forgetting, eta=0.0))
+        cfg_off = replace(spec.controller, eta=0.0)
         rec_on = run_experiment(spec)
         rec_off = run_experiment(replace(spec, controller=cfg_off))
         return {
@@ -460,40 +464,25 @@ def write_grid_summary(summary: list[dict], path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Spec files: flat "section.key = value" text format.  The keys are the
-# EmulatorParams fields (plant.*), the default_config keywords listed in
-# _config_keywords (controller.*) and the other ExperimentSpec fields (sim.*).
+# fields of EmulatorParams (plant.*), PcacConfig (controller.*) and
+# ExperimentSpec (sim.*) that a constructor takes, less those in _NOT_KEYS:
+# the sections themselves, the output path, and p and m, which the harness
+# fixes at 1.
 
-_NOT_SIM = ("plant", "controller", "output_path")
+_NOT_KEYS = ("plant", "controller", "output_path", "p", "m")
 # Declared types; annotations are strings under postponed evaluation.
 _CASTS = {"int": int, "float": float, "float | None": float}
 
 
-def _config_keywords(c: PcacConfig) -> dict:
-    """The default_config keywords that rebuild ``c``, if any do."""
-    return {
-        "n_hat": c.dims.n_hat,
-        "theta0_scale": c.theta0[0],
-        "psi0_scale": c.psi0_scale,
-        "tau_n": c.forgetting.tau_n,
-        "tau_d": c.forgetting.tau_d,
-        "eta": c.forgetting.eta,
-        "alpha": c.forgetting.alpha,
-        "ell": c.weights.ell,
-        "r2": c.weights.R2[0, 0],
-        "u_sat": c.bounds.u_max[0],
-    }
-
-
 def _spec_table(spec: ExperimentSpec) -> dict[str, tuple]:
     """Every spec-file key, mapped to (type, value in ``spec``)."""
-    keywords = signature(default_config).parameters
-    rows = [(f"plant.{f.name}", f.type, getattr(spec.plant, f.name))
-            for f in fields(spec.plant)]
-    rows += [(f"controller.{k}", keywords[k].annotation, v)
-             for k, v in _config_keywords(spec.controller).items()]
-    rows += [(f"sim.{f.name}", f.type, getattr(spec, f.name))
-             for f in fields(spec) if f.name not in _NOT_SIM]
-    return {key: (_CASTS[kind], value) for key, kind, value in rows}
+    sections = {"plant": spec.plant, "controller": spec.controller, "sim": spec}
+    return {
+        f"{section}.{f.name}": (_CASTS[f.type], getattr(obj, f.name))
+        for section, obj in sections.items()
+        for f in fields(obj)
+        if f.init and f.name not in _NOT_KEYS
+    }
 
 
 def _build_spec(values: dict) -> ExperimentSpec:
@@ -502,7 +491,7 @@ def _build_spec(values: dict) -> ExperimentSpec:
         section, name = key.split(".", 1)
         sections[section][name] = value
     plant, controller, sim = sections.values()
-    return ExperimentSpec(EmulatorParams(**plant), default_config(**controller), **sim)
+    return ExperimentSpec(EmulatorParams(**plant), PcacConfig(**controller), **sim)
 
 
 def _differences(a, b, name: str = "") -> list[str]:
@@ -517,7 +506,8 @@ def write_spec_file(spec: ExperimentSpec, path: str) -> None:
     """Write every set value of ``spec`` (all but ``output_path``).
 
     Raises ValueError, and writes nothing, for a spec the keys cannot
-    reproduce, such as a controller that is not a SISO default_config.
+    reproduce: a value of a type its key does not take, or a controller
+    whose derived arrays were changed in place.
     """
     values = {key: None if value is None else cast(value)
               for key, (cast, value) in _spec_table(spec).items()}

@@ -13,7 +13,6 @@ import pytest
 from scipy import integrate, linalg, special
 
 from pcac import (
-    ExperimentSpec,
     ForgettingConfig,
     HorizonWeights,
     IoHistory,

@@ -7,14 +7,11 @@ from test_riccati import textbook_control_gain, textbook_riccati_backward
 from test_rls import textbook_rls_update
 
 from pcac import (
-    HorizonWeights,
     ModelDims,
-    SaturationBounds,
     assemble_bocf,
     build_regressor,
     compute_bocf_state,
     control_gain,
-    default_config,
     default_spec,
     pcac_init,
     pcac_step,
@@ -40,7 +37,7 @@ def run_sequence(cfg, measurements):
 
 class TestInit:
     def test_stock_configuration(self):
-        cfg = default_config()
+        cfg = PcacConfig()
         state = pcac_init(cfg)
         assert state.rls.theta.shape == (20,)
         assert np.all(state.rls.theta == 1e-10)
@@ -50,47 +47,51 @@ class TestInit:
 
     def test_rejects_zero_psi0(self):
         with pytest.raises(ValueError):
-            default_config(psi0_scale=0.0)
+            PcacConfig(psi0_scale=0.0)
 
-    def test_rejects_mismatched_theta0(self):
-        cfg = default_config()
+    @pytest.mark.parametrize("name, value", [
+        ("psi0_scale", -1e-4),
+        ("tau_n", 200),  # not below tau_d
+        ("tau_n", 0),
+        ("eta", -0.1),
+        ("alpha", 0.0),
+        ("alpha", 1.5),
+        ("ell", 0),
+        ("r2", 0.0),
+        ("r2", -1e-2),
+        ("u_sat", -1.0),
+        ("n_hat", 0),
+        ("p", 0),
+        ("m", 0),
+    ])
+    def test_rejects_out_of_range_hyperparameter(self, name, value):
+        # at construction, not at the first step: the derived objects check
         with pytest.raises(ValueError):
-            PcacConfig(
-                dims=ModelDims(10, 1, 1),
-                theta0=np.zeros(5),
-                psi0_scale=1e-4,
-                forgetting=cfg.forgetting,
-                weights=cfg.weights,
-                bounds=cfg.bounds,
-                u0=np.zeros(1),
-            )
+            PcacConfig(**{name: value})
 
-    @pytest.mark.parametrize("field", ["R2", "P_terminal", "u_min", "u_max"])
-    def test_rejects_shape_not_matching_dims(self, field):
-        # a one-input value on two inputs used to be accepted, and then
-        # faulted every step (R2), was broadcast (bounds) or failed inside
-        # numpy (P_terminal); the bounds come as a pair of equal shapes
-        cfg = default_config(m=2)
-        w = cfg.weights
-        with pytest.raises(ValueError, match=field):
-            if field in ("u_min", "u_max"):
-                changed = {"bounds": SaturationBounds.symmetric(8.0, m=1)}
-            else:
-                weights = {"R2": w.R2, "P_terminal": w.P_terminal, field: np.eye(1)}
-                changed = {"weights": HorizonWeights(ell=w.ell, R1=w.R1, **weights)}
-            replace(cfg, **changed)
+    def test_replace_rederives(self):
+        cfg = replace(PcacConfig(), n_hat=4, m=2, eta=0.0, ell=7, r2=0.1, u_sat=3.0)
+        assert cfg.dims == ModelDims(n_hat=4, p=1, m=2)
+        assert cfg.forgetting.eta == 0.0
+        assert cfg.weights.ell == 7
+        np.testing.assert_array_equal(cfg.weights.R2, 0.1 * np.eye(2))
+        assert cfg.weights.R1.shape == (4, 4)
+        np.testing.assert_array_equal(cfg.bounds.u_max, [3.0, 3.0])
+        np.testing.assert_array_equal(cfg.bounds.u_min, [-3.0, -3.0])
+        with pytest.raises(ValueError, match="weights"):
+            replace(cfg, weights=PcacConfig().weights)
 
 
 class TestStep:
     def test_near_zero_model_requests_near_zero_control(self):
-        cfg = default_config()
+        cfg = PcacConfig()
         state = pcac_init(cfg)
         u_req, u_impl, _ = pcac_step(state, np.array([50.0]), cfg)
         assert abs(u_req[0]) < 1e-3
         assert abs(u_impl[0]) < 1e-3
 
     def test_deterministic(self):
-        cfg = default_config()
+        cfg = PcacConfig()
         rng = np.random.default_rng(31)
         ys = rng.normal(0, 30, 150)
         a_req, a_imp, _ = run_sequence(cfg, ys)
@@ -99,7 +100,7 @@ class TestStep:
         assert all(np.array_equal(x, y) for x, y in zip(a_imp, b_imp))
 
     def test_causality_under_future_truncation(self):
-        cfg = default_config()
+        cfg = PcacConfig()
         rng = np.random.default_rng(32)
         ys = rng.normal(0, 30, 80)
         altered = ys.copy()
@@ -111,7 +112,7 @@ class TestStep:
         assert not np.array_equal(a_req[55], b_req[55])
 
     def test_saturation_always_enforced(self):
-        cfg = default_config()
+        cfg = PcacConfig()
         rng = np.random.default_rng(33)
         _, u_impl, state = run_sequence(cfg, rng.normal(0, 80, 300))
         assert all(abs(u[0]) <= 8.0 for u in u_impl)
@@ -122,7 +123,7 @@ class TestStep:
         # a step must equal the four module operations called in order, the
         # layers here allocating what the step writes into its buffers; short
         # windows, alpha = 0.5 and data that jumps 100x make forgetting fire
-        cfg = default_config(n_hat=4, p=p, m=m, tau_n=3, tau_d=8, alpha=0.5)
+        cfg = PcacConfig(n_hat=4, p=p, m=m, tau_n=3, tau_d=8, alpha=0.5)
         betas = []
 
         def recorded(compute_beta):
@@ -154,7 +155,7 @@ class TestStep:
 
     def test_update_and_push_leave_previous_arrays_unchanged(self):
         # states are values: stepping from one must not write into it
-        cfg = default_config(n_hat=3, tau_n=2, tau_d=5)
+        cfg = PcacConfig(n_hat=3, tau_n=2, tau_d=5)
         rng = np.random.default_rng(35)
         state = pcac_init(cfg)
         for _ in range(12):
@@ -173,7 +174,7 @@ class TestStep:
         # closed loop against an unstable scalar ARX plant: the open loop
         # grows like 1.01^k (~2e8 over this run), so staying bounded and
         # small demonstrates the loop bootstraps and stabilizes it
-        cfg = default_config(n_hat=2, psi0_scale=100.0)
+        cfg = PcacConfig(n_hat=2, psi0_scale=100.0)
         state = pcac_init(cfg)
         f1, f2, g1, g2 = -1.9, 1.02, 1.0, 0.3  # |roots| ~ 1.01, unstable
         y1 = 0.5
@@ -210,7 +211,7 @@ class TestStep:
         for name in names:
             monkeypatch.setattr(controller, name,
                                 counted(name, getattr(controller, name)))
-        cfg = default_config()
+        cfg = PcacConfig()
         _, _, state = run_sequence(cfg, np.linspace(0.5, -0.5, 5))
         assert state.fault_count == 0
         assert calls == dict.fromkeys(names, 5)
@@ -219,7 +220,7 @@ class TestStep:
         from pcac import controller as ctl
         from pcac.errors import NumericalError
 
-        cfg = default_config()
+        cfg = PcacConfig()
         rng = np.random.default_rng(35)
         state = pcac_init(cfg)
         for y in rng.normal(0, 30, 20):
@@ -248,7 +249,7 @@ class TestBufferOwnership:
                 for r, i, s in steps]
 
     def test_interleaved_controllers_match_lone_runs(self):
-        cfg = default_config(tau_n=5, tau_d=20)
+        cfg = PcacConfig(tau_n=5, tau_d=20)
         rng = np.random.default_rng(36)
         ys_a, ys_b = rng.normal(0, 30, (2, 60, 1))
         a, b = pcac_init(cfg), pcac_init(cfg)
@@ -267,7 +268,7 @@ class TestBufferOwnership:
             assert self.outputs(steps) == self.outputs(alone)
 
     def test_stepping_a_state_twice_repeats_and_leaves_it(self):
-        cfg = default_config(tau_n=5, tau_d=20)
+        cfg = PcacConfig(tau_n=5, tau_d=20)
         rng = np.random.default_rng(37)
         _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
         arrays = (state.rls.theta, state.rls.psi, state.rls.error_window,
@@ -286,7 +287,7 @@ class TestBufferOwnership:
         # steps after it must equal those of a twin with fresh buffers
         from pcac.errors import NumericalError
 
-        cfg = default_config(tau_n=5, tau_d=20)
+        cfg = PcacConfig(tau_n=5, tau_d=20)
         rng = np.random.default_rng(38)
         _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
         sweep = controller.riccati_backward

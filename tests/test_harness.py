@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from pcac import (
     EmulatorParams,
     ExperimentSpec,
+    PcacConfig,
     amplitude_spectrum,
-    default_config,
     default_spec,
     experiment_metrics,
     final_attenuation_db,
@@ -49,6 +49,35 @@ def assert_fields_equal(a, b, name="spec"):
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+# What write_spec_file(default_spec()) writes: 23 keys, pinned so that the
+# spec format cannot drift under a file written earlier.
+DEFAULT_SPEC_FILE = """\
+plant.omega = 942.4777960769379
+plant.mu = 14.137166941154069
+plant.kappa = 40000.0
+plant.amp_scale = 50.0
+plant.noise_std = 0.0
+plant.seed = 4
+controller.n_hat = 10
+controller.theta0_scale = 1e-10
+controller.psi0_scale = 0.0001
+controller.tau_n = 40
+controller.tau_d = 200
+controller.eta = 0.1
+controller.alpha = 0.001
+controller.ell = 20
+controller.r2 = 0.01
+controller.u_sat = 8.0
+sim.t_s = 0.001
+sim.t_open = 3.0
+sim.t_total = 5.0
+sim.q0 = 0.001
+sim.qdot0 = 0.0
+sim.omega_shift_factor = 1.0
+sim.kick_q = 0.0
+"""
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
@@ -56,9 +85,9 @@ NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 @st.composite
 def specs(draw):
-    """Any spec a spec file can hold: a SISO default_config controller."""
+    """Any spec a spec file can hold: a PcacConfig with p = m = 1."""
     tau_n = draw(st.integers(1, 300))
-    controller = default_config(
+    controller = PcacConfig(
         n_hat=draw(st.integers(1, 12)),
         theta0_scale=draw(FINITE),
         psi0_scale=draw(POSITIVE),
@@ -177,6 +206,14 @@ class TestRunExperiment:
         assert np.all(rec.phase == 0)
         assert rec.fault_count == 0
 
+    @pytest.mark.parametrize("p, m", [(1, 2), (2, 1), (2, 2)])
+    def test_rejects_controller_not_siso(self, p, m):
+        # the loop feeds u[0] to the plant and y as one output: a second
+        # input would be dropped and a second output would fail only at the
+        # first closed-loop step
+        with pytest.raises(ValueError, match="controller"):
+            replace(default_spec(), controller=PcacConfig(p=p, m=m))
+
     def test_deterministic_without_noise(self):
         a = run_experiment(short_spec())
         b = run_experiment(short_spec())
@@ -274,7 +311,7 @@ class TestSpecFiles:
         spec = ExperimentSpec(
             plant=EmulatorParams(omega=2 * np.pi * 140, mu=6.0, noise_std=0.2,
                                  seed=5),
-            controller=default_config(n_hat=6, eta=0.05, r2=0.5),
+            controller=PcacConfig(n_hat=6, eta=0.05, r2=0.5),
             t_open=1.0,
             t_total=2.0,
             qdot0=0.25,
@@ -293,17 +330,35 @@ class TestSpecFiles:
         write_spec_file(spec, path)
         assert_fields_equal(parse_spec_file(path), spec)
 
-    @pytest.mark.parametrize("case", ["nonuniform_theta0", "p2_m2"])
+    @pytest.mark.parametrize("case", ["mutated_R2", "mutated_u_max", "p2_m2"])
     def test_write_refuses_what_keys_cannot_hold(self, tmp_path, case):
-        controller = default_config(p=2, m=2)
-        if case == "nonuniform_theta0":
-            controller = default_config()
-            controller.theta0[3] = 0.5
         path = tmp_path / "spec.txt"
         with pytest.raises(ValueError, match="controller"):
-            write_spec_file(replace(default_spec(), controller=controller),
-                            str(path))
+            spec = default_spec()
+            if case == "mutated_R2":
+                spec.controller.weights.R2[0, 0] = 0.5
+            elif case == "mutated_u_max":
+                spec.controller.bounds.u_max[0] = 5.0
+            else:
+                spec = replace(spec, controller=PcacConfig(p=2, m=2))
+            write_spec_file(spec, str(path))
         assert not path.exists()
+
+    def test_controller_keys_are_the_config_fields(self):
+        keys = [k for k in harness._spec_table(default_spec())
+                if k.startswith("controller.")]
+        assert keys == [f"controller.{f.name}" for f in fields(PcacConfig)
+                        if f.init and f.name not in ("p", "m")]
+
+    def test_default_spec_file_is_pinned(self, tmp_path):
+        # a spec file written by an earlier version must keep meaning the
+        # same spec, and writing it back must give the same bytes
+        path = tmp_path / "spec.txt"
+        write_spec_file(default_spec(), str(path))
+        assert path.read_bytes() == DEFAULT_SPEC_FILE.encode()
+        again = tmp_path / "again.txt"
+        write_spec_file(parse_spec_file(str(path)), str(again))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_missing_keys_take_default_spec_values(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -490,11 +545,9 @@ class TestAblation:
             assert on.plant.seed == off.plant.seed
             assert on.controller.forgetting.eta > 0.0
             assert off.controller.forgetting.eta == 0.0
-            forgetting = replace(off.controller.forgetting,
-                                 eta=on.controller.forgetting.eta)
             assert_fields_equal(
                 replace(off, controller=replace(off.controller,
-                                                forgetting=forgetting)), on)
+                                                eta=on.controller.eta)), on)
             assert on.omega_shift_time == t_open + 1.0
             assert on.t_total == t_open + 2.5
 

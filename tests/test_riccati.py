@@ -11,10 +11,10 @@ from pcac import (
     HorizonWeights,
     ModelDims,
     NumericalError,
+    PcacConfig,
     SaturationBounds,
     assemble_bocf,
     control_gain,
-    default_config,
     riccati_backward,
     saturate,
 )
@@ -327,7 +327,7 @@ class TestHorizonWeights:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for r2 in (1.7e308, 5e-324):
-                assert default_config(r2=r2).weights.R2[0, 0] == r2
+                assert PcacConfig(r2=r2).weights.R2[0, 0] == r2
             with pytest.raises(ValueError, match="R2"):
                 HorizonWeights(ell=5, R1=np.eye(2), R2=[[-1.7e308]],
                                P_terminal=np.zeros((2, 2)))
