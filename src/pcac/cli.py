@@ -11,8 +11,14 @@ from .errors import NumericalError, PlantDivergedError
 
 
 def _load_spec(args) -> harness.ExperimentSpec:
+    """The --spec file's spec, or default_spec(); a file that cannot be read
+    or parsed exits with status 2, as a bad argument does."""
     if args.spec:
-        spec = harness.parse_spec_file(args.spec)
+        try:
+            spec = harness.parse_spec_file(args.spec)
+        except (OSError, ValueError) as exc:
+            print(f"pcac: {exc}", file=sys.stderr)
+            sys.exit(2)
     else:
         spec = harness.default_spec()
     if args.seed is not None:

@@ -7,6 +7,7 @@ propagation, backward Riccati sweep, gain application, and saturation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,8 +60,16 @@ class PcacConfig:
     bounds: SaturationBounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.psi0_scale <= 0:
-            raise ValueError("psi0_scale must be positive")
+        # The derived objects check the rest by name; these they do not see
+        # (theta0_scale, psi0_scale) or would report as R2 and u_min.
+        for name, ok, want in (
+            ("theta0_scale", math.isfinite(self.theta0_scale), "finite"),
+            ("psi0_scale", 0 < self.psi0_scale < math.inf, "positive and finite"),
+            ("r2", 0 < self.r2 < math.inf, "positive and finite"),
+            ("u_sat", 0 <= self.u_sat < math.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
         dims = ModelDims(n_hat=self.n_hat, p=self.p, m=self.m)
         derived = {
             "dims": dims,

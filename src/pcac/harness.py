@@ -507,10 +507,14 @@ def write_spec_file(spec: ExperimentSpec, path: str) -> None:
 
     Raises ValueError, and writes nothing, for a spec the keys cannot
     reproduce: a value of a type its key does not take, or a controller
-    whose derived arrays were changed in place.
+    whose derived arrays were changed in place; and for a value that is not
+    finite, which a spec file does not take.
     """
     values = {key: None if value is None else cast(value)
               for key, (cast, value) in _spec_table(spec).items()}
+    for key, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"spec key {key}: {value!r} is not finite")
     lost = _differences(_build_spec(values), replace(spec, output_path=None))
     if lost:
         raise ValueError(f"spec keys cannot hold spec fields {', '.join(lost)}")
@@ -543,4 +547,6 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 raise ValueError(
                     f"spec key {key} in {path}: expected {cast.__name__}, got {text!r}"
                 ) from None
+            if not math.isfinite(values[key]):
+                raise ValueError(f"spec key {key} in {path}: {text!r} is not finite")
     return _build_spec(values)

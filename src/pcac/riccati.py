@@ -29,7 +29,7 @@ class HorizonWeights:
 
     def __post_init__(self):
         if self.ell < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ValueError("horizon ell must be >= 1")
         object.__setattr__(self, "R1", np.atleast_2d(np.asarray(self.R1, float)))
         object.__setattr__(self, "R2", np.atleast_2d(np.asarray(self.R2, float)))
         object.__setattr__(

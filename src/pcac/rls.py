@@ -10,6 +10,7 @@ covariance product with matched F degrees of freedom.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,11 +23,9 @@ from .errors import NumericalError
 # evidence of model change, so no forgetting.
 _VAR_FLOOR = 1e-30
 _EPS = sys.float_info.epsilon
-# Iteration caps of the F quantile.  For shape parameters up to 1e6 the
-# incomplete beta's continued fraction takes at most about 200 terms and the
-# bracketed Newton solve of its inverse about 10 steps.
+# Iteration cap of the incomplete beta's continued fraction, which for shape
+# parameters up to 1e6 takes at most about 200 terms.
 _CF_MAX_TERMS = 2000
-_NEWTON_MAX_STEPS = 100
 # Stirling series of lgamma, the coefficients of x^-1, x^-3, ..., x^-11.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 # Ridge added to the long-window covariance before inversion (p > 1 case).
@@ -53,8 +52,8 @@ class ForgettingConfig:
     def __post_init__(self):
         if not 1 <= self.tau_n < self.tau_d:
             raise ValueError("need 1 <= tau_n < tau_d")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
@@ -191,10 +190,10 @@ def _beta_residual(
 def _beta_quantile(
     a: float, b: float, prob: float, prob_c: float
 ) -> tuple[float, float]:
-    """(w, 1 - w) with I_w(a, b) = prob, each to full relative precision.
+    """(w, 1 - w) with I_w(a, b) = prob, each to nearly full relative precision.
 
-    The solve runs on whichever of w and 1 - w lies below 1/2, through the
-    symmetry I_w(a, b) = 1 - I_{1-w}(b, a).
+    The bisection over bit patterns runs on whichever of w and 1 - w lies
+    below 1/2, through the symmetry I_w(a, b) = 1 - I_{1-w}(b, a).
     """
     if _beta_residual(a, b, prob, prob_c, 0.5, 0.5) >= 0.0:
         w = _lower_beta_quantile(a, b, prob, prob_c)
@@ -206,60 +205,24 @@ def _beta_quantile(
 def _lower_beta_quantile(a: float, b: float, prob: float, prob_c: float) -> float:
     """Root w in (0, 1/2] of I_w(a, b) = prob, given with prob_c = 1 - prob.
 
-    Newton steps on the log of the tail that holds the smaller of the two,
-    which is close to linear far out in either tail, kept inside a bisection
-    bracket that shrinks with every evaluation.
+    Positive doubles order as their bit patterns do, so halving the integer
+    bracket [bits(0), bits(1/2)] is geometric far from the root and linear
+    near it.  After at most 62 halvings it holds two adjacent doubles between
+    which the residual changes sign; the upper one is returned.
     """
-    log_beta = _log_beta(a, b)
-    use_lower = prob <= prob_c
-    log_target = math.log(prob if use_lower else prob_c)
-    lo, hi = 0.0, 0.5
-    # Leading term of the series near 0, I_w ~ w^a / (a B(a, b)).
-    guess = (math.log(prob) + math.log(a) + log_beta) / a
-    w = min(0.5, max(sys.float_info.min, math.exp(min(guess, 0.0))))
-    for _ in range(_NEWTON_MAX_STEPS):
-        lower, upper = _betainc(a, b, w, 1.0 - w)
-        tail = lower if use_lower else upper
-        # g rises with w through 0 at the root; an underflowed tail puts w
-        # far out on its own side.
-        if tail > 0.0:
-            g = math.log(tail) - log_target if use_lower else log_target - math.log(tail)
+    lo, hi, w_hi = 0, 0x3FE0_0000_0000_0000, 0.5
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w = struct.unpack("<d", struct.pack("<q", mid))[0]
+        if _beta_residual(a, b, prob, prob_c, w, 1.0 - w) >= 0.0:
+            hi, w_hi = mid, w
         else:
-            g = -math.inf if use_lower else math.inf
-        if g == 0.0:
-            return w
-        if g > 0.0:
-            hi = w
-        else:
-            lo = w
-        if hi - lo <= 64.0 * _EPS * hi:
-            return 0.5 * (lo + hi)
-        nxt = math.nan
-        if tail > 0.0:
-            # Newton step g / g' with g' = density / tail, in logs so that
-            # nothing overflows; a step longer than 1 leaves the bracket.
-            log_step = (
-                math.log(abs(g)) + math.log(tail) + log_beta
-                - (a - 1.0) * math.log(w) - (b - 1.0) * math.log1p(-w)
-            )
-            nxt = w - math.copysign(math.exp(min(log_step, 0.0)), g)
-            if abs(nxt - w) <= 64.0 * _EPS * w:
-                return min(max(nxt, lo), hi)
-        if not lo < nxt < hi:
-            edge = hi if nxt >= hi else lo
-            lo_pos = max(lo, sys.float_info.min)
-            if abs(nxt - edge) <= 64.0 * _EPS * edge:
-                # Just past the far end: the root is there, within rounding.
-                nxt = edge + math.copysign(32.0 * _EPS * edge, w - edge)
-            elif hi < 4.0 * lo_pos:
-                # Bisect, geometrically while the bracket spans decades.
-                nxt = 0.5 * (lo_pos + hi)
-            else:
-                nxt = math.sqrt(lo_pos) * math.sqrt(hi)
-        w = nxt
-    raise NumericalError(
-        f"inverse incomplete beta did not converge for ({a}, {b}, {prob})"
-    )
+            lo = mid
+    if hi == 1:  # the root is at or below the smallest subnormal
+        raise NumericalError(
+            f"inverse incomplete beta did not converge for ({a}, {b}, {prob})"
+        )
+    return w_hi
 
 
 @lru_cache(maxsize=64)

@@ -63,10 +63,12 @@ class TestInit:
         ("n_hat", 0),
         ("p", 0),
         ("m", 0),
-    ])
+    ] + [(name, value)
+         for name in ("theta0_scale", "psi0_scale", "eta", "r2", "u_sat")
+         for value in (np.nan, np.inf, -np.inf)])
     def test_rejects_out_of_range_hyperparameter(self, name, value):
-        # at construction, not at the first step: the derived objects check
-        with pytest.raises(ValueError):
+        # at construction, not at the first step, naming the hyperparameter
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
             PcacConfig(**{name: value})
 
     def test_replace_rederives(self):

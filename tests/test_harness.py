@@ -344,6 +344,12 @@ class TestSpecFiles:
             write_spec_file(spec, str(path))
         assert not path.exists()
 
+    def test_write_refuses_non_finite_value(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        with pytest.raises(ValueError, match="sim.q0.*not finite"):
+            write_spec_file(replace(default_spec(), q0=np.nan), str(path))
+        assert not path.exists()
+
     def test_controller_keys_are_the_config_fields(self):
         keys = [k for k in harness._spec_table(default_spec())
                 if k.startswith("controller.")]
@@ -397,6 +403,14 @@ class TestSpecFiles:
         path = tmp_path / "spec.txt"
         path.write_text("plant.mu = 5.0\nsim.kickq = 1.0\n")
         with pytest.raises(ValueError, match="sim.kickq"):
+            parse_spec_file(str(path))
+
+    @pytest.mark.parametrize("line", ["sim.q0 = nan", "plant.omega = inf"])
+    def test_non_finite_value_names_key(self, tmp_path, line):
+        # a value that parses to nan or inf would not survive writing back
+        path = tmp_path / "spec.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=line.split(" = ")[0]):
             parse_spec_file(str(path))
 
 
@@ -463,6 +477,19 @@ class TestCli:
         rows = (out / "summary.csv").read_text().splitlines()[2:]
         assert sum("failed: injected cell failure" in r for r in rows) == 1
         assert sum(",ok," in r for r in rows) == 8
+
+    @pytest.mark.parametrize("command", ["run", "grid", "ablate"])
+    @pytest.mark.parametrize("case", ["unknown_key", "missing_file"])
+    def test_spec_error_exits_two(self, tmp_path, capsys, command, case):
+        path = tmp_path / "spec.txt"
+        if case == "unknown_key":
+            path.write_text("plant.mu = 5.0\nsim.kickq = 1.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcac: ") and str(path) in err
+        assert not (tmp_path / "out").exists()
 
     def test_spectrum_subcommand(self, tmp_path, spec_file, capsys):
         out = str(tmp_path / "out")

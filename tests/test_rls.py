@@ -1,4 +1,7 @@
 """RLS update equations, F-quantile, and the forgetting test statistic."""
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +20,9 @@ from pcac import (
 )
 from pcac import rls
 from pcac.rls import (
-    _NEWTON_MAX_STEPS,
     _VAR_FLOOR,
     _beta_quantile,
+    _beta_residual,
     _betainc,
     _cached_f_quantile,
     multivariable_dof,
@@ -100,6 +103,20 @@ class TestInverseFCdf:
         quants = [inverse_f_cdf(40, 200, 1 - a) for a in (1e-4, 1e-3, 1e-2, 1e-1)]
         assert all(a > b for a, b in zip(quants, quants[1:]))
 
+    # The 1 - alpha quantiles of the default ForgettingConfig to 60 digits
+    # (mpmath): the scalar test's F(40, 200) and the multivariable test's for
+    # p = 2 and 3, whose d2 is not an integer.
+    @pytest.mark.parametrize("p, exact", [
+        (1, "1.99986961234971296849543390678208931938320742804169339602119"),
+        (2, "1.65750466902430469694256983794903204000950916737952714271963"),
+        (3, "1.52049637475816800122443639453256365126038456503144313034184"),
+    ])
+    def test_stock_quantiles_pinned(self, p, exact):
+        cfg = ForgettingConfig()
+        d2 = cfg.tau_d if p == 1 else multivariable_dof(p, cfg)[1]
+        x = inverse_f_cdf(float(p * cfg.tau_n), float(d2), 1.0 - cfg.alpha)
+        assert abs(Decimal(x) - Decimal(exact)) <= Decimal("1e-14") * Decimal(exact)
+
     @pytest.mark.parametrize("d1,d2,prob", [
         (1e-3, 1.0, 1e-10),   # the root w ~ 1e-20000 underflows
         (1e-4, 1.0, 0.5),
@@ -115,8 +132,9 @@ class TestInverseFCdf:
         monkeypatch.setattr(rls, "_betainc", counted)
         with pytest.raises(NumericalError, match="did not converge"):
             inverse_f_cdf(d1, d2, prob)
-        # one evaluation picks the side of 1/2, then at most one per step
-        assert len(calls) <= _NEWTON_MAX_STEPS + 1
+        # one evaluation picks the side of 1/2, then one per halving of the
+        # bit-pattern bracket [0, bits(0.5)], which takes at most 62
+        assert len(calls) <= 63
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,21 @@ class TestIncompleteBetaOracle:
                 x = inverse_f_cdf(2 * a, 2 * b, prob)
                 worst = max(worst, _rel_err(x, special.fdtri(2 * a, 2 * b, prob)))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("a", SHAPES)
+    def test_inverse_brackets_the_root(self, a):
+        # on the side _beta_quantile solves, the residual changes sign
+        # between the returned w and the double below it
+        for b in SHAPES:
+            for prob in PROBS:
+                args = (a, b, prob, 1.0 - prob)
+                w, w_c = _beta_quantile(*args)
+                if _beta_residual(*args, 0.5, 0.5) < 0.0:
+                    # solved for 1 - w, through I_w(a, b) = 1 - I_{1-w}(b, a)
+                    args, w = (b, a, 1.0 - prob, prob), w_c
+                below = math.nextafter(w, 0.0)
+                assert _beta_residual(*args, w, 1.0 - w) >= 0.0, (b, prob)
+                assert _beta_residual(*args, below, 1.0 - below) < 0.0, (b, prob)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_multivariable_quantile_matches_scipy(self, p):
