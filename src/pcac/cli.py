@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -57,35 +58,28 @@ def _cmd_grid(args) -> int:
     spec = _load_spec(args)
     summary = harness.run_grid(spec, out_dir=args.out, base_seed=args.seed or 0)
     for row in summary:
-        print(
-            f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, mu={row['mu']:.2f}): "
-            f"{row['status']}"
-            + (
-                f", suppression {row['suppression_time_s']} s, "
-                f"attenuation {row['attenuation_db']:.1f} dB"
-                if row["status"] == "ok"
-                else ""
-            )
-        )
+        line = (f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, "
+                f"mu={row['mu']:.2f}): {row['status']}")
+        if row["status"] == "ok":
+            atten = row["attenuation_db"]
+            line += (f", suppression {row['suppression_time_s']} s, attenuation "
+                     + ("None" if atten is None else f"{atten:.1f} dB"))
+        print(line)
     print(f"summary written to {args.out}/summary.csv")
     return _any_failed(summary)
 
 
 def _cmd_spectrum(args) -> int:
-    record = harness.read_record(args.record)
-    y = record.y
-    t = record.t
-    if args.t_start is not None or args.t_end is not None:
-        lo = args.t_start if args.t_start is not None else t[0]
-        hi = args.t_end if args.t_end is not None else t[-1]
-        mask = (t >= lo) & (t <= hi)
-        y = y[mask]
-    freqs, amps = harness.amplitude_spectrum(y, record.t_s)
-    out = args.out or args.record.replace(".csv", "") + ".spectrum.csv"
-    with open(out, "w") as fh:
-        fh.write("frequency_hz,amplitude\n")
-        for f, a in zip(freqs, amps):
-            fh.write(f"{float(f)!r},{float(a)!r}\n")
+    """An unreadable record or a window of under two samples exits with 2."""
+    try:
+        record = harness.read_record(args.record)
+        window = (record.t >= args.t_start) & (record.t <= args.t_end)
+        freqs, amps = harness.amplitude_spectrum(record.y[window], record.t_s)
+    except (OSError, ValueError) as exc:
+        print(f"pcac: {exc}", file=sys.stderr)
+        sys.exit(2)
+    out = args.out or args.record.removesuffix(".csv") + ".spectrum.csv"
+    harness.write_csv(out, "frequency_hz,amplitude\n", [freqs, amps])
     print(f"spectrum written to {out}")
     return 0
 
@@ -140,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="amplitude spectrum of a record file")
     p_spec.add_argument("--record", required=True, help="record CSV to analyze")
     p_spec.add_argument("--out", default=None, help="output CSV path")
-    p_spec.add_argument("--t-start", type=float, default=None)
-    p_spec.add_argument("--t-end", type=float, default=None)
+    p_spec.add_argument("--t-start", type=float, default=-math.inf)
+    p_spec.add_argument("--t-end", type=float, default=math.inf)
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_abl = sub.add_parser(

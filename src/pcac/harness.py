@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ PRE_SWITCH_WINDOW_S = 0.5
 FINAL_WINDOW_S = 0.5
 SUPPRESSION_FRACTION = 0.01
 STEP_BUDGET_S = 1e-3  # one sample: the controller step's real-time budget
+PEAK_BAND_HZ = 15.0  # closed-loop band searched around the open-loop peak
+ABLATION_DELAY_S = 1.0  # from the switch to the ablation's plant change
+ABLATION_TAIL_S = 1.5  # closed-loop time after that change
+ABLATION_OMEGA_FACTOR = 1.1
+ABLATION_KICK_Q = 1.0  # displacement kick at the change
 
 
 @dataclass(frozen=True)
@@ -113,35 +118,38 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     dims = spec.controller.dims
     n_f = dims.n_hat * dims.p * dims.p
 
-    state = PlantState(q=spec.q0, qdot=spec.qdot0)
-    ctrl = None
-    shifted = False
+    def log(k: int, ctrl) -> None:
+        u_req[k] = ctrl.u_requested[0]
+        u[k] = ctrl.u_implemented[0]
+        f, g = ctrl.rls.theta[:n_f], ctrl.rls.theta[n_f:]
+        th_f[k] = math.sqrt(f.dot(f))
+        th_g[k] = math.sqrt(g.dot(g))
 
+    # The plant changes at the first sample at or past omega_shift_time, half
+    # a sample early so that a time on the sample grid is not lost to rounding.
+    k_change = n + 1 if spec.omega_shift_time is None else int(
+        np.searchsorted(t, spec.omega_shift_time - 0.5 * spec.t_s))
+    # The loop closes at k_switch unless that is the last sample; each step
+    # at sample k makes the controls of sample k + 1.
+    ctrl = None
+    if k_switch < n:
+        ctrl = pcac_init(spec.controller)
+        phase[k_switch:] = 1
+        log(k_switch, ctrl)
+
+    state = PlantState(q=spec.q0, qdot=spec.qdot0)
     for k in range(n + 1):
-        if (
-            spec.omega_shift_time is not None
-            and not shifted
-            and t[k] >= spec.omega_shift_time - 0.5 * spec.t_s
-        ):
+        if k == k_change:
             params = replace(params, omega=params.omega * spec.omega_shift_factor)
             state = replace(state, q=state.q + spec.kick_q)
-            shifted = True
         y[k] = plant_output(state, params, rng)
-        if k >= k_switch and k_switch < n:
-            if ctrl is None:
-                ctrl = pcac_init(spec.controller)
-            phase[k] = 1
-            u_req[k] = ctrl.u_requested[0]
-            u[k] = ctrl.u_implemented[0]
-            f, g = ctrl.rls.theta[:n_f], ctrl.rls.theta[n_f:]
-            th_f[k] = math.sqrt(f.dot(f))
-            th_g[k] = math.sqrt(g.dot(g))
         if k == n:
             break
-        if ctrl is not None:
+        if k >= k_switch:
             t0 = time.perf_counter()
             _, _, ctrl = pcac_step(ctrl, np.array([y[k]]), spec.controller)
             wall[k] = time.perf_counter() - t0
+            log(k + 1, ctrl)
         state = plant_zoh_step(state, u[k], params, spec.t_s)
 
     record = ExperimentRecord(
@@ -174,7 +182,7 @@ def amplitude_spectrum(signal, t_s: float):
     """
     x = np.asarray(signal, dtype=float)
     if x.size < 2:
-        raise ValueError("need at least two samples")
+        raise ValueError(f"need at least two samples, got {x.size}")
     n = x.size
     amp = np.abs(np.fft.rfft(x)) / n
     amp[1:] *= 2.0
@@ -237,12 +245,12 @@ def final_attenuation_db(record: ExperimentRecord) -> float:
     return 20.0 * np.log10(pre / post)
 
 
-def peak_attenuation_db(record: ExperimentRecord, band_hz: float = 15.0):
+def peak_attenuation_db(record: ExperimentRecord):
     """Attenuation of the dominant open-loop spectral peak.
 
     Compares the open-loop spectrum (last 1 s before the switch) with the
-    closed-loop spectrum (last 1 s of the run) in a band around the
-    open-loop peak.  Returns (peak frequency, attenuation in dB).
+    closed-loop spectrum (last 1 s of the run) within ``PEAK_BAND_HZ`` of
+    the open-loop peak.  Returns (peak frequency, attenuation in dB).
     """
     n_win = round(1.0 / record.t_s)
     lo = max(0, record.k_switch - n_win)
@@ -252,7 +260,7 @@ def peak_attenuation_db(record: ExperimentRecord, band_hz: float = 15.0):
     i_peak = np.argmax(a_open[sel])
     f_peak = float(f_open[sel][i_peak])
     a_peak = float(a_open[sel][i_peak])
-    band = np.abs(f_clsd - f_peak) <= band_hz
+    band = np.abs(f_clsd - f_peak) <= PEAK_BAND_HZ
     a_closed = float(np.max(a_clsd[band]))
     if a_closed == 0.0:
         return f_peak, float("inf")
@@ -260,13 +268,17 @@ def peak_attenuation_db(record: ExperimentRecord, band_hz: float = 15.0):
 
 
 def experiment_metrics(record: ExperimentRecord) -> dict:
+    """A run's figures; the four measured against the open-loop segment
+    are None when it has fewer than two samples."""
     closed = record.phase == 1
     wall = record.step_wall[record.step_wall > 0]
-    f_peak, peak_db = peak_attenuation_db(record)
-    supp = suppression_time(record)
+    supp = atten = f_peak = peak_db = None
+    if record.k_switch >= 2:
+        supp, atten = suppression_time(record), final_attenuation_db(record)
+        f_peak, peak_db = peak_attenuation_db(record)
     return {
         "suppression_time_s": supp,
-        "attenuation_db": final_attenuation_db(record),
+        "attenuation_db": atten,
         "peak_freq_hz": f_peak,
         "peak_attenuation_db": peak_db,
         "max_abs_u": float(np.max(np.abs(record.u[closed]))) if closed.any() else 0.0,
@@ -342,11 +354,9 @@ def run_ablation(
     base: ExperimentSpec,
     out_dir: str | None = None,
     base_seed: int = 0,
-    omega_shift_factor: float = 1.1,
-    kick_q: float = 1.0,
 ) -> list[dict]:
     """Paired forgetting-on vs forgetting-off comparison under a mid-run
-    plant change (frequency shifted by ``omega_shift_factor``).
+    plant change (frequency scaled by ``ABLATION_OMEGA_FACTOR``).
 
     A displacement kick re-excites the oscillation at the change so the
     re-suppression metric is not vacuously zero when the loop absorbs the
@@ -354,7 +364,7 @@ def run_ablation(
     plant seed; only eta differs between the runs.  A row's ``fault_count``
     sums both runs'; a pair whose run raises is reported in ``status``.
     """
-    t_event = base.t_open + 1.0
+    t_event = base.t_open + ABLATION_DELAY_S
 
     def measure(spec):
         cfg_off = replace(spec.controller, eta=0.0)
@@ -369,10 +379,10 @@ def run_ablation(
     specs = [
         replace(
             spec,
-            t_total=t_event + 1.5,
+            t_total=t_event + ABLATION_TAIL_S,
             omega_shift_time=t_event,
-            omega_shift_factor=omega_shift_factor,
-            kick_q=kick_q,
+            omega_shift_factor=ABLATION_OMEGA_FACTOR,
+            kick_q=ABLATION_KICK_Q,
         )
         for spec in grid_specs(base, base_seed=base_seed)
     ]
@@ -400,13 +410,14 @@ RECORD_COLUMNS = {"t": float, "y": float, "u_req": float, "u": float,
 _CSV_CHUNK_ROWS = 512
 
 
-def _write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
+def write_csv(path: str, header: str, columns: list[np.ndarray]) -> None:
     """Write ``header``, then the rows as reprs of Python floats and ints."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header)
         for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             chunk = [c[lo : lo + _CSV_CHUNK_ROWS].tolist() for c in columns]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*chunk))
+            fh.writelines(row % values for values in zip(*chunk))
 
 
 def write_record(record: ExperimentRecord, path: str) -> None:
@@ -417,24 +428,24 @@ def write_record(record: ExperimentRecord, path: str) -> None:
     """
     meta = f"# k_switch={record.k_switch} t_s={float(record.t_s)!r}\n"
     columns = [np.asarray(getattr(record, c), dt) for c, dt in RECORD_COLUMNS.items()]
-    _write_csv(path, meta + ",".join(RECORD_COLUMNS) + "\n", columns)
-    _write_csv(path + ".timing", "t,step_wall_s\n", [record.t, record.step_wall])
+    write_csv(path, meta + ",".join(RECORD_COLUMNS) + "\n", columns)
+    write_csv(path + ".timing", "t,step_wall_s\n", [record.t, record.step_wall])
 
 
 def read_record(path: str) -> ExperimentRecord:
+    """A record written by :func:`write_record`; ValueError if it is not one."""
     with open(path) as fh:
-        meta = fh.readline().lstrip("# ").split()
+        meta = dict(i.partition("=")[::2] for i in fh.readline().lstrip("# ").split())
         header = fh.readline().strip().split(",")
-        if header != list(RECORD_COLUMNS):
-            raise ValueError(f"unexpected record header in {path}")
+        if header != list(RECORD_COLUMNS) or not {"k_switch", "t_s"} <= meta.keys():
+            raise ValueError(f"{path} is not a record file")
         dtype = list(RECORD_COLUMNS.items())
         data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
-    kv = dict(item.split("=") for item in meta)
     return ExperimentRecord(
         **{c: data[c] for c in RECORD_COLUMNS},
         step_wall=np.zeros(data.size),
-        k_switch=int(kv["k_switch"]),
-        t_s=float(kv["t_s"]),
+        k_switch=int(meta["k_switch"]),
+        t_s=float(meta["t_s"]),
     )
 
 
@@ -494,30 +505,23 @@ def _build_spec(values: dict) -> ExperimentSpec:
     return ExperimentSpec(EmulatorParams(**plant), PcacConfig(**controller), **sim)
 
 
-def _differences(a, b, name: str = "") -> list[str]:
-    """Dotted names of the (nested dataclass) fields in which a and b differ."""
-    if not is_dataclass(a):
-        return [] if np.array_equal(a, b) else [name]
-    return [d for f in fields(a) for d in _differences(
-        getattr(a, f.name), getattr(b, f.name), f"{name}.{f.name}".lstrip("."))]
-
-
 def write_spec_file(spec: ExperimentSpec, path: str) -> None:
     """Write every set value of ``spec`` (all but ``output_path``).
 
-    Raises ValueError, and writes nothing, for a spec the keys cannot
-    reproduce: a value of a type its key does not take, or a controller
-    whose derived arrays were changed in place; and for a value that is not
-    finite, which a spec file does not take.
+    Raises ValueError, and writes nothing, for a value its key cannot hold:
+    one that reads back as another value (a float given for an int key), or
+    one that is not finite, which a spec file does not take.  Everything
+    else in a spec is derived from these values, so they reproduce it.
     """
+    table = _spec_table(spec)
     values = {key: None if value is None else cast(value)
-              for key, (cast, value) in _spec_table(spec).items()}
+              for key, (cast, value) in table.items()}
     for key, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"spec key {key}: {value!r} is not finite")
-    lost = _differences(_build_spec(values), replace(spec, output_path=None))
+    lost = [key for key, (_, value) in table.items() if values[key] != value]
     if lost:
-        raise ValueError(f"spec keys cannot hold spec fields {', '.join(lost)}")
+        raise ValueError(f"spec keys {', '.join(lost)} cannot hold their values")
     with open(path, "w") as fh:
         fh.writelines(f"{key} = {value!r}\n"
                       for key, value in values.items() if value is not None)

@@ -18,9 +18,16 @@ from .errors import NumericalError
 _COND_LIMIT = 1e12
 
 
+def _read_only(a, ndmin: int) -> np.ndarray:
+    """A float copy of ``a``, at least ``ndmin``-D, that cannot be written."""
+    a = np.array(a, float, ndmin=ndmin)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class HorizonWeights:
-    """Horizon length, stage weights, and terminal weight."""
+    """Horizon length, stage weights, and terminal weight (read-only copies)."""
 
     ell: int
     R1: np.ndarray
@@ -30,12 +37,8 @@ class HorizonWeights:
     def __post_init__(self):
         if self.ell < 1:
             raise ValueError("horizon ell must be >= 1")
-        object.__setattr__(self, "R1", np.atleast_2d(np.asarray(self.R1, float)))
-        object.__setattr__(self, "R2", np.atleast_2d(np.asarray(self.R2, float)))
-        object.__setattr__(
-            self, "P_terminal", np.atleast_2d(np.asarray(self.P_terminal, float))
-        )
         for name in ("R1", "R2", "P_terminal"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), 2))
             shape = getattr(self, name).shape
             if len(shape) != 2 or shape[0] != shape[1]:
                 raise ValueError(f"{name} must be a square matrix, got shape {shape}")
@@ -56,23 +59,19 @@ class HorizonWeights:
         """Weights penalizing only the first state block (the output)."""
         R1 = np.zeros((n_state, n_state))
         R1[0, 0] = 1.0
-        return cls(ell=ell, R1=R1, R2=r2 * np.eye(m), P_terminal=R1.copy())
+        return cls(ell=ell, R1=R1, R2=r2 * np.eye(m), P_terminal=R1)
 
 
 @dataclass(frozen=True)
 class SaturationBounds:
-    """Componentwise actuator magnitude limits."""
+    """Componentwise actuator magnitude limits, held as read-only copies."""
 
     u_min: np.ndarray
     u_max: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "u_min", np.atleast_1d(np.asarray(self.u_min, float))
-        )
-        object.__setattr__(
-            self, "u_max", np.atleast_1d(np.asarray(self.u_max, float))
-        )
+        for name in ("u_min", "u_max"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), 1))
         if self.u_min.shape != self.u_max.shape:
             raise ValueError("u_min and u_max shapes differ")
         if np.any(self.u_min > self.u_max):
@@ -149,7 +148,8 @@ class SweepBuffers:
     it stands, so the realization can be written there; any other A and B
     are copied in.  The scratch is P, Y = PZ, M = Z'PZ, Gamma, the rank-m
     term O and the returned P2, with Gamma computed by one function of M
-    made for the R2 it was last called with.
+    made for the R2 it was last called with, told apart by identity (so
+    ``HorizonWeights`` holds R2 read-only).
     """
 
     __slots__ = ("Z", "A", "B", "P", "Y", "M", "G", "O", "P2",

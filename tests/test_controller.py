@@ -83,6 +83,17 @@ class TestInit:
         with pytest.raises(ValueError, match="weights"):
             replace(cfg, weights=PcacConfig().weights)
 
+    def test_derived_arrays_cannot_change_under_a_controller(self):
+        # a controller takes r2 into its buffers once: after 300 closed-loop
+        # steps of default_spec(0), an in-place R2[0, 0] = 1.0 used to leave
+        # its buffered gain 2.4x that of the changed weights
+        cfg = PcacConfig()
+        pcac_init(cfg)
+        for held in (cfg.weights.R1, cfg.weights.R2, cfg.weights.P_terminal,
+                     cfg.bounds.u_min, cfg.bounds.u_max):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1.0
+
 
 class TestStep:
     def test_near_zero_model_requests_near_zero_control(self):

@@ -236,6 +236,72 @@ class TestRunExperiment:
         np.testing.assert_array_equal(a.y[:250], b.y[:250])
         assert not np.array_equal(a.y[260:], b.y[260:])
 
+    @pytest.mark.parametrize("shift, k_change", [
+        (0.0, 0),
+        (0.1, 100),  # inside the open loop
+        (0.1004, 100),  # half a sample early at most
+        (0.1006, 101),
+        (0.3, 300),  # exactly at the switch
+        (0.5, 500),  # the last sample
+        (0.6, None),  # after the run
+        (None, None),
+    ])
+    def test_plant_changes_at_first_sample_past_shift_time(self, shift, k_change,
+                                                           monkeypatch):
+        # the change lands on the first k with t[k] >= shift - t_s / 2
+        spec = short_spec(omega_shift_time=shift, omega_shift_factor=1.5,
+                          kick_q=0.25)
+        output, omegas, qs = harness.plant_output, [], []
+
+        def spy(state, params, rng):
+            omegas.append(params.omega)
+            qs.append(state.q)
+            return output(state, params, rng)
+
+        monkeypatch.setattr(harness, "plant_output", spy)
+        rec = run_experiment(spec)
+        k = rec.t.size if k_change is None else k_change
+        omega = spec.plant.omega
+        assert omegas == [omega] * k + [1.5 * omega] * (rec.t.size - k)
+        unchanged = run_experiment(short_spec())
+        np.testing.assert_array_equal(rec.y[:k], unchanged.y[:k])
+        if k_change is not None:  # the kick moves the state the change sees
+            assert qs[k] == pytest.approx(unchanged.y[k] / spec.plant.amp_scale
+                                          + 0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("t_open, inits, steps", [
+        (0.3, 1, 200), (0.499, 1, 1), (0.5, 0, 0),
+    ])
+    def test_controller_built_once_per_closed_loop_run(self, t_open, inits,
+                                                       steps, monkeypatch):
+        calls = {"init": 0, "step": 0}
+        init, step = harness.pcac_init, harness.pcac_step
+
+        def count_init(cfg):
+            calls["init"] += 1
+            return init(cfg)
+
+        def count_step(state, y, cfg):
+            calls["step"] += 1
+            return step(state, y, cfg)
+
+        monkeypatch.setattr(harness, "pcac_init", count_init)
+        monkeypatch.setattr(harness, "pcac_step", count_step)
+        rec = run_experiment(short_spec(t_open=t_open, t_total=0.5))
+        assert calls == {"init": inits, "step": steps}
+        assert np.count_nonzero(rec.phase) == steps + inits
+        assert np.count_nonzero(rec.step_wall) == steps
+
+    @pytest.mark.parametrize("t_open", [0.0, 0.001])
+    def test_metrics_without_open_loop_segment_are_none(self, t_open):
+        # fewer than two open-loop samples: nothing to measure against
+        m = experiment_metrics(run_experiment(short_spec(t_open=t_open,
+                                                         t_total=0.2)))
+        for key in ("suppression_time_s", "attenuation_db", "peak_freq_hz",
+                    "peak_attenuation_db"):
+            assert m[key] is None, key
+        assert m["fault_count"] == 0 and 0 < m["max_abs_u"] <= 8.0
+
     def test_theta_norms_are_norms_of_split_coefficients(self, monkeypatch):
         # the logged norms equal np.linalg.norm of F and G to the bit
         spec = short_spec()
@@ -298,6 +364,19 @@ class TestRecordFiles:
         write_record(run_experiment(spec), p2)
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
+    def test_csv_rows_are_reprs(self, tmp_path):
+        # each row is the reprs of its Python floats and ints, across chunks
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=1100) * 10.0 ** rng.integers(-300, 300, size=1100)
+        x[:8] = [0.1, -0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf,
+                 np.nan, 1.0]
+        k = np.arange(x.size) - 3
+        path = tmp_path / "table.csv"
+        harness.write_csv(str(path), "x,k\n", [x, k])
+        rows = zip(x.tolist(), k.tolist())
+        assert path.read_text() == "x,k\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in rows)
+
     def test_timing_sidecar_written(self, tmp_path):
         path = str(tmp_path / "record.csv")
         write_record(run_experiment(short_spec()), path)
@@ -330,17 +409,25 @@ class TestSpecFiles:
         write_spec_file(spec, path)
         assert_fields_equal(parse_spec_file(path), spec)
 
-    @pytest.mark.parametrize("case", ["mutated_R2", "mutated_u_max", "p2_m2"])
+    @pytest.mark.parametrize("case", ["mutated_R2", "mutated_u_max", "p2_m2",
+                                      "float_seed"])
     def test_write_refuses_what_keys_cannot_hold(self, tmp_path, case):
+        # a derived array cannot be changed in place, a controller other than
+        # p = m = 1 cannot be built, and a value its key reads back as
+        # another value is refused
         path = tmp_path / "spec.txt"
-        with pytest.raises(ValueError, match="controller"):
+        match = {"mutated_R2": "read-only", "mutated_u_max": "read-only",
+                 "p2_m2": "controller", "float_seed": "plant.seed"}[case]
+        with pytest.raises(ValueError, match=match):
             spec = default_spec()
             if case == "mutated_R2":
                 spec.controller.weights.R2[0, 0] = 0.5
             elif case == "mutated_u_max":
                 spec.controller.bounds.u_max[0] = 5.0
-            else:
+            elif case == "p2_m2":
                 spec = replace(spec, controller=PcacConfig(p=2, m=2))
+            else:
+                spec = replace(spec, plant=replace(spec.plant, seed=1.5))
             write_spec_file(spec, str(path))
         assert not path.exists()
 
@@ -501,6 +588,47 @@ class TestCli:
         data = np.loadtxt(spec_csv, delimiter=",", skiprows=1)
         f_peak = data[np.argmax(data[:, 1]), 0]
         assert f_peak == pytest.approx(150.0, abs=3.0)
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_no_open_loop_segment_prints_none_metrics(self, tmp_path, capsys,
+                                                      command):
+        path = str(tmp_path / "spec.txt")
+        write_spec_file(short_spec(t_open=0.0, t_total=0.05), path)
+        assert cli_main([command, "--spec", path, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert ("attenuation_db: None" if command == "run"
+                else "attenuation None") in out
+
+    def test_spectrum_default_path_strips_only_the_suffix(self, tmp_path,
+                                                          spec_file):
+        out = tmp_path / "run.csv"
+        cli_main(["run", "--spec", spec_file, "--out", str(out),
+                  "--open-loop-only"])
+        assert cli_main(["spectrum", "--record", str(out / "record.csv")]) == 0
+        assert (out / "record.spectrum.csv").exists()
+
+    @pytest.mark.parametrize("case", ["empty_window", "one_sample_window",
+                                      "missing_record", "not_a_record"])
+    def test_spectrum_input_error_exits_two(self, tmp_path, spec_file, capsys,
+                                            case):
+        record = str(tmp_path / "out" / "record.csv")
+        cli_main(["run", "--spec", spec_file, "--out", str(tmp_path / "out"),
+                  "--open-loop-only"])
+        argv = ["spectrum", "--record", record, "--out", str(tmp_path / "s.csv")]
+        if case == "empty_window":
+            argv += ["--t-start", "9.0"]
+        elif case == "one_sample_window":
+            argv += ["--t-start", "1.0", "--t-end", "1.0"]
+        elif case == "missing_record":
+            argv[2] = str(tmp_path / "missing.csv")
+        else:
+            argv[2] = spec_file
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("pcac: ")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_sweeps_have_no_workers_option(self):
         for command in ("grid", "ablate"):

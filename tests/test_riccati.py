@@ -314,6 +314,16 @@ class TestSaturate:
         with pytest.raises(ValueError):
             SaturationBounds(u_min=[1.0], u_max=[-1.0])
 
+    def test_holds_read_only_copies(self):
+        u_min, u_max = np.array([-1.0]), np.array([1.0])
+        b = SaturationBounds(u_min=u_min, u_max=u_max)
+        u_min[0], u_max[0] = -5.0, 5.0
+        assert u_max.flags.writeable
+        for held, value in ((b.u_min, -1.0), (b.u_max, 1.0)):
+            assert held[0] == value
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 2.0
+
 
 class TestHorizonWeights:
     def test_output_weighted_defaults(self):
@@ -357,6 +367,18 @@ class TestHorizonWeights:
         w = HorizonWeights(ell=5, R1=np.eye(1), R2=np.eye(1), P_terminal=np.eye(1))
         with pytest.raises(ValueError, match="P_terminal"):
             riccati_backward(A, B, w)
+
+    def test_holds_read_only_copies(self):
+        # the caller's arrays stay the caller's, and the held ones keep the
+        # values the weights were checked with
+        R1, R2 = np.eye(2), np.eye(1)
+        w = HorizonWeights(ell=5, R1=R1, R2=R2, P_terminal=R1)
+        R1[0, 0] = R2[0, 0] = 3.0
+        assert R1.flags.writeable and R2.flags.writeable
+        for held in (w.R1, w.R2, w.P_terminal):
+            assert held[0, 0] == 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 2.0
 
     def test_terminal_weight_must_match_r1(self):
         # a P_terminal of another shape than R1 used to be accepted here
