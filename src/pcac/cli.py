@@ -85,8 +85,13 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    """A spec the ablation cannot measure exits with 2 before any run."""
     spec = _load_spec(args)
-    rows = harness.run_ablation(spec, out_dir=args.out, base_seed=args.seed or 0)
+    try:
+        rows = harness.run_ablation(spec, out_dir=args.out, base_seed=args.seed or 0)
+    except ValueError as exc:
+        print(f"pcac: {exc}", file=sys.stderr)
+        sys.exit(2)
     wins = sum(
         row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
         for row in rows

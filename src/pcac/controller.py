@@ -99,7 +99,7 @@ class StepBuffers(NamedTuple):
 
     @classmethod
     def for_config(cls, cfg: PcacConfig) -> "StepBuffers":
-        sweep = SweepBuffers(cfg.dims.n_state, cfg.dims.m, cfg.weights.R2)
+        sweep = SweepBuffers(cfg.dims.n_state, cfg.dims.m)
         return cls(ArxBuffers(cfg.dims, sweep.A, sweep.B), sweep)
 
 

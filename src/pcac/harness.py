@@ -249,18 +249,26 @@ def peak_attenuation_db(record: ExperimentRecord):
     """Attenuation of the dominant open-loop spectral peak.
 
     Compares the open-loop spectrum (last 1 s before the switch) with the
-    closed-loop spectrum (last 1 s of the run) within ``PEAK_BAND_HZ`` of
-    the open-loop peak.  Returns (peak frequency, attenuation in dB).
+    closed-loop spectrum (last 1 s of the run, or all of the closed loop
+    when it is shorter) within ``PEAK_BAND_HZ`` of the open-loop peak.
+    Returns (peak frequency, attenuation in dB); the attenuation is None
+    when the closed loop has fewer than two samples, or too few to put a
+    frequency bin in that band.
     """
-    n_win = round(1.0 / record.t_s)
-    lo = max(0, record.k_switch - n_win)
-    f_open, a_open = amplitude_spectrum(record.y[lo : record.k_switch], record.t_s)
-    f_clsd, a_clsd = amplitude_spectrum(record.y[-n_win:], record.t_s)
+    n_win, k_switch = round(1.0 / record.t_s), record.k_switch
+    f_open, a_open = amplitude_spectrum(
+        record.y[max(0, k_switch - n_win) : k_switch], record.t_s)
     sel = f_open > 10.0  # skip DC leakage
     i_peak = np.argmax(a_open[sel])
     f_peak = float(f_open[sel][i_peak])
     a_peak = float(a_open[sel][i_peak])
+    closed = record.y[max(k_switch, record.y.size - n_win) :]
+    if closed.size < 2:
+        return f_peak, None
+    f_clsd, a_clsd = amplitude_spectrum(closed, record.t_s)
     band = np.abs(f_clsd - f_peak) <= PEAK_BAND_HZ
+    if not band.any():
+        return f_peak, None
     a_closed = float(np.max(a_clsd[band]))
     if a_closed == 0.0:
         return f_peak, float("inf")
@@ -363,7 +371,14 @@ def run_ablation(
     frequency shift without any visible transient.  Each pair shares the
     plant seed; only eta differs between the runs.  A row's ``fault_count``
     sums both runs'; a pair whose run raises is reported in ``status``.
+    A base spec with no open-loop sample, which re-suppression is measured
+    against, raises ValueError before any run.
     """
+    if base.k_switch < 1:
+        raise ValueError(
+            f"the ablation needs open-loop samples to measure re-suppression "
+            f"against; sim.t_open = {base.t_open!r} leaves none"
+        )
     t_event = base.t_open + ABLATION_DELAY_S
 
     def measure(spec):

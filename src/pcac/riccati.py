@@ -3,7 +3,10 @@
 The finite-horizon quadratic cost is minimized by sweeping the Riccati
 recursion backward from the terminal weight; only the matrix reaching the
 first prediction step is kept, from which the first-step feedback gain
-follows.  The requested control is then clamped to the actuator range.
+follows.  The sweep carries each stage's one-step cost Hessian
+Z'PZ + diag(0, R2), Z = [A | B], rather than P, so that a stage is one
+gain and three matrix products.  The requested control is then clamped to
+the actuator range.
 """
 from __future__ import annotations
 
@@ -89,53 +92,41 @@ def _check_symmetric_psd(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite")
 
 
-def _gamma_into(
-    M: np.ndarray, n: int, R2: np.ndarray, out: np.ndarray
-) -> Callable[[], np.ndarray]:
-    """A function of no arguments that computes
-    Gamma = (R2 + B'PB)^{-1} B'PA from the current contents of the one
-    product M = Z'PZ = [[A'PA, A'PB], [B'PA, B'PB]] and writes it into
-    ``out`` (m x n), guarding against an inner matrix that is not positive
-    definite or is ill-conditioned.  The views and constants it reads are
-    taken here, once per set of buffers, not once per call.
+def _gain_into(M: np.ndarray, n: int, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """A function of no arguments that writes the gain K = -S^{-1} M_ba into
+    ``out`` (m x n) from the current contents of M = Z'PZ + diag(0, R2) =
+    [[M_aa, M_ab], [M_ba, S]], guarding against an S = R2 + B'PB that is not
+    positive definite or is ill-conditioned.  Its views are taken here, once
+    per set of buffers, not once per call.
 
     For one input this is a checked division.  Otherwise the checks read the
-    eigenvalues of the symmetric part, but the solve uses R2 + B'PB as
-    computed: the sweep leaves its iterates unsymmetrized, and dropping the
-    rounding-level asymmetry from the solve (as a Cholesky solve would) lets
-    that asymmetry grow through the open-loop A instead of decaying through
-    the closed loop.
+    eigenvalues of the symmetric part, but the solve uses S as computed: the
+    sweep leaves its iterates unsymmetrized, and dropping the rounding-level
+    asymmetry from the solve (as a Cholesky solve would) lets that asymmetry
+    grow through the open-loop A instead of decaying through the closed loop.
     """
-    m = M.shape[0] - n
-    if R2.shape != (m, m):
-        raise ValueError(
-            f"R2 must be ({m}, {m}) for a B with {m} columns, got {R2.shape}"
-        )
     M_ba = M[n:, :n]
-    if m == 1:
-        r2 = R2.item(0, 0)
+    if out.shape[0] == 1:
 
-        def gamma() -> np.ndarray:
-            s = r2 + M.item(n, n)
+        def gain() -> np.ndarray:
+            s = M.item(n, n)
             if not 0.0 < s < math.inf:
                 raise NumericalError("R2 + B'PB is not positive definite")
-            return np.divide(M_ba, s, out=out)
+            return np.divide(M_ba, -s, out=out)
 
-        return gamma
+        return gain
 
-    M_bb = M[n:, n:]
+    S = M[n:, n:]
 
-    def gamma() -> np.ndarray:
-        S = R2 + M_bb
+    def gain() -> np.ndarray:
         lam = np.linalg.eigvalsh(0.5 * (S + S.T))
         if not lam[0] > 0.0:
             raise NumericalError("R2 + B'PB is not positive definite")
         if lam[-1] > _COND_LIMIT * lam[0]:
             raise NumericalError("R2 + B'PB is ill-conditioned")
-        out[...] = np.linalg.solve(S, M_ba)
-        return out
+        return np.negative(np.linalg.solve(S, M_ba), out=out)
 
-    return gamma
+    return gain
 
 
 class SweepBuffers:
@@ -143,43 +134,47 @@ class SweepBuffers:
     them as ``out``: made once for an n-state, m-input model and written in
     place by every call.
 
-    Z = [A | B] is read by both.  A call whose A and B are this Z's own
-    column blocks ``self.A`` and ``self.B`` (an identity test) reads Z as
-    it stands, so the realization can be written there; any other A and B
-    are copied in.  The scratch is P, Y = PZ, M = Z'PZ, Gamma, the rank-m
-    term O and the returned P2, with Gamma computed by one function of M
-    made for the R2 it was last called with, told apart by identity (so
-    ``HorizonWeights`` holds R2 read-only).
+    Two stacked (2k x k) buffers, k = n + m, hold W = [Z; KZ; Z; [0 | I]]
+    and V = [M W[:k]; R1 Z; [0 | R2]], so that one product W'V is the next
+    M = W[:k]' M W[:k] + Z'R1Z + diag(0, R2).  Z = [A | B], W's third
+    block, is read by both functions.  A call whose A and B are Z's own
+    column blocks ``self.A`` and ``self.B`` (an identity test) reads Z as it
+    stands, so the realization can be written there; other A and B are
+    copied in.  W's [0 | I] and the zeros beside V's R2 are written here,
+    R2 by every call, and W's first Z and V's R1 Z by every sweep; M, the
+    gain K, P and the returned P2 are scratch.
     """
 
-    __slots__ = ("Z", "A", "B", "P", "Y", "M", "G", "O", "P2",
-                 "_z_t", "_m_aa", "_m_ab", "_r2", "_gamma")
+    __slots__ = ("Z", "A", "B", "W", "V", "M", "K", "P", "P2", "_gain", "_w_z",
+                 "_w_kz", "_w_top", "_v_top", "_v_z", "_v_r2", "_w_low", "_v_low")
 
-    def __init__(self, n: int, m: int, R2: np.ndarray):
+    def __init__(self, n: int, m: int):
         k = n + m
-        self.Z, self.Y, self.M = np.empty((n, k)), np.empty((n, k)), np.empty((k, k))
-        self.P, self.O, self.P2 = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-        self.G = np.empty((m, n))
+        self.W, self.V = np.zeros((2 * k, k)), np.zeros((2 * k, k))
+        self.M, self.K = np.empty((k, k)), np.empty((m, n))
+        self.P, self.P2 = np.empty((n, n)), np.empty((n, n))
+        self.W[k + n :, n:] = np.eye(m)
+        self.Z = self.W[k : k + n]
         self.A, self.B = self.Z[:, :n], self.Z[:, n:]
-        self._z_t, self._m_aa, self._m_ab = self.Z.T, self.M[:n, :n], self.M[:n, n:]
-        self._r2 = None
-        self._hold_r2(R2)
+        self._gain = _gain_into(self.M, n, self.K)
+        self._w_z, self._w_kz, self._w_top = self.W[:n], self.W[n:k], self.W[:k]
+        self._v_top, self._v_z, self._v_r2 = self.V[:k], self.V[k:-m], self.V[-m:, n:]
+        self._w_low, self._v_low = self.W[k:].T, self.V[k:]
 
     @classmethod
-    def like(cls, A, B, R2: np.ndarray) -> "SweepBuffers":
+    def like(cls, A, B) -> "SweepBuffers":
         """Buffers sized for the model (A, B); B may be flat, one entry per
         row of A."""
         A = np.atleast_2d(np.asarray(A, float))
-        return cls(A.shape[0], np.size(B) // A.shape[0], R2)
+        return cls(A.shape[0], np.size(B) // A.shape[0])
 
-    def _hold_r2(self, R2: np.ndarray) -> None:
-        if R2 is not self._r2:
-            self._gamma = _gamma_into(self.M, self.A.shape[0], R2, self.G)
-            self._r2 = R2
-
-    def hold(self, A, B, R2: np.ndarray) -> np.ndarray:
-        """Z holding [A | B], with Gamma made for R2."""
-        self._hold_r2(R2)
+    def hessian(self, A, B, R2: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """M = Z'PZ + diag(0, R2), with [A | B] in Z and R2 in V, as the
+        product of W's and V's last two blocks."""
+        if R2.shape != self._v_r2.shape:
+            raise ValueError(f"R2 must be {self._v_r2.shape} for a B with "
+                             f"{self.B.shape[1]} columns, got {R2.shape}")
+        np.copyto(self._v_r2, R2)
         if A is not self.A or B is not self.B:
             A = np.atleast_2d(np.asarray(A, float))
             B = np.asarray(B, float).reshape(A.shape[0], -1)
@@ -190,7 +185,8 @@ class SweepBuffers:
                 )
             self.A[...] = A
             self.B[...] = B
-        return self.Z
+        P.dot(self.Z, self._v_z)
+        return self._w_low.dot(self._v_low, self.M)
 
 
 def riccati_backward(
@@ -200,34 +196,39 @@ def riccati_backward(
 
     Starting from the terminal weight, iterates
 
-        P_j = A' P_{j+1} A - A' P_{j+1} B Gamma_j + R1,
-        Gamma_j = (R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
+        P_j = R1 + K_j' R2 K_j + (A + B K_j)' P_{j+1} (A + B K_j),
+        K_j = -(R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
 
     down to the second prediction step and returns that matrix,
-    symmetrized (``out.P2`` when given ``out``); intermediate iterates are
-    never stored.
+    symmetrized (``out.P2`` when given ``out``).  The sweep carries
+    M_j = Z' P_{j+1} Z + diag(0, R2), Z = [A | B], rather than P: with
+    W = [Z; K_j Z], M_{j-1} = W' M_j W + Z' R1 Z + diag(0, R2), and the
+    last step reads P_2 = M_aa + M_ab K + R1.  No iterate is stored.
     """
     if out is None:
-        out = SweepBuffers.like(A, B, w.R2)
-    Z, R1 = out.hold(A, B, w.R2), w.R1
-    n = Z.shape[0]
+        out = SweepBuffers.like(A, B)
+    R1, n = w.R1, out.P.shape[0]
     if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
         raise ValueError(
             f"R1 {R1.shape} and P_terminal {w.P_terminal.shape} must be "
             f"({n}, {n}) for A's {n} states"
         )
-    # Each iteration writes P, Y = PZ, M = Z'PZ, Gamma and O = A'PB Gamma.
-    P, Y, M, O = out.P, out.Y, out.M, out.O
-    Z_t, M_aa, M_ab, gamma = out._z_t, out._m_aa, out._m_ab, out._gamma
-    np.copyto(P, w.P_terminal)
-    # ndarray.dot, not np.dot or @: on these 10x11 operands all three make
-    # the same BLAS call, with bit-identical results, but the method skips
-    # the __array_function__ dispatcher, and the step's cost is dispatch
-    # rather than arithmetic.
-    for _ in range(w.ell - 1):
-        Z_t.dot(P.dot(Z, Y), M)
-        M_ab.dot(gamma(), O)
-        np.subtract(M_aa, O, out=P)
+    P, Z, gain = w.P_terminal, out.Z, out._gain
+    M = out.hessian(A, B, w.R2, P)
+    if w.ell > 1:
+        np.copyto(out._w_z, Z)
+        R1.dot(Z, out._v_z)
+        W_t, W_kz, W_top, V, V_top = out.W.T, out._w_kz, out._w_top, out.V, out._v_top
+        # ndarray.dot, not np.dot or @: on these 11x11 operands all three
+        # make the same BLAS call, with bit-identical results, but the method
+        # skips the __array_function__ dispatcher, and the step's cost is
+        # dispatch rather than arithmetic.
+        for _ in range(w.ell - 2):
+            gain().dot(Z, W_kz)
+            M.dot(W_top, V_top)
+            W_t.dot(V, M)
+        P = M[:n, n:].dot(gain(), out.P)
+        P += M[:n, :n]
         P += R1
     P2 = np.add(P, P.T, out=out.P2)
     P2 *= 0.5
@@ -244,13 +245,12 @@ def control_gain(
     out: SweepBuffers | None = None,
 ) -> np.ndarray:
     """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A, read from
-    Z'P2Z as in the sweep (in ``out``'s scratch when given)."""
+    Z'P2Z + diag(0, R2) as in the sweep (``out.K`` when given ``out``)."""
     R2 = np.atleast_2d(np.asarray(R2, float))
     if out is None:
-        out = SweepBuffers.like(A, B, R2)
-    Z = out.hold(A, B, R2)
-    out._z_t.dot(P2.dot(Z, out.Y), out.M)
-    return -out._gamma()
+        out = SweepBuffers.like(A, B)
+    out.hessian(A, B, R2, P2)
+    return out._gain()
 
 
 def saturate(u_req: np.ndarray, b: SaturationBounds) -> np.ndarray:

@@ -23,6 +23,7 @@ from pcac import (
 )
 from pcac import controller, rls
 from pcac.controller import PcacConfig, StepBuffers
+from pcac.harness import grid_specs
 
 
 def run_sequence(cfg, measurements):
@@ -84,9 +85,10 @@ class TestInit:
             replace(cfg, weights=PcacConfig().weights)
 
     def test_derived_arrays_cannot_change_under_a_controller(self):
-        # a controller takes r2 into its buffers once: after 300 closed-loop
-        # steps of default_spec(0), an in-place R2[0, 0] = 1.0 used to leave
-        # its buffered gain 2.4x that of the changed weights
+        # a controller must not run on weights other than those it was
+        # built with: when its buffers took r2 once, an in-place
+        # R2[0, 0] = 1.0 after 300 closed-loop steps of default_spec(0) left
+        # its gain 2.4x that of the changed weights
         cfg = PcacConfig()
         pcac_init(cfg)
         for held in (cfg.weights.R1, cfg.weights.R2, cfg.weights.P_terminal,
@@ -186,7 +188,13 @@ class TestStep:
     def test_stabilizes_known_arx_plant(self):
         # closed loop against an unstable scalar ARX plant: the open loop
         # grows like 1.01^k (~2e8 over this run), so staying bounded and
-        # small demonstrates the loop bootstraps and stabilizes it
+        # small demonstrates the loop bootstraps and stabilizes it.  As in
+        # run_experiment, the control a step returns is applied from the next
+        # sample on (one sample of computation delay), which is the timing
+        # the controller's regressor and its x_next assume.  Applied at once,
+        # the plant is one the model class cannot hold: the estimate never
+        # settles, the loop bursts, and the outcome on about 1 in 10 runs
+        # flips with a 1e-15 relative change of K.
         cfg = PcacConfig(n_hat=2, psi0_scale=100.0)
         state = pcac_init(cfg)
         f1, f2, g1, g2 = -1.9, 1.02, 1.0, 0.3  # |roots| ~ 1.01, unstable
@@ -195,12 +203,15 @@ class TestStep:
         ys = []
         for _ in range(2000):
             y = -f1 * y1 - f2 * y2 + g1 * u1 + g2 * u2
-            _, u_impl, state = pcac_step(state, np.array([y]), cfg)
+            u_now = state.u_implemented[0]  # returned by the previous step
+            _, _, state = pcac_step(state, np.array([y]), cfg)
             y2, y1 = y1, y
-            u2, u1 = u1, u_impl[0]
+            u2, u1 = u1, u_now
             ys.append(abs(y))
         assert max(ys) < 200.0, "loop failed to contain the unstable plant"
         assert max(ys[1600:]) < 0.2 * max(ys), "late amplitude did not shrink"
+        # and it identified the plant it stabilized
+        np.testing.assert_allclose(state.rls.theta, [f1, f2, g1, g2], atol=1e-2)
         A, B, _ = assemble_bocf(state.rls.theta, cfg.dims)
         K = control_gain(
             A, B, cfg.weights.R2, riccati_backward(A, B, cfg.weights)
@@ -306,8 +317,12 @@ class TestBufferOwnership:
         sweep = controller.riccati_backward
 
         def boom(A, B, w, out):
+            # everything the sweep writes: W's copy of Z and KZ, V but the
+            # zeros beside R2, M, K, P and P2
             sweep(A, B, w, out)
-            for scratch in (out.P, out.Y, out.M, out.G, out.O, out.P2):
+            k, n = out.M.shape[0], out.P.shape[0]
+            for scratch in (out.W[:k], out.V[:k + n], out.V[k + n:, n:],
+                            out.M, out.K, out.P, out.P2):
                 scratch.fill(np.nan)
             raise NumericalError("forced failure")
 
@@ -345,8 +360,10 @@ class TestAgainstTextbookLayers:
     # rounding along, but within 1e-6 on signals of order 100.
     TOL = 1e-6
 
-    @pytest.mark.parametrize("spec", [default_spec(0), noisy_shift_spec(3)],
-                             ids=["default_0", "noisy_shift_3"])
+    @pytest.mark.parametrize(
+        "spec",
+        [default_spec(0), noisy_shift_spec(3), grid_specs(default_spec(0))[2]],
+        ids=["default_0", "noisy_shift_3", "grid_cell_2"])
     def test_records_within_tolerance(self, spec, monkeypatch):
         rec = run_experiment(spec)
         with monkeypatch.context() as patch:

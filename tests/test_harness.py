@@ -1,4 +1,5 @@
 """Experiment runner, analysis helpers, record/spec files, and the CLI."""
+import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -301,6 +302,31 @@ class TestRunExperiment:
                     "peak_attenuation_db"):
             assert m[key] is None, key
         assert m["fault_count"] == 0 and 0 < m["max_abs_u"] <= 8.0
+
+    def test_peak_attenuation_reads_only_closed_loop_samples(self, monkeypatch):
+        # 0.2 s of closed loop: its spectrum is those 201 samples, not the
+        # last 1 s of the run, 800 of which are open loop
+        rec = run_experiment(replace(default_spec(0), t_open=1.8, t_total=2.0))
+        spectrum, windows = harness.amplitude_spectrum, []
+
+        def spy(signal, t_s):
+            windows.append(np.array(signal))
+            return spectrum(signal, t_s)
+
+        monkeypatch.setattr(harness, "amplitude_spectrum", spy)
+        f_peak, db = harness.peak_attenuation_db(rec)
+        assert [w.size for w in windows] == [1000, 201]
+        np.testing.assert_array_equal(windows[0], rec.y[800:1800])
+        np.testing.assert_array_equal(windows[1], rec.y[rec.phase == 1])
+        assert f_peak == 150.0 and 0.0 < db < math.inf
+
+    @pytest.mark.parametrize("t_total", [1.8, 1.801, 1.805])
+    def test_peak_attenuation_without_closed_loop_band_is_none(self, t_total):
+        # 1, 2 and 6 closed-loop samples: none has a bin within 15 Hz of 150
+        rec = run_experiment(replace(default_spec(0), t_open=1.8,
+                                     t_total=t_total))
+        assert harness.peak_attenuation_db(rec) == (150.0, None)
+        assert experiment_metrics(rec)["peak_attenuation_db"] is None
 
     def test_theta_norms_are_norms_of_split_coefficients(self, monkeypatch):
         # the logged norms equal np.linalg.norm of F and G to the bit
@@ -713,3 +739,20 @@ class TestAblation:
         rows = harness.run_ablation(default_spec(), out_dir=None)
         assert [row["fault_count"] for row in rows] == [2 * fault_count] * 9
         assert cli_main(["ablate", "--out", str(tmp_path)]) == status
+
+    def test_no_open_loop_segment_refused_before_any_run(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # re-suppression is measured against the open loop: without one the
+        # 18 runs used to go ahead and every cell then failed
+        calls = stub_runs(monkeypatch)
+        path = tmp_path / "spec.txt"
+        path.write_text("sim.t_open = 0.0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ablate", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcac: ") and "sim.t_open = 0.0" in err
+        assert calls == [] and not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="open-loop"):
+            harness.run_ablation(replace(default_spec(), t_open=0.0))
+        assert calls == []

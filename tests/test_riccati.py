@@ -71,10 +71,11 @@ def random_problem(rng, bocf, shape=None):
 
 # Largest entrywise gap to the textbook recursion, relative to its largest
 # entry.  Both are float64 and sum in different orders.  Over 1000 draws of
-# each kind of random_problem the gap peaked at 9.7e-13 (P2) and 7.7e-13
-# (gain); draws in another order reached 2.3e-10 and 4.4e-10 on an unstable
-# 4-state BOCF with ell=23, where an extended-precision run of the recursion
-# puts the fused sweep (6e-12) closer than the textbook one (2e-10).
+# each kind of random_problem the gap peaked at 1.7e-12 (P2) and 5.2e-13
+# (gain), and at 9.7e-13 and 7.7e-13 for a sweep that carries P instead of
+# Z'PZ; with that sweep, draws in another order reached 2.3e-10 and 4.4e-10
+# on an unstable 4-state BOCF with ell=23, where an extended-precision run
+# of the recursion put the sweep (6e-12) closer than the textbook one (2e-10).
 ORACLE_RTOL = 1e-9
 
 
@@ -218,7 +219,7 @@ class TestSweepBuffers:
         rng = np.random.default_rng(40 + bocf)
         for _ in range(40):
             A, B, w = random_problem(rng, bocf)
-            out = SweepBuffers(*B.shape, w.R2)
+            out = SweepBuffers(*B.shape)
             out.A[...], out.B[...] = A, B
             self.check(out.A, out.B, w, out)
             self.check(A, B, w, out)
@@ -230,15 +231,32 @@ class TestSweepBuffers:
         rng = np.random.default_rng(42 + bocf)
         for _ in range(40):
             A1, B1, w1 = random_problem(rng, bocf)
-            out = SweepBuffers(*B1.shape, w1.R2)
+            out = SweepBuffers(*B1.shape)
             out.A[...], out.B[...] = A1, B1
             A2, B2, w2 = random_problem(rng, bocf, B1.shape)
             self.check(A2, B2, w2, out)
             out.A[...], out.B[...] = A1, B1
             self.check(out.A, out.B, w1, out)
 
+    @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
+    def test_one_buffer_set_serves_weights_in_turn(self, bocf):
+        # every call writes its own R2 into the buffers: weights with another
+        # r2 and ell, alternating on one set, each get their own gain
+        rng = np.random.default_rng(44 + bocf)
+        for _ in range(20):
+            A, B, _ = random_problem(rng, bocf)
+            (n, m), out = B.shape, SweepBuffers(*B.shape)
+            cheap = HorizonWeights(ell=3, R1=np.eye(n), R2=1e-3 * np.eye(m),
+                                   P_terminal=np.eye(n))
+            dear = HorizonWeights.output_weighted(n, m, ell=30, r2=3.0)
+            for w in (cheap, dear, cheap, dear):
+                K = control_gain(A, B, w.R2, riccati_backward(A, B, w, out), out)
+                K_ref = textbook_control_gain(
+                    A, B, w.R2, textbook_riccati_backward(A, B, w))
+                assert max_rel_gap(K, K_ref) <= ORACLE_RTOL
+
     def test_rejects_a_model_of_another_shape(self):
-        out = SweepBuffers(3, 1, np.eye(1))
+        out = SweepBuffers(3, 1)
         w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
         with pytest.raises(ValueError):
             riccati_backward(np.eye(2), np.ones((2, 1)), w, out)
