@@ -9,7 +9,8 @@ metrics from the records.
 Suppression metric: suppression time is the first time after the switch at
 which the trailing 100 ms RMS of the output drops below 1% of the RMS over
 the 0.5 s preceding the switch; final attenuation compares that pre-switch
-RMS with the RMS over the last 0.5 s of the run.
+RMS with the RMS over the last 0.5 s of the closed loop (all of it when the
+closed loop is shorter).
 """
 from __future__ import annotations
 
@@ -72,9 +73,14 @@ class ExperimentSpec:
         return round(self.t_open / self.t_s)
 
 
+# The record file's columns, in file order, and the type each is written as.
+RECORD_COLUMNS = {"t": float, "y": float, "u_req": float, "u": float,
+                  "theta_f_norm": float, "theta_g_norm": float, "phase": int}
+
+
 @dataclass
 class ExperimentRecord:
-    """Per-sample log of one experiment."""
+    """Per-sample log of one experiment: ``RECORD_COLUMNS`` and ``step_wall``."""
 
     t: np.ndarray
     y: np.ndarray
@@ -103,15 +109,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     rng = np.random.default_rng(params.seed) if params.noise_std > 0 else None
     n = spec.n_steps
     k_switch = spec.k_switch
-
-    t = np.arange(n + 1) * spec.t_s
-    y = np.zeros(n + 1)
-    u_req = np.zeros(n + 1)
-    u = np.zeros(n + 1)
-    th_f = np.zeros(n + 1)
-    th_g = np.zeros(n + 1)
-    phase = np.zeros(n + 1, dtype=int)
-    wall = np.zeros(n + 1)
+    record = ExperimentRecord(
+        **{c: np.zeros(n + 1, dt) for c, dt in RECORD_COLUMNS.items()},
+        step_wall=np.zeros(n + 1), k_switch=k_switch, t_s=spec.t_s)
+    t, y, u_req, u = record.t, record.y, record.u_req, record.u
+    th_f, th_g, wall = record.theta_f_norm, record.theta_g_norm, record.step_wall
+    t[:] = np.arange(n + 1) * spec.t_s
 
     # theta is vec F followed by vec G (see the pcac.arx docstring); the norm
     # of each contiguous half is np.linalg.norm of F and G, to the bit.
@@ -134,7 +137,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     ctrl = None
     if k_switch < n:
         ctrl = pcac_init(spec.controller)
-        phase[k_switch:] = 1
+        record.phase[k_switch:] = 1
         log(k_switch, ctrl)
 
     state = PlantState(q=spec.q0, qdot=spec.qdot0)
@@ -152,19 +155,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             log(k + 1, ctrl)
         state = plant_zoh_step(state, u[k], params, spec.t_s)
 
-    record = ExperimentRecord(
-        t=t,
-        y=y,
-        u_req=u_req,
-        u=u,
-        theta_f_norm=th_f,
-        theta_g_norm=th_g,
-        phase=phase,
-        step_wall=wall,
-        k_switch=k_switch,
-        t_s=spec.t_s,
-        fault_count=ctrl.fault_count if ctrl is not None else 0,
-    )
+    if ctrl is not None:
+        record.fault_count = ctrl.fault_count
     if spec.output_path is not None:
         write_record(record, spec.output_path)
     return record
@@ -191,11 +183,13 @@ def amplitude_spectrum(signal, t_s: float):
     return np.fft.rfftfreq(n, t_s), amp
 
 
-def trailing_rms(y: np.ndarray, window: int) -> np.ndarray:
+def trailing_rms(y, window: int) -> np.ndarray:
     """RMS over the trailing ``window`` samples at every index (partial at
     the start)."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     sq = np.cumsum(np.square(np.asarray(y, float)))
-    counts = np.minimum(np.arange(1, y.size + 1), window)
+    counts = np.minimum(np.arange(1, sq.size + 1), window)
     tail = sq.copy()
     tail[window:] = sq[window:] - sq[:-window]
     return np.sqrt(tail / counts)
@@ -210,24 +204,27 @@ def pre_switch_rms(record: ExperimentRecord) -> float:
     return float(np.sqrt(np.mean(np.square(seg))))
 
 
+def _suppression_rms(record: ExperimentRecord) -> tuple[np.ndarray, float]:
+    """The trailing 100 ms RMS of the output, and the suppression threshold:
+    1% of the pre-switch RMS."""
+    thresh = SUPPRESSION_FRACTION * pre_switch_rms(record)
+    return trailing_rms(record.y, round(SUPPRESSION_WINDOW_S / record.t_s)), thresh
+
+
 def suppression_time(record: ExperimentRecord) -> float | None:
     """Seconds from the switch until the trailing 100 ms RMS first drops
     below 1% of the pre-switch RMS; None if it never does."""
-    thresh = SUPPRESSION_FRACTION * pre_switch_rms(record)
-    n_w = round(SUPPRESSION_WINDOW_S / record.t_s)
-    rms = trailing_rms(record.y, n_w)
-    for k in range(record.k_switch, record.t.size):
-        if rms[k] < thresh:
-            return float(record.t[k] - record.t[record.k_switch])
-    return None
+    rms, thresh = _suppression_rms(record)
+    below = np.nonzero(rms[record.k_switch :] < thresh)[0]
+    if below.size == 0:
+        return None
+    return float(record.t[record.k_switch + below[0]] - record.t[record.k_switch])
 
 
 def resuppression_time(record: ExperimentRecord, t_event: float) -> float:
     """Seconds from ``t_event`` until the trailing RMS is permanently below
     the suppression threshold (0 if it never re-exceeds it)."""
-    thresh = SUPPRESSION_FRACTION * pre_switch_rms(record)
-    n_w = round(SUPPRESSION_WINDOW_S / record.t_s)
-    rms = trailing_rms(record.y, n_w)
+    rms, thresh = _suppression_rms(record)
     k0 = int(np.searchsorted(record.t, t_event))
     above = np.nonzero(rms[k0:] >= thresh)[0]
     if above.size == 0:
@@ -235,10 +232,14 @@ def resuppression_time(record: ExperimentRecord, t_event: float) -> float:
     return float(record.t[k0 + above[-1]] - t_event)
 
 
-def final_attenuation_db(record: ExperimentRecord) -> float:
-    """Pre-switch RMS over final-window RMS, in dB."""
+def final_attenuation_db(record: ExperimentRecord) -> float | None:
+    """Pre-switch RMS over the RMS of the last 0.5 s of the closed loop (all
+    of it when shorter), in dB; None when the run has no closed-loop sample."""
     n_fin = round(FINAL_WINDOW_S / record.t_s)
-    post = float(np.sqrt(np.mean(np.square(record.y[-n_fin:]))))
+    closed = record.y[record.phase == 1][-n_fin:]
+    if closed.size == 0:
+        return None
+    post = float(np.sqrt(np.mean(np.square(closed))))
     pre = pre_switch_rms(record)
     if post == 0.0:
         return float("inf")
@@ -354,7 +355,11 @@ def run_grid(
         ]
     summary = _sweep(specs, lambda spec: experiment_metrics(run_experiment(spec)))
     if out_dir is not None:
-        write_grid_summary(summary, f"{out_dir}/summary.csv")
+        write_dict_rows(summary, f"{out_dir}/summary.csv", comment=(
+            "suppression time: first time after the switch at which the trailing "
+            "100 ms RMS drops below 1% of the RMS over the 0.5 s before the "
+            "switch; attenuation compares the same pre-switch RMS with the final "
+            "0.5 s RMS"))
     return summary
 
 
@@ -404,23 +409,15 @@ def run_ablation(
     rows = _sweep(specs, measure)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_dict_rows(
-            rows,
-            f"{out_dir}/ablation.csv",
-            comment=(
-                "re-suppression time: seconds from the plant change until the "
-                "trailing 100 ms RMS is permanently below 1% of the pre-switch RMS"
-            ),
-        )
+        write_dict_rows(rows, f"{out_dir}/ablation.csv", comment=(
+            "re-suppression time: seconds from the plant change until the "
+            "trailing 100 ms RMS is permanently below 1% of the pre-switch RMS"))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # File I/O
 
-# The record file's columns, in file order, and the type each is written as.
-RECORD_COLUMNS = {"t": float, "y": float, "u_req": float, "u": float,
-                  "theta_f_norm": float, "theta_g_norm": float, "phase": int}
 # Rows converted to Python scalars at a time: bounds the memory of a write.
 _CSV_CHUNK_ROWS = 512
 
@@ -473,19 +470,6 @@ def write_dict_rows(rows: list[dict], path: str, comment: str | None = None) -> 
         fh.write(",".join(keys) + "\n")
         for row in rows:
             fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
-
-
-def write_grid_summary(summary: list[dict], path: str) -> None:
-    write_dict_rows(
-        summary,
-        path,
-        comment=(
-            "suppression time: first time after the switch at which the trailing "
-            "100 ms RMS drops below 1% of the RMS over the 0.5 s before the "
-            "switch; attenuation compares the same pre-switch RMS with the final "
-            "0.5 s RMS"
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,15 @@ class TestTrailingRms:
         assert r[0] == pytest.approx(2.0)
         assert r[2] == pytest.approx(np.sqrt(4.0 / 3.0))
 
+    def test_accepts_a_list(self):
+        r = trailing_rms([1.0, 2.0, 3.0], 2)
+        np.testing.assert_allclose(r, [1.0, np.sqrt(2.5), np.sqrt(6.5)])
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_window_below_one(self, window):
+        with pytest.raises(ValueError, match="window"):
+            trailing_rms(np.ones(5), window)
+
 
 class TestRunExperiment:
     def test_row_count_and_time_axis(self):
@@ -328,6 +337,22 @@ class TestRunExperiment:
         assert harness.peak_attenuation_db(rec) == (150.0, None)
         assert experiment_metrics(rec)["peak_attenuation_db"] is None
 
+    def test_final_attenuation_reads_only_closed_loop_samples(self):
+        # 0.2 s of closed loop: the final RMS is over those 201 samples, not
+        # the last 0.5 s of the run, 300 of which are open loop
+        rec = run_experiment(replace(default_spec(0), t_open=1.8, t_total=2.0))
+        pre = np.sqrt(np.mean(np.square(rec.y[1300:1800])))
+        post = np.sqrt(np.mean(np.square(rec.y[1800:])))
+        db = final_attenuation_db(rec)
+        assert db == pytest.approx(20.0 * np.log10(pre / post), rel=1e-12)
+        assert 7.5 < db < 8.5
+        assert experiment_metrics(rec)["attenuation_db"] == db
+
+    def test_final_attenuation_without_closed_loop_is_none(self):
+        rec = run_experiment(replace(default_spec(0), t_open=2.0, t_total=2.0))
+        assert final_attenuation_db(rec) is None
+        assert experiment_metrics(rec)["attenuation_db"] is None
+
     def test_theta_norms_are_norms_of_split_coefficients(self, monkeypatch):
         # the logged norms equal np.linalg.norm of F and G to the bit
         spec = short_spec()
@@ -364,6 +389,19 @@ class TestRunExperiment:
 
 
 class TestRecordFiles:
+    def test_record_arrays_are_the_columns_and_step_wall(self):
+        arrays = {f.name for f in fields(harness.ExperimentRecord)
+                  if f.type == "np.ndarray"}
+        assert arrays == set(RECORD_COLUMNS) | {"step_wall"}
+
+    def test_run_record_holds_declared_dtypes(self):
+        rec = run_experiment(short_spec())
+        for column, dtype in RECORD_COLUMNS.items():
+            assert getattr(rec, column).dtype == np.dtype(dtype), column
+            assert getattr(rec, column).shape == (501,), column
+        assert np.issubdtype(rec.phase.dtype, np.integer)
+        assert rec.step_wall.dtype == np.float64
+
     def test_roundtrip(self, tmp_path):
         rec = run_experiment(short_spec())
         path = str(tmp_path / "record.csv")
