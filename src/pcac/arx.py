@@ -49,57 +49,39 @@ class ModelDims:
 class IoHistory:
     """Fixed-length buffer of the ``n_hat`` most recent outputs and inputs.
 
-    Row 0 of ``y_past``/``u_past`` holds the newest sample (y_{k-1}, u_{k-1})
-    and row n_hat-1 the oldest; pre-start samples are zero, matching the
-    model's zero initialization.  Each signal is stored below n_hat-1 zero
-    rows (len // 2 of its 2*n_hat-1), the padding :func:`compute_bocf_state`
-    reads.  ``push`` returns a new history; instances are immutable values.
+    Row 0 of ``y_past`` (n_hat, p) and ``u_past`` (n_hat, m) holds the newest
+    sample (y_{k-1}, u_{k-1}) and row n_hat-1 the oldest; pre-start samples
+    are zero, matching the model's zero initialization.  Both are copies of
+    the caller's arrays, and ``push`` returns a new history: immutable values.
     """
 
-    __slots__ = ("_y", "_u")
+    __slots__ = ("y_past", "u_past")
 
     def __init__(self, y_past: np.ndarray, u_past: np.ndarray):
-        y_past = np.atleast_2d(np.asarray(y_past, dtype=float))
-        u_past = np.atleast_2d(np.asarray(u_past, dtype=float))
-        if y_past.shape[0] != u_past.shape[0]:
+        self.y_past = np.array(y_past, dtype=float, ndmin=2)
+        self.u_past = np.array(u_past, dtype=float, ndmin=2)
+        if self.y_past.shape[0] != self.u_past.shape[0]:
             raise ValueError("output and input history lengths differ")
-        pad = y_past.shape[0] - 1
-        self._y = np.concatenate((np.zeros((pad, y_past.shape[1])), y_past))
-        self._u = np.concatenate((np.zeros((pad, u_past.shape[1])), u_past))
 
     @classmethod
     def zeros(cls, dims: ModelDims) -> "IoHistory":
         return cls(np.zeros((dims.n_hat, dims.p)), np.zeros((dims.n_hat, dims.m)))
 
-    @property
-    def y_past(self) -> np.ndarray:
-        return self._y[len(self._y) // 2 :]
-
-    @property
-    def u_past(self) -> np.ndarray:
-        return self._u[len(self._u) // 2 :]
-
     def push(self, y: np.ndarray, u: np.ndarray) -> "IoHistory":
         """Shift in (y_k, u_k), dropping the oldest pair."""
         y = np.asarray(y, dtype=float).reshape(1, -1)
         u = np.asarray(u, dtype=float).reshape(1, -1)
-        new, pad = IoHistory.__new__(IoHistory), len(self._y) // 2
-        new._y = np.concatenate((self._y[:pad], y, self._y[pad:-1]))
-        new._u = np.concatenate((self._u[:pad], u, self._u[pad:-1]))
+        new = IoHistory.__new__(IoHistory)
+        new.y_past = np.concatenate((y, self.y_past[:-1]))
+        new.u_past = np.concatenate((u, self.u_past[:-1]))
         return new
 
     def check_dims(self, dims: ModelDims) -> None:
-        # n_hat rows below n_hat-1 padding rows: the stored shapes decide
-        rows = 2 * dims.n_hat - 1
-        if self._y.shape != (rows, dims.p):
+        want = ((dims.n_hat, dims.p), (dims.n_hat, dims.m))
+        if (self.y_past.shape, self.u_past.shape) != want:
             raise ValueError(
-                f"output history shape {self.y_past.shape} does not match "
-                f"({dims.n_hat}, {dims.p})"
-            )
-        if self._u.shape != (rows, dims.m):
-            raise ValueError(
-                f"input history shape {self.u_past.shape} does not match "
-                f"({dims.n_hat}, {dims.m})"
+                f"history shapes {self.y_past.shape} and {self.u_past.shape} "
+                f"do not match {want[0]} and {want[1]}"
             )
 
 
@@ -108,14 +90,16 @@ class ArxBuffers:
     :func:`compute_bocf_state` write into when given them as ``out``.
 
     What the data never changes is written here, once: the zeros of phi
-    off its lag columns, the identity superdiagonal blocks of A, and C.
-    A call then writes only the lagged data, -F_i and G_i, or the state,
+    off its lag columns, the identity superdiagonal blocks of A, C, and the
+    zero rows above the history in the state's lag scratch.  A call then
+    writes only the lagged data, -F_i and G_i, or the history and the state,
     and returns arrays that the next call overwrites.  ``A`` and ``B`` may
     be given, as the column blocks of the Riccati sweep's Z = [A | B], so
     that the realization is written where the sweep reads it.
     """
 
-    __slots__ = ("phi", "A", "B", "C", "y_lag", "u_lag", "x", "_neg_f", "_g", "_tail")
+    __slots__ = ("phi", "A", "B", "C", "y_lag", "u_lag", "x", "_neg_f", "_g", "_tail",
+                 "_rows", "_windows")
 
     def __init__(self, dims: ModelDims, A=None, B=None):
         n, p, m = dims.n_hat, dims.p, dims.m
@@ -136,6 +120,13 @@ class ArxBuffers:
         self.u_lag = np.empty((n - 1, n * m))
         self.x = np.empty(n * p)
         self._tail = self.x[p:].reshape(n - 1, p)
+        # Per signal, a (2n-1, width) scratch whose last n rows take the
+        # history, and its fixed Hankel view: row j-2 of the lag matrix is
+        # history rows 1-j..n-j, zero where the row index is negative.
+        pads = [np.zeros((2 * n - 1, width)) for width in (p, m)]
+        self._rows = [pad[n - 1 :] for pad in pads]
+        self._windows = [np.ndarray(lag.shape, buffer=pad, strides=pad.strides)[::-1]
+                         for pad, lag in zip(pads, (self.y_lag, self.u_lag))]
 
 
 def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
@@ -217,11 +208,12 @@ def compute_bocf_state(
         out = ArxBuffers(dims)
     n, p, m = dims.n_hat, dims.p, dims.m
     split = n * p * p
-    # Row j-2 of each lag matrix is the padded window of history rows 1-j..n-j,
-    # a view with the buffer's own strides (one buffer row per row), copied
-    # C-contiguous because a strided operand changes the BLAS summation order.
-    for buf, lag in ((history._y, out.y_lag), (history._u, out.u_lag)):
-        np.copyto(lag, np.ndarray(lag.shape, buffer=buf, strides=buf.strides)[::-1])
+    # The Hankel windows are copied C-contiguous into the lag matrices,
+    # because a strided operand changes the BLAS summation order.
+    pasts, lags = (history.y_past, history.u_past), (out.y_lag, out.u_lag)
+    for rows, past, window, lag in zip(out._rows, pasts, out._windows, lags):
+        np.copyto(rows, past)
+        np.copyto(lag, window)
     # The stacked F_i' and G_i' are theta's two halves, reshaped.
     x, tail = out.x, out._tail
     x[:p] = y_now

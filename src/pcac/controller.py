@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,30 +84,15 @@ class PcacConfig:
             object.__setattr__(self, name, value)
 
 
-class StepBuffers(NamedTuple):
-    """Scratch of one controller's step, made once by :func:`pcac_init`.
-
-    The realization is written into the column blocks of the sweep's
-    Z = [A | B], which the sweep and the gain read without a copy.  Every
-    step overwrites all of it before reading it, so nothing in it carries
-    from one step to the next.
-    """
-
-    arx: ArxBuffers
-    sweep: SweepBuffers
-
-    @classmethod
-    def for_config(cls, cfg: PcacConfig) -> "StepBuffers":
-        sweep = SweepBuffers(cfg.dims.n_state, cfg.dims.m)
-        return cls(ArxBuffers(cfg.dims, sweep.A, sweep.B), sweep)
-
-
 @dataclass
 class PcacState:
     """Controller state between samples.
 
-    Every field but ``buffers`` is a value that a step never writes into;
-    the states a controller passes through share its one set of buffers.
+    Every field but ``arx`` and ``sweep`` is a value that a step never
+    writes into.  Those two, made once by :func:`pcac_init`, are the step's
+    scratch, shared by the states a controller passes through; the
+    realization is written into the sweep's Z = [A | B].  Every step
+    overwrites all of it before reading it, so nothing in it carries over.
     """
 
     rls: RlsState
@@ -117,7 +101,8 @@ class PcacState:
     u_requested: np.ndarray
     fault_count: int = 0
     last_fault: str | None = None
-    buffers: StepBuffers = field(kw_only=True, repr=False, compare=False)
+    arx: ArxBuffers = field(kw_only=True, repr=False, compare=False)
+    sweep: SweepBuffers = field(kw_only=True, repr=False, compare=False)
 
 
 def pcac_init(cfg: PcacConfig) -> PcacState:
@@ -126,12 +111,14 @@ def pcac_init(cfg: PcacConfig) -> PcacState:
     theta0 = cfg.theta0_scale * np.ones(cfg.dims.n_theta)
     rls = RlsState.initialize(theta0, cfg.psi0_scale, cfg.forgetting, cfg.p)
     u0 = np.zeros(cfg.m)
+    sweep = SweepBuffers(cfg.dims.n_state, cfg.m)
     return PcacState(
         rls=rls,
         history=IoHistory.zeros(cfg.dims),
         u_implemented=u0,
         u_requested=u0.copy(),
-        buffers=StepBuffers.for_config(cfg),
+        arx=ArxBuffers(cfg.dims, sweep.A, sweep.B),
+        sweep=sweep,
     )
 
 
@@ -143,7 +130,7 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
     state; identification still advances.
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
-    arx, sweep = state.buffers
+    arx, sweep = state.arx, state.sweep
     phi = build_regressor(state.history, cfg.dims, arx)
     rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
 
@@ -171,6 +158,7 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
         u_requested=np.atleast_1d(u_req),
         fault_count=state.fault_count + (1 if fault else 0),
         last_fault=fault,
-        buffers=state.buffers,
+        arx=arx,
+        sweep=sweep,
     )
     return new_state.u_requested, new_state.u_implemented, new_state

@@ -14,6 +14,7 @@ closed loop is shorter).
 """
 from __future__ import annotations
 
+import csv
 import math
 import os
 import time
@@ -57,6 +58,12 @@ class ExperimentSpec:
             raise ValueError("t_s must be positive")
         if not 0.0 <= self.t_open <= self.t_total:
             raise ValueError("need 0 <= t_open <= t_total")
+        # the change scales the plant's omega, which must stay positive
+        if not 0.0 < self.omega_shift_factor < math.inf:
+            raise ValueError(
+                f"omega_shift_factor must be positive and finite, "
+                f"got {self.omega_shift_factor!r}"
+            )
         # the harness drives one actuator from one sensor
         if (self.controller.p, self.controller.m) != (1, 1):
             raise ValueError(
@@ -462,14 +469,18 @@ def read_record(path: str) -> ExperimentRecord:
 
 
 def write_dict_rows(rows: list[dict], path: str, comment: str | None = None) -> None:
-    """CSV of ``rows``; the columns are every row key, in first-seen order."""
+    """CSV of ``rows``; the columns are every row key, in first-seen order.
+
+    Each value is written as its ``str`` (so None reads ``None``), quoted
+    only when it holds a comma, a quote or a line break.
+    """
     keys = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([str(row.get(k, "")) for k in keys] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +538,11 @@ def write_spec_file(spec: ExperimentSpec, path: str) -> None:
 
 
 def parse_spec_file(path: str) -> ExperimentSpec:
-    """Read a spec file; a missing key takes its default_spec() value."""
+    """Read a spec file; a missing key takes its default_spec() value.
+
+    A value that parses but that the spec's constructors refuse raises their
+    ValueError, prefixed with the file's path.
+    """
     table = _spec_table(default_spec())
     values = {key: value for key, (_, value) in table.items()}
     seen: set[str] = set()
@@ -552,4 +567,7 @@ def parse_spec_file(path: str) -> ExperimentSpec:
                 ) from None
             if not math.isfinite(values[key]):
                 raise ValueError(f"spec key {key} in {path}: {text!r} is not finite")
-    return _build_spec(values)
+    try:
+        return _build_spec(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

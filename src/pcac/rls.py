@@ -54,8 +54,9 @@ class ForgettingConfig:
             raise ValueError("need 1 <= tau_n < tau_d")
         if not 0 <= self.eta < math.inf:
             raise ValueError("eta must be finite and >= 0")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+        # the F-test reads the 1 - alpha quantile, which needs 0 < alpha < 1
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
 
 
 @dataclass

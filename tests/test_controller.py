@@ -24,7 +24,7 @@ from pcac import (
     suppression_time,
 )
 from pcac import controller, harness, rls
-from pcac.controller import PcacConfig, StepBuffers
+from pcac.controller import PcacConfig
 from pcac.harness import grid_specs
 
 
@@ -58,6 +58,7 @@ class TestInit:
         ("tau_n", 0),
         ("eta", -0.1),
         ("alpha", 0.0),
+        ("alpha", 1.0),  # the 1 - alpha = 0 quantile fails at the first F-test
         ("alpha", 1.5),
         ("ell", 0),
         ("r2", 0.0),
@@ -279,7 +280,7 @@ class TestBufferOwnership:
         rng = np.random.default_rng(36)
         ys_a, ys_b = rng.normal(0, 30, (2, 60, 1))
         a, b = pcac_init(cfg), pcac_init(cfg)
-        assert not np.shares_memory(a.buffers.sweep.Z, b.buffers.sweep.Z)
+        assert not np.shares_memory(a.sweep.Z, b.sweep.Z)
         steps_a, steps_b = [], []
         for y_a, y_b in zip(ys_a, ys_b):
             steps_a.append(pcac_step(a, y_a, cfg))
@@ -332,8 +333,9 @@ class TestBufferOwnership:
             patch.setattr(controller, "riccati_backward", boom)
             _, _, state = pcac_step(state, np.array([3.0]), cfg)
         assert state.last_fault == "forced failure"
-        twin = replace(state, buffers=StepBuffers.for_config(cfg))
-        assert twin.buffers is not state.buffers
+        fresh = pcac_init(cfg)
+        twin = replace(state, arx=fresh.arx, sweep=fresh.sweep)
+        assert twin.sweep is not state.sweep and twin.arx is not state.arx
         steps, twin_steps = [], []
         for y in rng.normal(0, 30, (20, 1)):
             steps.append(pcac_step(state, y, cfg))

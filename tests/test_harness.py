@@ -1,4 +1,5 @@
 """Experiment runner, analysis helpers, record/spec files, and the CLI."""
+import csv
 import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from pcac import (
     final_attenuation_db,
     parse_spec_file,
     read_record,
+    resuppression_time,
     run_experiment,
     suppression_time,
     trailing_rms,
@@ -95,7 +97,8 @@ def specs(draw):
         tau_n=tau_n,
         tau_d=tau_n + draw(st.integers(1, 300)),
         eta=draw(NONNEGATIVE),
-        alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                             exclude_max=True)),
         ell=draw(st.integers(1, 50)),
         r2=draw(POSITIVE),
         u_sat=draw(NONNEGATIVE),
@@ -118,7 +121,7 @@ def specs(draw):
         q0=draw(FINITE),
         qdot0=draw(FINITE),
         omega_shift_time=draw(st.none() | FINITE),
-        omega_shift_factor=draw(FINITE),
+        omega_shift_factor=draw(POSITIVE),
         kick_q=draw(FINITE),
     )
 
@@ -223,6 +226,12 @@ class TestRunExperiment:
         # first closed-loop step
         with pytest.raises(ValueError, match="controller"):
             replace(default_spec(), controller=PcacConfig(p=p, m=m))
+
+    @pytest.mark.parametrize("factor", [0.0, -1.1, np.inf, np.nan])
+    def test_rejects_omega_shift_factor_not_positive(self, factor):
+        # at construction, not in the plant at the change, mid-run
+        with pytest.raises(ValueError, match="omega_shift_factor"):
+            replace(default_spec(), omega_shift_time=0.4, omega_shift_factor=factor)
 
     def test_deterministic_without_noise(self):
         a = run_experiment(short_spec())
@@ -609,6 +618,22 @@ class TestCli:
         assert len((out / "summary.csv").read_text().splitlines()) == 2 + 9
         assert "summary written" in capsys.readouterr().out
 
+    def test_failure_status_with_comma_and_quote_reads_back(self, tmp_path,
+                                                            monkeypatch):
+        # a status holding a comma or a quote stays one column
+        reason = 'prob must lie in (0, 1), got "1.0"'
+
+        def fail(spec):
+            raise ValueError(reason)
+
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        rows = harness.run_grid(default_spec(), out_dir=str(tmp_path))
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            assert fh.readline().startswith("# ")
+            read = list(csv.DictReader(fh))
+        assert [row["status"] for row in read] == [f"failed: {reason}"] * 9
+        assert read == [{k: str(v) for k, v in row.items()} for row in rows]
+
     def test_grid_exits_nonzero_when_a_cell_fails(self, tmp_path, monkeypatch):
         path = str(tmp_path / "spec.txt")
         write_spec_file(short_spec(q0=1e-3, t_open=1.8, t_total=2.0), path)
@@ -629,17 +654,27 @@ class TestCli:
         assert sum("failed: injected cell failure" in r for r in rows) == 1
         assert sum(",ok," in r for r in rows) == 8
 
+    # each case's spec file text (None: no file) and a name its error holds
+    SPEC_ERRORS = {
+        "unknown_key": ("plant.mu = 5.0\nsim.kickq = 1.0\n", "sim.kickq"),
+        "missing_file": (None, "No such file"),
+        "alpha_one": ("controller.alpha = 1.0\n", "alpha"),
+        "zero_omega_factor": ("sim.omega_shift_time = 0.4\n"
+                              "sim.omega_shift_factor = 0.0\n", "omega_shift_factor"),
+    }
+
     @pytest.mark.parametrize("command", ["run", "grid", "ablate"])
-    @pytest.mark.parametrize("case", ["unknown_key", "missing_file"])
+    @pytest.mark.parametrize("case", list(SPEC_ERRORS))
     def test_spec_error_exits_two(self, tmp_path, capsys, command, case):
         path = tmp_path / "spec.txt"
-        if case == "unknown_key":
-            path.write_text("plant.mu = 5.0\nsim.kickq = 1.0\n")
+        text, names = self.SPEC_ERRORS[case]
+        if text is not None:
+            path.write_text("sim.t_open = 0.3\nsim.t_total = 0.6\n" + text)
         with pytest.raises(SystemExit) as exc:
             cli_main([command, "--spec", str(path), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("pcac: ") and str(path) in err
+        assert err.startswith("pcac: ") and str(path) in err and names in err
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_subcommand(self, tmp_path, spec_file, capsys):
@@ -712,6 +747,36 @@ def synthetic_record(fault_count=0):
         theta_g_norm=zeros, phase=(t >= 3.0).astype(int), step_wall=zeros,
         k_switch=30, t_s=0.1, fault_count=fault_count,
     )
+
+
+class TestResuppressionTime:
+    """On ``synthetic_record``: window 1 sample, so the trailing RMS is |y|,
+    and the threshold is 1% of the open loop's 1.0."""
+
+    @staticmethod
+    def record_with(bursts):
+        rec = synthetic_record()
+        rec.y[30:] = 0.0
+        for k, value in bursts.items():
+            rec.y[k] = value
+        return rec
+
+    def test_burst_after_event_gives_its_last_sample_above_threshold(self):
+        # 4.4-4.7 s, the last sample (0.005) below the threshold
+        rec = self.record_with({44: 1.0, 45: -0.5, 46: 0.02, 47: 0.005})
+        assert resuppression_time(rec, 4.0) == pytest.approx(0.6)
+        assert resuppression_time(rec, 4.5) == pytest.approx(0.1)
+
+    def test_no_exceedance_after_event_gives_zero(self):
+        rec = self.record_with({44: 1.0})
+        assert resuppression_time(rec, 4.5) == 0.0
+        assert resuppression_time(self.record_with({}), 3.0) == 0.0
+
+    def test_exceedance_before_event_is_ignored(self):
+        # the open loop and a burst before the event are above the threshold
+        rec = self.record_with({35: 1.0, 36: 1.0, 50: 0.5})
+        assert resuppression_time(rec, 4.0) == pytest.approx(1.0)
+        assert resuppression_time(rec, 5.1) == 0.0
 
 
 def test_step_time_columns_are_percentiles():
