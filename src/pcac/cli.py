@@ -119,10 +119,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        # numpy seeds its generators from nonnegative integers only
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+        return value
+
     def common(p):
         p.add_argument("--spec", help="experiment spec file (key = value lines)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="plant noise seed")
+        p.add_argument("--seed", type=seed, default=None, help="plant noise seed")
 
     p_run = sub.add_parser("run", help="run a single experiment")
     common(p_run)

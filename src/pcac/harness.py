@@ -35,6 +35,8 @@ ABLATION_DELAY_S = 1.0  # from the switch to the ablation's plant change
 ABLATION_TAIL_S = 1.5  # closed-loop time after that change
 ABLATION_OMEGA_FACTOR = 1.1
 ABLATION_KICK_Q = 1.0  # displacement kick at the change
+# Longest run, in samples: 10^4 s at 1 kHz, 640 MB for the eight record arrays.
+MAX_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,20 @@ class ExperimentSpec:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("t_s", "t_open", "t_total"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.t_s <= 0:
             raise ValueError("t_s must be positive")
         if not 0.0 <= self.t_open <= self.t_total:
             raise ValueError("need 0 <= t_open <= t_total")
+        # before the run allocates its record; on the float ratio, since
+        # n_steps would raise for a ratio of inf
+        if self.t_total / self.t_s > MAX_SAMPLES:
+            raise ValueError(
+                f"t_total / t_s must be at most {MAX_SAMPLES} samples, got "
+                f"{self.t_total!r} / {self.t_s!r}"
+            )
         # the change scales the plant's omega, which must stay positive
         if not 0.0 < self.omega_shift_factor < math.inf:
             raise ValueError(

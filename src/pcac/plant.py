@@ -43,6 +43,9 @@ class EmulatorParams:
             raise ValueError("omega, mu and amp_scale must be positive")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
+        # numpy seeds its generators from nonnegative integers only
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ class RlsState:
         if psi0_scale <= 0:
             raise ValueError("psi0_scale must be positive")
         psi0 = psi0_scale * np.eye(theta0.size)
-        # The F-test starts at step tau_d, once every zero row is shifted out.
+        # The F-test waits until every zero row is shifted out (rls_update).
         return cls(theta0, psi0, np.zeros((cfg.tau_d + 1, p)), 0)
 
 
@@ -304,7 +304,7 @@ def forgetting_statistic_multivariable(
     keep = lam > _RANK_RTOL * lam[-1]
     if not keep.all():
         # Collinear channels: test the errors' independent combinations.
-        return _window_statistic(errors.dot(vec[:, keep]), cfg)
+        return forgetting_statistic_multivariable(errors.dot(vec[:, keep]), cfg)
     sig_long = sig_long + _COV_RIDGE * np.eye(p)
     sig_short = np.cov(errors[-(cfg.tau_n + 1) :], rowvar=False, ddof=1)
     try:
@@ -317,21 +317,10 @@ def forgetting_statistic_multivariable(
     return float(np.sqrt(stat) - np.sqrt(quant))
 
 
-def compute_beta(g: float, cfg: ForgettingConfig, step: int) -> float:
-    """Per-step covariance inflation beta_k = 1/lambda_k >= 1.
-
-    Forgetting is disabled until the long window has filled once; after that
-    only positive g (short-window variance significantly larger) forgets.
-    """
-    if step < cfg.tau_d:
-        return 1.0
+def compute_beta(g: float, cfg: ForgettingConfig) -> float:
+    """Covariance inflation beta_k = 1/lambda_k >= 1 for the statistic g:
+    only positive g (short-window variance significantly larger) forgets."""
     return 1.0 + cfg.eta * max(g, 0.0)
-
-
-def _window_statistic(window: np.ndarray, cfg: ForgettingConfig) -> float:
-    if window.shape[1] == 1:
-        return forgetting_statistic_scalar(window[:, 0], cfg)
-    return forgetting_statistic_multivariable(window, cfg)
 
 
 def _solve_inner(S: np.ndarray, beta: float, rhs: np.ndarray) -> np.ndarray:
@@ -356,7 +345,8 @@ def rls_update(
 
     The identification error entering the F-test window is the pre-update
     residual e_k = y_k - phi_k theta_k, and the window includes the current
-    step before beta is computed.
+    step before beta is computed.  Until the long window has filled once,
+    beta is 1 and no test runs.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
@@ -368,10 +358,11 @@ def rls_update(
     e = y - phi.dot(state.theta)
 
     window = np.concatenate((state.error_window[1:], e[None]))
+    beta = 1.0
     if state.step >= cfg.tau_d:
-        beta = compute_beta(_window_statistic(window, cfg), cfg, state.step)
-    else:
-        beta = 1.0
+        g = (forgetting_statistic_scalar(window[:, 0], cfg) if p == 1
+             else forgetting_statistic_multivariable(window, cfg))
+        beta = compute_beta(g, cfg)
 
     gain = state.psi.dot(phi.T)
     psi_next = state.psi - gain.dot(_solve_inner(phi.dot(gain), beta, gain.T))

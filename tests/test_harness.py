@@ -1,12 +1,13 @@
 """Experiment runner, analysis helpers, record/spec files, and the CLI."""
 import csv
 import math
+import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcac import (
@@ -28,7 +29,7 @@ from pcac import (
 )
 from pcac import harness
 from pcac.cli import main as cli_main
-from pcac.harness import RECORD_COLUMNS
+from pcac.harness import MAX_SAMPLES, RECORD_COLUMNS
 from test_arx import split_coefficients
 
 
@@ -111,11 +112,16 @@ def specs(draw):
         noise_std=draw(NONNEGATIVE),
         seed=draw(st.integers(0, 2**64)),
     )
-    t_open, t_total = sorted(draw(st.lists(NONNEGATIVE, min_size=2, max_size=2)))
+    # at most MAX_SAMPLES samples; the assumption drops the rare draw that
+    # rounding carries past the cap
+    t_s = draw(POSITIVE)
+    t_total = draw(st.floats(0.0, min(t_s * MAX_SAMPLES, sys.float_info.max)))
+    t_open = draw(st.floats(0.0, t_total))
+    assume(t_total / t_s <= MAX_SAMPLES)
     return ExperimentSpec(
         plant=plant,
         controller=controller,
-        t_s=draw(POSITIVE),
+        t_s=t_s,
         t_open=t_open,
         t_total=t_total,
         q0=draw(FINITE),
@@ -232,6 +238,22 @@ class TestRunExperiment:
         # at construction, not in the plant at the change, mid-run
         with pytest.raises(ValueError, match="omega_shift_factor"):
             replace(default_spec(), omega_shift_time=0.4, omega_shift_factor=factor)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_total", np.inf), ("t_total", np.nan), ("t_open", np.nan),
+        ("t_s", np.inf), ("t_s", np.nan)])
+    def test_rejects_time_not_finite(self, field, value):
+        # t_total = inf used to pass and raise OverflowError in n_steps
+        with pytest.raises(ValueError, match=field):
+            replace(default_spec(), **{field: value})
+
+    def test_rejects_more_than_max_samples(self):
+        # at construction: t_s = 1e-300 used to fail allocating the record
+        for t_s, t_total in ((1e-3, 1e5), (1e-300, 5.0)):
+            with pytest.raises(ValueError, match="t_total / t_s"):
+                replace(default_spec(), t_s=t_s, t_total=t_total)
+        spec = replace(default_spec(), t_total=MAX_SAMPLES * 1e-3)
+        assert spec.n_steps == MAX_SAMPLES
 
     def test_deterministic_without_noise(self):
         a = run_experiment(short_spec())
@@ -610,6 +632,15 @@ class TestCli:
                       for name in ("o1", "o2", "o3"))
         assert r1 != r2 and r1 == r3
 
+    @pytest.mark.parametrize("command", ["run", "grid", "ablate"])
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys, command):
+        # grid and ablate used to run cell 0 on seed -1
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_writes_summary(self, tmp_path, capsys):
         path = str(tmp_path / "spec.txt")
         write_spec_file(short_spec(q0=1e-3, t_open=1.8, t_total=2.0), path)
@@ -661,6 +692,8 @@ class TestCli:
         "alpha_one": ("controller.alpha = 1.0\n", "alpha"),
         "zero_omega_factor": ("sim.omega_shift_time = 0.4\n"
                               "sim.omega_shift_factor = 0.0\n", "omega_shift_factor"),
+        "negative_seed": ("plant.seed = -1\nplant.noise_std = 0.5\n", "seed"),
+        "tiny_t_s": ("sim.t_s = 1e-300\n", "t_s"),
     }
 
     @pytest.mark.parametrize("command", ["run", "grid", "ablate"])

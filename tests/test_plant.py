@@ -80,6 +80,11 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             EmulatorParams(omega=-1.0, mu=1.0)
 
+    def test_rejects_negative_seed(self):
+        # numpy.random.default_rng(-1) raised only when the run began
+        with pytest.raises(ValueError, match="seed"):
+            EmulatorParams(omega=2 * np.pi * 150, mu=1.0, noise_std=0.5, seed=-1)
+
 
 class TestOutput:
     def test_linear_scaling_without_noise(self):

@@ -239,7 +239,7 @@ def textbook_rls_update(state, phi, y, cfg):
     if state.step >= cfg.tau_d:
         g = (textbook_statistic(window[:, 0], cfg) if p == 1
              else forgetting_statistic_multivariable(window, cfg))
-        beta = compute_beta(g, cfg, state.step)
+        beta = compute_beta(g, cfg)
     gain = state.psi @ phi.T
     inner = np.eye(p) / beta + phi @ gain
     psi = beta * (state.psi - gain @ np.linalg.solve(inner, gain.T))
@@ -270,7 +270,7 @@ class TestScalarStatistic:
                 errors = np.full(cfg.tau_d + 1, c)
                 g = forgetting_statistic_scalar(errors, cfg)
                 assert g == 0.0
-                assert compute_beta(g, cfg, cfg.tau_d) == 1.0
+                assert compute_beta(g, cfg) == 1.0
                 # through the update: with phi = 0, beta alone scales psi
                 state = RlsState(np.zeros(2), np.eye(2), errors[:, None], cfg.tau_d)
                 new = rls_update(state, np.zeros((1, 2)), np.array([c]), cfg)
@@ -386,7 +386,7 @@ class TestMultivariableStatistic:
         window = np.concatenate((np.zeros((1, 2)), errors[:-1]))
         state = RlsState(np.zeros(3), np.eye(3), window, cfg.tau_d)
         new = rls_update(state, np.zeros((2, 3)), errors[-1], cfg)
-        beta = compute_beta(g, cfg, cfg.tau_d)
+        beta = compute_beta(g, cfg)
         assert beta > 1.0
         np.testing.assert_allclose(new.psi, beta * np.eye(3), rtol=1e-15)
 
@@ -433,19 +433,66 @@ class TestMultivariableStatistic:
 
 
 class TestComputeBeta:
-    def test_warmup_forces_unity(self):
-        assert compute_beta(5.0, CFG, step=CFG.tau_d - 1) == 1.0
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_hooks_called_once_per_update_after_warmup(self, p, monkeypatch):
+        # the benchmark wraps these names in pcac.rls to count forgetting
+        # steps and time the F-test; before the long window fills, neither
+        # may run, and after it each runs once per update
+        names = ["compute_beta"]
+        if p == 1:
+            names.append("forgetting_statistic_scalar")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(rls, name, counted(name, getattr(rls, name)))
+        cfg = ForgettingConfig(tau_n=40, tau_d=200)
+        rng = np.random.default_rng(16)
+        state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
+        for k, (phi, y) in enumerate(drifting_data(rng, 250, p, 3 * p)):
+            before = dict(calls)
+            state = rls_update(state, phi, y, cfg)
+            step_calls = {n: calls[n] - before[n] for n in names}
+            assert step_calls == dict.fromkeys(names, int(k >= cfg.tau_d)), k
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_unity_beta_equals_no_forgetting(self, p, monkeypatch):
+        # the benchmark's no-forgetting check patches compute_beta to 1.0
+        # and expects the run that eta = 0 gives
+        cfg = ForgettingConfig(tau_n=10, tau_d=30, eta=1.0, alpha=0.05)
+        off = ForgettingConfig(tau_n=10, tau_d=30, eta=0.0, alpha=0.05)
+
+        def run(cfg):
+            rng = np.random.default_rng(17 + p)
+            state = RlsState.initialize(np.zeros(4 * p), 10.0, cfg, p)
+            for phi, y in drifting_data(rng, 300, p, 4 * p):
+                state = rls_update(state, phi, y, cfg)
+            return state
+
+        forgetting = run(cfg)
+        monkeypatch.setattr(rls, "compute_beta", lambda *a, **k: 1.0)
+        patched = run(cfg)
+        reference = run(off)
+        np.testing.assert_array_equal(patched.psi, reference.psi)
+        np.testing.assert_array_equal(patched.theta, reference.theta)
+        np.testing.assert_array_equal(patched.error_window, reference.error_window)
+        assert not np.array_equal(forgetting.psi, reference.psi)
 
     def test_negative_statistic_clamped(self):
-        assert compute_beta(-0.5, CFG, step=CFG.tau_d) == 1.0
+        assert compute_beta(-0.5, CFG) == 1.0
 
     def test_positive_statistic_scales(self):
-        assert compute_beta(2.0, CFG, step=CFG.tau_d) == pytest.approx(1.2)
+        assert compute_beta(2.0, CFG) == pytest.approx(1.2)
 
     @settings(max_examples=50, deadline=None)
-    @given(g=st.floats(-100, 100), step=st.integers(0, 10_000))
-    def test_always_at_least_one(self, g, step):
-        assert compute_beta(g, CFG, step) >= 1.0
+    @given(g=st.floats(-100, 100))
+    def test_always_at_least_one(self, g):
+        assert compute_beta(g, CFG) >= 1.0
 
 
 def batch_solution(phis, ys, psi0, theta0):
