@@ -7,7 +7,6 @@ propagation, backward Riccati sweep, gain application, and saturation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from .arx import (
     build_regressor,
     compute_bocf_state,
 )
-from .errors import NumericalError
+from .errors import FINITE, INTEGER, NONNEGATIVE, POSITIVE, NumericalError, check_fields
 from .riccati import (
     HorizonWeights,
     SaturationBounds,
@@ -59,16 +58,12 @@ class PcacConfig:
     bounds: SaturationBounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The derived objects check the rest by name; these they do not see
-        # (theta0_scale, psi0_scale) or would report as R2 and u_min.
-        for name, ok, want in (
-            ("theta0_scale", math.isfinite(self.theta0_scale), "finite"),
-            ("psi0_scale", 0 < self.psi0_scale < math.inf, "positive and finite"),
-            ("r2", 0 < self.r2 < math.inf, "positive and finite"),
-            ("u_sat", 0 <= self.u_sat < math.inf, "finite and >= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        # The derived objects check eta, alpha and the integers' ranges by name;
+        # these floats they do not see or would report as R2 and u_min.
+        ints = ("n_hat", "p", "m", "tau_n", "tau_d", "ell")
+        check_fields(self, [(name, INTEGER) for name in ints] + [
+            ("theta0_scale", FINITE), ("psi0_scale", POSITIVE),
+            ("r2", POSITIVE), ("u_sat", NONNEGATIVE)])
         dims = ModelDims(n_hat=self.n_hat, p=self.p, m=self.m)
         derived = {
             "dims": dims,

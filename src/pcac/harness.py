@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .controller import PcacConfig, pcac_init, pcac_step
+from .errors import FINITE, POSITIVE, check_fields
 from .plant import EmulatorParams, PlantState, operating_grid, plant_output, plant_zoh_step
 
 SUPPRESSION_WINDOW_S = 0.1
@@ -56,11 +57,13 @@ class ExperimentSpec:
     output_path: str | None = None
 
     def __post_init__(self):
-        for name in ("t_s", "t_open", "t_total"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.t_s <= 0:
-            raise ValueError("t_s must be positive")
+        check_fields(self, (
+            ("t_s", POSITIVE), ("t_open", FINITE), ("t_total", FINITE),
+            ("q0", FINITE), ("qdot0", FINITE), ("kick_q", FINITE),
+            # None: no plant change; the change scales omega, which stays positive
+            ("omega_shift_time",
+             (lambda v: v is None or math.isfinite(v), "finite or None")),
+            ("omega_shift_factor", POSITIVE)))
         if not 0.0 <= self.t_open <= self.t_total:
             raise ValueError("need 0 <= t_open <= t_total")
         # before the run allocates its record; on the float ratio, since
@@ -69,12 +72,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"t_total / t_s must be at most {MAX_SAMPLES} samples, got "
                 f"{self.t_total!r} / {self.t_s!r}"
-            )
-        # the change scales the plant's omega, which must stay positive
-        if not 0.0 < self.omega_shift_factor < math.inf:
-            raise ValueError(
-                f"omega_shift_factor must be positive and finite, "
-                f"got {self.omega_shift_factor!r}"
             )
         # the harness drives one actuator from one sensor
         if (self.controller.p, self.controller.m) != (1, 1):
@@ -530,23 +527,14 @@ def _build_spec(values: dict) -> ExperimentSpec:
 def write_spec_file(spec: ExperimentSpec, path: str) -> None:
     """Write every set value of ``spec`` (all but ``output_path``).
 
-    Raises ValueError, and writes nothing, for a value its key cannot hold:
-    one that reads back as another value (a float given for an int key), or
-    one that is not finite, which a spec file does not take.  Everything
+    The spec classes refuse at construction any value that its key cannot
+    hold (a non-finite float, a non-integer for an int key), and everything
     else in a spec is derived from these values, so they reproduce it.
     """
-    table = _spec_table(spec)
-    values = {key: None if value is None else cast(value)
-              for key, (cast, value) in table.items()}
-    for key, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"spec key {key}: {value!r} is not finite")
-    lost = [key for key, (_, value) in table.items() if values[key] != value]
-    if lost:
-        raise ValueError(f"spec keys {', '.join(lost)} cannot hold their values")
     with open(path, "w") as fh:
-        fh.writelines(f"{key} = {value!r}\n"
-                      for key, value in values.items() if value is not None)
+        fh.writelines(f"{key} = {cast(value)!r}\n"
+                      for key, (cast, value) in _spec_table(spec).items()
+                      if value is not None)
 
 
 def parse_spec_file(path: str) -> ExperimentSpec:

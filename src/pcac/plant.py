@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlantDivergedError
+from .errors import (FINITE, INTEGER, NONNEGATIVE, POSITIVE, PlantDivergedError,
+                     check_fields)
 
 _BLOWUP = 1e6
 
@@ -39,13 +40,11 @@ class EmulatorParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.omega <= 0 or self.mu <= 0 or self.amp_scale <= 0:
-            raise ValueError("omega, mu and amp_scale must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
         # numpy seeds its generators from nonnegative integers only
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        check_fields(self, (
+            ("omega", POSITIVE), ("mu", POSITIVE), ("kappa", FINITE),
+            ("amp_scale", POSITIVE), ("noise_std", NONNEGATIVE),
+            ("seed", INTEGER), ("seed", (lambda v: v >= 0, ">= 0"))))
 
 
 @dataclass(frozen=True)

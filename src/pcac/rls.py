@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NONNEGATIVE, NumericalError, check_fields
 
 # Long-window variance below this is treated as "perfect prediction": no
 # evidence of model change, so no forgetting.
@@ -52,11 +52,11 @@ class ForgettingConfig:
     def __post_init__(self):
         if not 1 <= self.tau_n < self.tau_d:
             raise ValueError("need 1 <= tau_n < tau_d")
-        if not 0 <= self.eta < math.inf:
-            raise ValueError("eta must be finite and >= 0")
-        # the F-test reads the 1 - alpha quantile, which needs 0 < alpha < 1
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        # the F-test reads the 1 - alpha quantile: 1 - alpha must lie in (0, 1) in floats
+        check_fields(self, (
+            ("eta", NONNEGATIVE),
+            ("alpha", (lambda v: 0 < 1.0 - v < 1.0, "in (0, 1) with 1 - alpha < 1")),
+        ))
 
 
 @dataclass

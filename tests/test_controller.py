@@ -59,6 +59,7 @@ class TestInit:
         ("eta", -0.1),
         ("alpha", 0.0),
         ("alpha", 1.0),  # the 1 - alpha = 0 quantile fails at the first F-test
+        ("alpha", 1e-17),  # 1 - alpha rounds to 1, whose quantile fails the same way
         ("alpha", 1.5),
         ("ell", 0),
         ("r2", 0.0),

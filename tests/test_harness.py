@@ -98,8 +98,8 @@ def specs(draw):
         tau_n=tau_n,
         tau_d=tau_n + draw(st.integers(1, 300)),
         eta=draw(NONNEGATIVE),
-        alpha=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
-                             exclude_max=True)),
+        # below 2**-53, 1 - alpha rounds to 1
+        alpha=draw(st.floats(min_value=2.0**-53, max_value=1.0, exclude_max=True)),
         ell=draw(st.integers(1, 50)),
         r2=draw(POSITIVE),
         u_sat=draw(NONNEGATIVE),
@@ -241,9 +241,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, value", [
         ("t_total", np.inf), ("t_total", np.nan), ("t_open", np.nan),
-        ("t_s", np.inf), ("t_s", np.nan)])
+        ("t_s", np.inf), ("t_s", np.nan)] + [
+        (field, value) for field in ("q0", "qdot0", "kick_q", "omega_shift_time")
+        for value in (np.nan, np.inf)])
     def test_rejects_time_not_finite(self, field, value):
-        # t_total = inf used to pass and raise OverflowError in n_steps
+        # t_total = inf used to pass and raise OverflowError in n_steps; q0 = nan
+        # died at the first plant step, and omega_shift_time = nan never
+        # changed the plant
         with pytest.raises(ValueError, match=field):
             replace(default_spec(), **{field: value})
 
@@ -507,12 +511,11 @@ class TestSpecFiles:
     @pytest.mark.parametrize("case", ["mutated_R2", "mutated_u_max", "p2_m2",
                                       "float_seed"])
     def test_write_refuses_what_keys_cannot_hold(self, tmp_path, case):
-        # a derived array cannot be changed in place, a controller other than
-        # p = m = 1 cannot be built, and a value its key reads back as
-        # another value is refused
+        # a derived array cannot be changed in place, and a controller other
+        # than p = m = 1 or a float seed cannot be built
         path = tmp_path / "spec.txt"
         match = {"mutated_R2": "read-only", "mutated_u_max": "read-only",
-                 "p2_m2": "controller", "float_seed": "plant.seed"}[case]
+                 "p2_m2": "controller", "float_seed": r"\bseed must be an integer"}[case]
         with pytest.raises(ValueError, match=match):
             spec = default_spec()
             if case == "mutated_R2":
@@ -528,9 +531,26 @@ class TestSpecFiles:
 
     def test_write_refuses_non_finite_value(self, tmp_path):
         path = tmp_path / "spec.txt"
-        with pytest.raises(ValueError, match="sim.q0.*not finite"):
+        # refused where the spec is built, so there is nothing to write
+        with pytest.raises(ValueError, match=r"\bq0 must be finite"):
             write_spec_file(replace(default_spec(), q0=np.nan), str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value)
+        for key, (cast, _) in harness._spec_table(default_spec()).items()
+        for value in ((np.nan, np.inf, -np.inf) if cast is float else (1.5,))])
+    def test_constructors_refuse_what_keys_cannot_hold(self, key, value):
+        # built in code, a value no spec file key can hold is refused by its
+        # spec class, naming the field, rather than dying mid-run or being
+        # written out
+        section, name = key.split(".")
+        spec = default_spec()
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            if section == "sim":
+                replace(spec, **{name: value})
+            else:
+                replace(getattr(spec, section), **{name: value})
 
     def test_controller_keys_are_the_config_fields(self):
         keys = [k for k in harness._spec_table(default_spec())
@@ -690,6 +710,7 @@ class TestCli:
         "unknown_key": ("plant.mu = 5.0\nsim.kickq = 1.0\n", "sim.kickq"),
         "missing_file": (None, "No such file"),
         "alpha_one": ("controller.alpha = 1.0\n", "alpha"),
+        "tiny_alpha": ("controller.alpha = 1e-17\n", "alpha"),
         "zero_omega_factor": ("sim.omega_shift_time = 0.4\n"
                               "sim.omega_shift_factor = 0.0\n", "omega_shift_factor"),
         "negative_seed": ("plant.seed = -1\nplant.noise_std = 0.5\n", "seed"),

@@ -85,6 +85,17 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="seed"):
             EmulatorParams(omega=2 * np.pi * 150, mu=1.0, noise_std=0.5, seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("noise_std", np.nan),  # nan > 0 is False: the run was noise-free
+        ("noise_std", np.inf), ("kappa", np.nan), ("kappa", -np.inf),
+        ("omega", np.inf), ("mu", np.inf), ("amp_scale", np.inf),
+        ("omega", np.nan), ("mu", np.nan), ("amp_scale", np.nan),
+        ("seed", 1.5)])
+    def test_rejects_value_outside_domain(self, name, value):
+        # at construction, not at the first plant step or RLS update
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            EmulatorParams(**{"omega": 2 * np.pi * 150, "mu": 1.0, name: value})
+
 
 class TestOutput:
     def test_linear_scaling_without_noise(self):
