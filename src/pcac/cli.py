@@ -11,15 +11,21 @@ from . import harness
 from .errors import NumericalError, PlantDivergedError
 
 
+def _or_exit_2(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; an OSError or ValueError from it prints
+    ``pcac: <message>`` and exits with status 2, as a bad argument does."""
+    try:
+        return fn(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        print(f"pcac: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
 def _load_spec(args) -> harness.ExperimentSpec:
     """The --spec file's spec, or default_spec(); a file that cannot be read
-    or parsed exits with status 2, as a bad argument does."""
+    or parsed exits with status 2."""
     if args.spec:
-        try:
-            spec = harness.parse_spec_file(args.spec)
-        except (OSError, ValueError) as exc:
-            print(f"pcac: {exc}", file=sys.stderr)
-            sys.exit(2)
+        spec = _or_exit_2(harness.parse_spec_file, args.spec)
     else:
         spec = harness.default_spec()
     if args.seed is not None:
@@ -31,7 +37,7 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     if args.open_loop_only:
         spec = replace(spec, t_open=spec.t_total)
-    os.makedirs(args.out, exist_ok=True)
+    _or_exit_2(os.makedirs, args.out, exist_ok=True)
     spec = replace(spec, output_path=os.path.join(args.out, "record.csv"))
     try:
         record = harness.run_experiment(spec)
@@ -56,6 +62,7 @@ def _any_failed(rows: list[dict]) -> int:
 
 def _cmd_grid(args) -> int:
     spec = _load_spec(args)
+    _or_exit_2(os.makedirs, args.out, exist_ok=True)
     summary = harness.run_grid(spec, out_dir=args.out, base_seed=args.seed or 0)
     for row in summary:
         line = (f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, "
@@ -71,13 +78,9 @@ def _cmd_grid(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     """An unreadable record or a window of under two samples exits with 2."""
-    try:
-        record = harness.read_record(args.record)
-        window = (record.t >= args.t_start) & (record.t <= args.t_end)
-        freqs, amps = harness.amplitude_spectrum(record.y[window], record.t_s)
-    except (OSError, ValueError) as exc:
-        print(f"pcac: {exc}", file=sys.stderr)
-        sys.exit(2)
+    record = _or_exit_2(harness.read_record, args.record)
+    window = (record.t >= args.t_start) & (record.t <= args.t_end)
+    freqs, amps = _or_exit_2(harness.amplitude_spectrum, record.y[window], record.t_s)
     out = args.out or args.record.removesuffix(".csv") + ".spectrum.csv"
     harness.write_csv(out, "frequency_hz,amplitude\n", [freqs, amps])
     print(f"spectrum written to {out}")
@@ -85,13 +88,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    """A spec the ablation cannot measure exits with 2 before any run."""
+    """A spec the ablation cannot measure, or an --out that cannot be a
+    directory, exits with 2 before any run."""
     spec = _load_spec(args)
-    try:
-        rows = harness.run_ablation(spec, out_dir=args.out, base_seed=args.seed or 0)
-    except ValueError as exc:
-        print(f"pcac: {exc}", file=sys.stderr)
-        sys.exit(2)
+    rows = _or_exit_2(harness.run_ablation, spec, out_dir=args.out,
+                      base_seed=args.seed or 0)
     wins = sum(
         row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
         for row in rows

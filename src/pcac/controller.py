@@ -45,10 +45,10 @@ class PcacConfig:
     m: int = 1
     theta0_scale: float = 1e-10
     psi0_scale: float = 1e-4
-    tau_n: int = 40
-    tau_d: int = 200
-    eta: float = 0.1
-    alpha: float = 0.001
+    tau_n: int = ForgettingConfig.tau_n
+    tau_d: int = ForgettingConfig.tau_d
+    eta: float = ForgettingConfig.eta
+    alpha: float = ForgettingConfig.alpha
     ell: int = 20
     r2: float = 1e-2
     u_sat: float = 8.0
@@ -71,8 +71,7 @@ class PcacConfig:
                 tau_n=self.tau_n, tau_d=self.tau_d, eta=self.eta, alpha=self.alpha
             ),
             "weights": HorizonWeights.output_weighted(
-                dims.n_state, self.m, ell=self.ell, r2=self.r2
-            ),
+                dims.n_state, self.m, self.ell, self.r2),
             "bounds": SaturationBounds.symmetric(self.u_sat, self.m),
         }
         for name, value in derived.items():

@@ -13,10 +13,22 @@ class PlantDivergedError(RuntimeError):
     mis-tuned parameters or an unstable closed loop."""
 
 
+def float_rule(test, what):
+    """A float field's (test, what): ``test`` on the value's float, which must
+    equal the value; Python compares ints and floats exactly, numpy does not."""
+    def check(v):
+        try:
+            f = float(v)
+        except OverflowError:  # an int too large for a float
+            return False
+        return f == (int(v) if isinstance(v, Integral) else v) and test(f)
+    return check, f"{what} as a float"
+
+
 # Domains shared by the spec fields: (test, what the message says a value must be).
-FINITE = (math.isfinite, "finite")
-POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
-NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+FINITE = float_rule(math.isfinite, "finite")
+POSITIVE = float_rule(lambda v: 0 < v < math.inf, "positive and finite")
+NONNEGATIVE = float_rule(lambda v: 0 <= v < math.inf, "finite and >= 0")
 INTEGER = (lambda v: isinstance(v, Integral), "an integer")
 
 

@@ -62,7 +62,7 @@ class ExperimentSpec:
             ("q0", FINITE), ("qdot0", FINITE), ("kick_q", FINITE),
             # None: no plant change; the change scales omega, which stays positive
             ("omega_shift_time",
-             (lambda v: v is None or math.isfinite(v), "finite or None")),
+             (lambda v: v is None or FINITE[0](v), "finite as a float, or None")),
             ("omega_shift_factor", POSITIVE)))
         if not 0.0 <= self.t_open <= self.t_total:
             raise ValueError("need 0 <= t_open <= t_total")
@@ -343,13 +343,12 @@ def _sweep(specs: list[ExperimentSpec], measure) -> list[dict]:
 
 
 def grid_specs(base: ExperimentSpec, base_seed: int = 0) -> list[ExperimentSpec]:
-    cells = operating_grid(
-        kappa=base.plant.kappa,
-        amp_scale=base.plant.amp_scale,
-        noise_std=base.plant.noise_std,
-        base_seed=base_seed,
-    )
-    return [replace(base, plant=cell, output_path=None) for cell in cells]
+    """``base`` at each grid cell: only its plant's omega, mu and seed change."""
+    return [
+        replace(base, plant=replace(base.plant, omega=c.omega, mu=c.mu, seed=c.seed),
+                output_path=None)
+        for c in operating_grid(base_seed)
+    ]
 
 
 def run_grid(
@@ -393,7 +392,8 @@ def run_ablation(
     plant seed; only eta differs between the runs.  A row's ``fault_count``
     sums both runs'; a pair whose run raises is reported in ``status``.
     A base spec with no open-loop sample, which re-suppression is measured
-    against, raises ValueError before any run.
+    against, or that the change cannot be added to, raises ValueError before
+    any run and before ``out_dir`` is made.
     """
     if base.k_switch < 1:
         raise ValueError(
@@ -401,6 +401,10 @@ def run_ablation(
             f"against; sim.t_open = {base.t_open!r} leaves none"
         )
     t_event = base.t_open + ABLATION_DELAY_S
+    shifted = replace(base, t_total=t_event + ABLATION_TAIL_S, omega_shift_time=t_event,
+                      omega_shift_factor=ABLATION_OMEGA_FACTOR, kick_q=ABLATION_KICK_Q)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
 
     def measure(spec):
         cfg_off = replace(spec.controller, eta=0.0)
@@ -412,19 +416,8 @@ def run_ablation(
             "fault_count": rec_on.fault_count + rec_off.fault_count,
         }
 
-    specs = [
-        replace(
-            spec,
-            t_total=t_event + ABLATION_TAIL_S,
-            omega_shift_time=t_event,
-            omega_shift_factor=ABLATION_OMEGA_FACTOR,
-            kick_q=ABLATION_KICK_Q,
-        )
-        for spec in grid_specs(base, base_seed=base_seed)
-    ]
-    rows = _sweep(specs, measure)
+    rows = _sweep(grid_specs(shifted, base_seed=base_seed), measure)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_dict_rows(rows, f"{out_dir}/ablation.csv", comment=(
             "re-suppression time: seconds from the plant change until the "
             "trailing 100 ms RMS is permanently below 1% of the pre-switch RMS"))

@@ -113,25 +113,10 @@ GRID_FREQS_HZ = (140.0, 150.0, 160.0)
 GRID_MU_FRACTIONS = (0.007, 0.015, 0.030)
 
 
-def operating_grid(
-    kappa: float = 4.0e4,
-    amp_scale: float = 50.0,
-    noise_std: float = 0.0,
-    base_seed: int = 0,
-) -> list[EmulatorParams]:
-    """The nine operating conditions, row-major over (frequency, mu)."""
-    grid = []
-    for i, f in enumerate(GRID_FREQS_HZ):
-        for j, frac in enumerate(GRID_MU_FRACTIONS):
-            omega = 2.0 * np.pi * f
-            grid.append(
-                EmulatorParams(
-                    omega=omega,
-                    mu=frac * omega,
-                    kappa=kappa,
-                    amp_scale=amp_scale,
-                    noise_std=noise_std,
-                    seed=base_seed + 3 * i + j,
-                )
-            )
-    return grid
+def operating_grid(base_seed: int = 0) -> list[EmulatorParams]:
+    """The nine operating conditions, row-major over (frequency, mu), with
+    the stock values of every other plant field."""
+    omegas = [2.0 * np.pi * f for f in GRID_FREQS_HZ]
+    return [EmulatorParams(omega=omega, mu=frac * omega, seed=base_seed + 3 * i + j)
+            for i, omega in enumerate(omegas)
+            for j, frac in enumerate(GRID_MU_FRACTIONS)]

@@ -58,7 +58,7 @@ class HorizonWeights:
             raise ValueError("R2 must be positive definite")
 
     @classmethod
-    def output_weighted(cls, n_state: int, m: int, ell: int = 20, r2: float = 1e-2):
+    def output_weighted(cls, n_state: int, m: int, ell: int, r2: float):
         """Weights penalizing only the first state block (the output)."""
         R1 = np.zeros((n_state, n_state))
         R1[0, 0] = 1.0

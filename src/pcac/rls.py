@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NONNEGATIVE, NumericalError, check_fields
+from .errors import NONNEGATIVE, NumericalError, check_fields, float_rule
 
 # Long-window variance below this is treated as "perfect prediction": no
 # evidence of model change, so no forgetting.
@@ -55,7 +55,8 @@ class ForgettingConfig:
         # the F-test reads the 1 - alpha quantile: 1 - alpha must lie in (0, 1) in floats
         check_fields(self, (
             ("eta", NONNEGATIVE),
-            ("alpha", (lambda v: 0 < 1.0 - v < 1.0, "in (0, 1) with 1 - alpha < 1")),
+            ("alpha",
+             float_rule(lambda v: 0 < 1.0 - v < 1.0, "in (0, 1) with 1 - alpha < 1")),
         ))
 
 

@@ -18,6 +18,7 @@ from pcac import (
     default_spec,
     experiment_metrics,
     final_attenuation_db,
+    operating_grid,
     parse_spec_file,
     read_record,
     resuppression_time,
@@ -484,6 +485,12 @@ class TestRecordFiles:
         assert len(lines) == 502
 
 
+# Values no float key holds: the non-finite floats, an int that its float
+# rounds, and one that overflows a float.
+FLOAT_REFUSALS = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf,
+                  "2**53+1": 2**53 + 1, "10**400": 10**400}
+
+
 class TestSpecFiles:
     def test_roundtrip(self, tmp_path):
         spec = ExperimentSpec(
@@ -537,13 +544,14 @@ class TestSpecFiles:
         assert not path.exists()
 
     @pytest.mark.parametrize("key, value", [
-        (key, value)
+        pytest.param(key, value, id=f"{key}-{name}")
         for key, (cast, _) in harness._spec_table(default_spec()).items()
-        for value in ((np.nan, np.inf, -np.inf) if cast is float else (1.5,))])
+        for name, value in (FLOAT_REFUSALS.items() if cast is float
+                            else [("1.5", 1.5)])])
     def test_constructors_refuse_what_keys_cannot_hold(self, key, value):
         # built in code, a value no spec file key can hold is refused by its
-        # spec class, naming the field, rather than dying mid-run or being
-        # written out
+        # spec class, naming the field, rather than dying mid-run, being
+        # written out as another value, or raising OverflowError
         section, name = key.split(".")
         spec = default_spec()
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -704,6 +712,22 @@ class TestCli:
         rows = (out / "summary.csv").read_text().splitlines()[2:]
         assert sum("failed: injected cell failure" in r for r in rows) == 1
         assert sum(",ok," in r for r in rows) == 8
+
+    @pytest.mark.parametrize("command", ["run", "grid", "ablate"])
+    def test_out_that_is_a_file_exits_two_before_any_run(self, tmp_path, capsys,
+                                                         monkeypatch, command):
+        # ablate used to run all 18 experiments and then die on the directory
+        def no_run(spec):
+            pytest.fail("an experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcac: ") and str(out) in err
 
     # each case's spec file text (None: no file) and a name its error holds
     SPEC_ERRORS = {
@@ -913,3 +937,45 @@ class TestAblation:
         with pytest.raises(ValueError, match="open-loop"):
             harness.run_ablation(replace(default_spec(), t_open=0.0))
         assert calls == []
+
+
+class TestSweepCells:
+    """A grid or ablation cell is its base spec with only the plant's omega,
+    mu and seed replaced, so every other plant field reaches every cell."""
+
+    SWEPT = ("omega", "mu", "seed")
+
+    @staticmethod
+    def base():
+        spec = default_spec()
+        return replace(spec, plant=replace(spec.plant, kappa=3e4, amp_scale=40.0,
+                                           noise_std=0.5))
+
+    def assert_carry_base_plant(self, cells, base):
+        for cell in cells:
+            for f in fields(EmulatorParams):
+                if f.name not in self.SWEPT:
+                    assert getattr(cell.plant, f.name) == getattr(base.plant, f.name), \
+                        f.name
+
+    def test_grid_cells(self):
+        base = self.base()
+        cells = harness.grid_specs(base, base_seed=5)
+        self.assert_carry_base_plant(cells, base)
+        assert ([(c.plant.omega, c.plant.mu, c.plant.seed) for c in cells]
+                == [(g.omega, g.mu, g.seed) for g in operating_grid(5)])
+        for cell in cells:
+            assert replace(cell, plant=base.plant) == base
+
+    def test_ablation_cells(self, monkeypatch):
+        calls = stub_runs(monkeypatch)
+        base = self.base()
+        harness.run_ablation(base, base_seed=5)
+        assert len(calls) == 18
+        self.assert_carry_base_plant(calls, base)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_default_spec_is_mid_grid_cell(self, seed):
+        assert default_spec(seed).plant == operating_grid(seed)[4]
+        assert harness.grid_specs(default_spec(seed), base_seed=seed)[4] == \
+            default_spec(seed)

@@ -345,7 +345,8 @@ class TestSaturate:
 
 class TestHorizonWeights:
     def test_output_weighted_defaults(self):
-        w = HorizonWeights.output_weighted(10, 1)
+        # the stock weights are PcacConfig's; output_weighted has no defaults
+        w = PcacConfig().weights
         assert w.ell == 20
         assert w.R1[0, 0] == 1.0 and np.count_nonzero(w.R1) == 1
         assert w.R2[0, 0] == pytest.approx(1e-2)
