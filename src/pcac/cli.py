@@ -77,12 +77,12 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    """An unreadable record or a window of under two samples exits with 2."""
+    """A bad record or --out, or a window of under two samples, exits with 2."""
     record = _or_exit_2(harness.read_record, args.record)
     window = (record.t >= args.t_start) & (record.t <= args.t_end)
     freqs, amps = _or_exit_2(harness.amplitude_spectrum, record.y[window], record.t_s)
     out = args.out or args.record.removesuffix(".csv") + ".spectrum.csv"
-    harness.write_csv(out, "frequency_hz,amplitude\n", [freqs, amps])
+    _or_exit_2(harness.write_csv, out, "frequency_hz,amplitude\n", [freqs, amps])
     print(f"spectrum written to {out}")
     return 0
 

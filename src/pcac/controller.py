@@ -71,7 +71,7 @@ class PcacConfig:
                 tau_n=self.tau_n, tau_d=self.tau_d, eta=self.eta, alpha=self.alpha
             ),
             "weights": HorizonWeights.output_weighted(
-                dims.n_state, self.m, self.ell, self.r2),
+                dims.n_state, self.p, self.m, self.ell, self.r2),
             "bounds": SaturationBounds.symmetric(self.u_sat, self.m),
         }
         for name, value in derived.items():
@@ -80,7 +80,7 @@ class PcacConfig:
 
 @dataclass
 class PcacState:
-    """Controller state between samples.
+    """Controller state between samples: what the next step reads.
 
     Every field but ``arx`` and ``sweep`` is a value that a step never
     writes into.  Those two, made once by :func:`pcac_init`, are the step's
@@ -93,8 +93,6 @@ class PcacState:
     history: IoHistory
     u_implemented: np.ndarray
     u_requested: np.ndarray
-    fault_count: int = 0
-    last_fault: str | None = None
     arx: ArxBuffers = field(kw_only=True, repr=False, compare=False)
     sweep: SweepBuffers = field(kw_only=True, repr=False, compare=False)
 
@@ -117,11 +115,14 @@ def pcac_init(cfg: PcacConfig) -> PcacState:
 
 
 def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
-    """Advance one sample: returns (u_next_requested, u_next_implemented, state).
+    """Advance one sample: returns (next state, fault).
 
-    On a numerical failure inside the optimizer the previous implemented
-    control is held for one step and the event is flagged on the returned
-    state; identification still advances.
+    The next state holds the controls for the next sample.  ``fault`` is
+    None, or the message of the NumericalError that the step caught from the
+    Riccati sweep, the gain or a non-finite request; the step then holds the
+    previous requested and implemented controls, and identification still
+    advances.  A NumericalError from the RLS update propagates, and
+    ``state`` is left as it was passed in.
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
     arx, sweep = state.arx, state.sweep
@@ -149,10 +150,8 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
         rls=rls_next,
         history=state.history.push(y_k, state.u_implemented),
         u_implemented=u_impl,
-        u_requested=np.atleast_1d(u_req),
-        fault_count=state.fault_count + (1 if fault else 0),
-        last_fault=fault,
+        u_requested=u_req,
         arx=arx,
         sweep=sweep,
     )
-    return new_state.u_requested, new_state.u_implemented, new_state
+    return new_state, fault

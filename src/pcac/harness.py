@@ -166,13 +166,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             break
         if k >= k_switch:
             t0 = time.perf_counter()
-            _, _, ctrl = pcac_step(ctrl, np.array([y[k]]), spec.controller)
+            ctrl, fault = pcac_step(ctrl, np.array([y[k]]), spec.controller)
             wall[k] = time.perf_counter() - t0
             log(k + 1, ctrl)
+            record.fault_count += fault is not None
         state = plant_zoh_step(state, u[k], params, spec.t_s)
 
-    if ctrl is not None:
-        record.fault_count = ctrl.fault_count
     if spec.output_path is not None:
         write_record(record, spec.output_path)
     return record

@@ -58,10 +58,10 @@ class HorizonWeights:
             raise ValueError("R2 must be positive definite")
 
     @classmethod
-    def output_weighted(cls, n_state: int, m: int, ell: int, r2: float):
-        """Weights penalizing only the first state block (the output)."""
+    def output_weighted(cls, n_state: int, p: int, m: int, ell: int, r2: float):
+        """Weights on the first state block, the p outputs: R1 = P_terminal = C'C."""
         R1 = np.zeros((n_state, n_state))
-        R1[0, 0] = 1.0
+        R1[:p, :p] = np.eye(p)
         return cls(ell=ell, R1=R1, R2=r2 * np.eye(m), P_terminal=R1)
 
 

@@ -32,9 +32,10 @@ def run_sequence(cfg, measurements):
     state = pcac_init(cfg)
     u_req, u = [], []
     for y in measurements:
-        r, i, state = pcac_step(state, np.atleast_1d(y), cfg)
-        u_req.append(r.copy())
-        u.append(i.copy())
+        state, fault = pcac_step(state, np.atleast_1d(y), cfg)
+        assert fault is None
+        u_req.append(state.u_requested)
+        u.append(state.u_implemented)
     return u_req, u, state
 
 
@@ -104,10 +105,9 @@ class TestInit:
 class TestStep:
     def test_near_zero_model_requests_near_zero_control(self):
         cfg = PcacConfig()
-        state = pcac_init(cfg)
-        u_req, u_impl, _ = pcac_step(state, np.array([50.0]), cfg)
-        assert abs(u_req[0]) < 1e-3
-        assert abs(u_impl[0]) < 1e-3
+        state, _ = pcac_step(pcac_init(cfg), np.array([50.0]), cfg)
+        assert abs(state.u_requested[0]) < 1e-3
+        assert abs(state.u_implemented[0]) < 1e-3
 
     def test_deterministic(self):
         cfg = PcacConfig()
@@ -166,9 +166,9 @@ class TestStep:
             expect_req = K @ x_next
             expect_impl = saturate(expect_req, cfg.bounds)
 
-            u_req, u_impl, state = pcac_step(state, y_k, cfg)
-            np.testing.assert_array_equal(u_req, expect_req)
-            np.testing.assert_array_equal(u_impl, expect_impl)
+            state, _ = pcac_step(state, y_k, cfg)
+            np.testing.assert_array_equal(state.u_requested, expect_req)
+            np.testing.assert_array_equal(state.u_implemented, expect_impl)
             np.testing.assert_array_equal(state.rls.theta, rls_next.theta)
         assert max(betas) > 1.0
 
@@ -185,7 +185,7 @@ class TestStep:
             kept = [a.copy() for a in arrays]
             rls_update(rls, build_regressor(history, cfg.dims), y, cfg.forgetting)
             history.push(y, rng.standard_normal(1))
-            _, _, state = pcac_step(state, y, cfg)
+            state, _ = pcac_step(state, y, cfg)
             for a, b in zip(arrays, kept):
                 np.testing.assert_array_equal(a, b)
 
@@ -208,7 +208,7 @@ class TestStep:
         for _ in range(2000):
             y = -f1 * y1 - f2 * y2 + g1 * u1 + g2 * u2
             u_now = state.u_implemented[0]  # returned by the previous step
-            _, _, state = pcac_step(state, np.array([y]), cfg)
+            state, _ = pcac_step(state, np.array([y]), cfg)
             y2, y1 = y1, y
             u2, u1 = u1, u_now
             ys.append(abs(y))
@@ -240,8 +240,7 @@ class TestStep:
             monkeypatch.setattr(controller, name,
                                 counted(name, getattr(controller, name)))
         cfg = PcacConfig()
-        _, _, state = run_sequence(cfg, np.linspace(0.5, -0.5, 5))
-        assert state.fault_count == 0
+        run_sequence(cfg, np.linspace(0.5, -0.5, 5))  # which asserts no fault
         assert calls == dict.fromkeys(names, 5)
 
     def test_riccati_fault_holds_previous_control(self, monkeypatch):
@@ -252,17 +251,16 @@ class TestStep:
         rng = np.random.default_rng(35)
         state = pcac_init(cfg)
         for y in rng.normal(0, 30, 20):
-            _, _, state = pcac_step(state, np.array([y]), cfg)
-        u_prev = state.u_implemented.copy()
+            state, _ = pcac_step(state, np.array([y]), cfg)
 
         def boom(*a, **k):
             raise NumericalError("forced failure")
 
         monkeypatch.setattr(ctl, "riccati_backward", boom)
-        u_req, u_impl, new_state = pcac_step(state, np.array([1.0]), cfg)
-        np.testing.assert_array_equal(u_impl, u_prev)
-        assert new_state.fault_count == state.fault_count + 1
-        assert new_state.last_fault is not None
+        new_state, fault = pcac_step(state, np.array([1.0]), cfg)
+        assert fault == "forced failure"
+        np.testing.assert_array_equal(new_state.u_implemented, state.u_implemented)
+        np.testing.assert_array_equal(new_state.u_requested, state.u_requested)
         assert new_state.rls.step == state.rls.step + 1  # identification still advanced
 
 
@@ -272,9 +270,10 @@ class TestBufferOwnership:
 
     @staticmethod
     def outputs(steps):
-        # every step's (u_req, u_impl) and the state's values, as bytes
-        return [b"".join(a.tobytes() for a in (r, i, s.rls.theta, s.rls.psi))
-                for r, i, s in steps]
+        # every step's controls and estimate, as bytes, and its fault
+        return [(b"".join(a.tobytes() for a in (s.u_requested, s.u_implemented,
+                                                 s.rls.theta, s.rls.psi)), fault)
+                for s, fault in steps]
 
     def test_interleaved_controllers_match_lone_runs(self):
         cfg = PcacConfig(tau_n=5, tau_d=20)
@@ -285,14 +284,14 @@ class TestBufferOwnership:
         steps_a, steps_b = [], []
         for y_a, y_b in zip(ys_a, ys_b):
             steps_a.append(pcac_step(a, y_a, cfg))
-            a = steps_a[-1][2]
+            a = steps_a[-1][0]
             steps_b.append(pcac_step(b, y_b, cfg))
-            b = steps_b[-1][2]
+            b = steps_b[-1][0]
         for ys, steps in ((ys_a, steps_a), (ys_b, steps_b)):
             state, alone = pcac_init(cfg), []
             for y in ys:
                 alone.append(pcac_step(state, y, cfg))
-                state = alone[-1][2]
+                state = alone[-1][0]
             assert self.outputs(steps) == self.outputs(alone)
 
     def test_stepping_a_state_twice_repeats_and_leaves_it(self):
@@ -332,19 +331,39 @@ class TestBufferOwnership:
 
         with monkeypatch.context() as patch:
             patch.setattr(controller, "riccati_backward", boom)
-            _, _, state = pcac_step(state, np.array([3.0]), cfg)
-        assert state.last_fault == "forced failure"
+            state, fault = pcac_step(state, np.array([3.0]), cfg)
+        assert fault == "forced failure"
         fresh = pcac_init(cfg)
         twin = replace(state, arx=fresh.arx, sweep=fresh.sweep)
         assert twin.sweep is not state.sweep and twin.arx is not state.arx
         steps, twin_steps = [], []
         for y in rng.normal(0, 30, (20, 1)):
             steps.append(pcac_step(state, y, cfg))
-            state = steps[-1][2]
+            state = steps[-1][0]
             twin_steps.append(pcac_step(twin, y, cfg))
-            twin = twin_steps[-1][2]
+            twin = twin_steps[-1][0]
         assert self.outputs(steps) == self.outputs(twin_steps)
-        assert state.fault_count == twin.fault_count == 1
+        assert [fault for _, fault in steps] == [None] * 20
+
+    def test_rls_fault_propagates_and_leaves_the_state(self, monkeypatch):
+        # only the optimizer's faults are held: one from the update raises,
+        # and the state it was given then steps as one that never faulted
+        from pcac.errors import NumericalError
+
+        cfg = PcacConfig(tau_n=5, tau_d=20)
+        ys = np.random.default_rng(39).normal(0, 30, (41, 1))
+        _, _, state = run_sequence(cfg, ys[:40])
+        _, _, twin = run_sequence(cfg, ys[:40])
+
+        def boom(*args):
+            raise NumericalError("forced RLS failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(controller, "rls_update", boom)
+            with pytest.raises(NumericalError, match="forced RLS failure"):
+                pcac_step(state, ys[40], cfg)
+        assert (self.outputs([pcac_step(state, ys[40], cfg)])
+                == self.outputs([pcac_step(twin, ys[40], cfg)]))
 
 
 def noisy_shift_spec(seed):
@@ -355,6 +374,23 @@ def noisy_shift_spec(seed):
     return replace(base, plant=replace(base.plant, noise_std=0.5),
                    t_total=t_event + 1.5, omega_shift_time=t_event,
                    omega_shift_factor=1.1, kick_q=1.0)
+
+
+def test_written_record_replays_bit_for_bit(tmp_path):
+    # the state is all that a step carries: the record's closed-loop outputs,
+    # fed to a fresh controller, give back its controls to the bit
+    spec = replace(noisy_shift_spec(0), output_path=str(tmp_path / "record.csv"))
+    run_experiment(spec)
+    rec = harness.read_record(spec.output_path)
+    state = pcac_init(spec.controller)
+    u_req, u = [state.u_requested[0]], [state.u_implemented[0]]
+    for y in rec.y[rec.k_switch : -1]:
+        state, fault = pcac_step(state, np.array([y]), spec.controller)
+        assert fault is None
+        u_req.append(state.u_requested[0])
+        u.append(state.u_implemented[0])
+    assert u_req == rec.u_req[rec.k_switch :].tolist()
+    assert u == rec.u[rec.k_switch :].tolist()
 
 
 class TestAgainstTextbookLayers:
@@ -481,11 +517,11 @@ class TestAgainstLeastSquaresOracle:
                 history=IoHistory(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))),
                 u_implemented=rng.normal(size=1))
             y_k = rng.normal(size=1)
-            u_req, _, new = pcac_step(state, y_k, cfg)
+            new, fault = pcac_step(state, y_k, cfg)
             theta = new.rls.theta
             assert (spectral_radius(theta, n) > 1.0) == unstable, draw
-            assert new.fault_count == 0, draw
-            assert self.check(state, y_k, u_req, theta, cfg), draw
+            assert fault is None, draw
+            assert self.check(state, y_k, new.u_requested, theta, cfg), draw
 
     def test_steps_of_default_run(self, monkeypatch):
         step, seen, k = harness.pcac_step, [], [0]
@@ -500,8 +536,8 @@ class TestAgainstLeastSquaresOracle:
         monkeypatch.setattr(harness, "pcac_step", capture)
         run_experiment(default_spec(0))
         assert len(seen) == 6
-        for i, (state, y_k, (u_req, _, new), cfg) in enumerate(seen):
-            theta = new.rls.theta
+        for i, (state, y_k, (new, _), cfg) in enumerate(seen):
+            u_req, theta = new.u_requested, new.rls.theta
             assert self.check(state, y_k, u_req, theta, cfg), i
             if i >= 2:  # past the prior, the horizon's length shows
                 for ell in (cfg.ell - 1, cfg.ell + 1):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pcac import (
     EmulatorParams,
     ExperimentSpec,
+    NumericalError,
     PcacConfig,
     amplitude_spectrum,
     default_spec,
@@ -28,7 +29,7 @@ from pcac import (
     write_record,
     write_spec_file,
 )
-from pcac import harness
+from pcac import controller, harness
 from pcac.cli import main as cli_main
 from pcac.harness import MAX_SAMPLES, RECORD_COLUMNS
 from test_arx import split_coefficients
@@ -398,7 +399,7 @@ class TestRunExperiment:
             result = step(state, y, cfg)
             if not thetas:
                 thetas.append(state.rls.theta.copy())
-            thetas.append(result[2].rls.theta.copy())
+            thetas.append(result[0].rls.theta.copy())
             return result
 
         monkeypatch.setattr(harness, "pcac_step", capture)
@@ -785,27 +786,47 @@ class TestCli:
         assert (out / "record.spectrum.csv").exists()
 
     @pytest.mark.parametrize("case", ["empty_window", "one_sample_window",
-                                      "missing_record", "not_a_record"])
+                                      "missing_record", "not_a_record",
+                                      "out_is_a_directory"])
     def test_spectrum_input_error_exits_two(self, tmp_path, spec_file, capsys,
                                             case):
+        # the directory case used to exit 1 with an IsADirectoryError traceback
         record = str(tmp_path / "out" / "record.csv")
         cli_main(["run", "--spec", spec_file, "--out", str(tmp_path / "out"),
                   "--open-loop-only"])
         argv = ["spectrum", "--record", record, "--out", str(tmp_path / "s.csv")]
+        named = "two samples"
         if case == "empty_window":
             argv += ["--t-start", "9.0"]
         elif case == "one_sample_window":
             argv += ["--t-start", "1.0", "--t-end", "1.0"]
         elif case == "missing_record":
-            argv[2] = str(tmp_path / "missing.csv")
+            argv[2] = named = str(tmp_path / "missing.csv")
+        elif case == "not_a_record":
+            argv[2] = named = spec_file
         else:
-            argv[2] = spec_file
+            argv[4] = named = str(tmp_path / "out")
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("pcac: ")
+        err = capsys.readouterr().err
+        assert err.startswith("pcac: ") and named in err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_rls_fault_fails_the_run_and_the_cell(self, tmp_path, spec_file,
+                                                  capsys, monkeypatch):
+        # a fault from the update is not held as the optimizer's are: the
+        # run stops with status 1, and a sweep reports it as the cell's status
+        def boom(*args):
+            raise NumericalError("forced RLS failure")
+
+        monkeypatch.setattr(controller, "rls_update", boom)
+        assert cli_main(["run", "--spec", spec_file,
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "run failed: forced RLS failure" in capsys.readouterr().err
+        assert ([row["status"] for row in harness.run_grid(short_spec())]
+                == ["failed: forced RLS failure"] * 9)
 
     def test_sweeps_have_no_workers_option(self):
         for command in ("grid", "ablate"):

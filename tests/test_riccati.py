@@ -63,7 +63,7 @@ def random_problem(rng, bocf, shape=None):
     if bocf:
         A, B, _ = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)),
                                 ModelDims(n, 1, m))
-        return A, B, HorizonWeights.output_weighted(n, m, ell=ell, r2=r2)
+        return A, B, HorizonWeights.output_weighted(n, p=1, m=m, ell=ell, r2=r2)
     A, B = random_stable_system(rng, n, m, sprad=rng.uniform(0.5, 1.2))
     return A, B, HorizonWeights(ell=ell, R1=np.eye(n), R2=r2 * np.eye(m),
                                 P_terminal=np.eye(n))
@@ -156,7 +156,7 @@ class TestRiccatiBackward:
         for _ in range(60):
             A, B, _ = assemble_bocf(0.5 * rng.standard_normal(18),
                                     ModelDims(6, 1, 2))
-            w = HorizonWeights.output_weighted(6, 2, ell=40, r2=1e-3)
+            w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
             P_ref = textbook_riccati_backward(A, B, w)
             assert max_rel_gap(riccati_backward(A, B, w), P_ref) <= ORACLE_RTOL
 
@@ -177,7 +177,7 @@ class TestScratchBuffers:
         rng = np.random.default_rng(seed)
         A, B, _ = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)),
                                 ModelDims(6, 1, m))
-        return A, B, HorizonWeights.output_weighted(6, m, ell=ell, r2=1e-2)
+        return A, B, HorizonWeights.output_weighted(6, p=1, m=m, ell=ell, r2=1e-2)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("ell", [1, 2, 20])
@@ -248,7 +248,7 @@ class TestSweepBuffers:
             (n, m), out = B.shape, SweepBuffers(*B.shape)
             cheap = HorizonWeights(ell=3, R1=np.eye(n), R2=1e-3 * np.eye(m),
                                    P_terminal=np.eye(n))
-            dear = HorizonWeights.output_weighted(n, m, ell=30, r2=3.0)
+            dear = HorizonWeights.output_weighted(n, p=1, m=m, ell=30, r2=3.0)
             for w in (cheap, dear, cheap, dear):
                 K = control_gain(A, B, w.R2, riccati_backward(A, B, w, out), out)
                 K_ref = textbook_control_gain(
@@ -350,6 +350,23 @@ class TestHorizonWeights:
         assert w.ell == 20
         assert w.R1[0, 0] == 1.0 and np.count_nonzero(w.R1) == 1
         assert w.R2[0, 0] == pytest.approx(1e-2)
+
+    def test_output_weighted_weights_every_output(self):
+        # F_1 = -1.05 I and G_1 = [0; 1]: A = 1.05 I, B = [0; 1], so only the
+        # second output is controllable.  Weighting the first output alone
+        # left K = 0 and the second output unstable at 1.05.
+        cfg = PcacConfig(n_hat=1, p=2)
+        A, B, C = assemble_bocf(np.array([-1.05, 0.0, 0.0, -1.05, 0.0, 1.0]),
+                                cfg.dims)
+        w = cfg.weights
+        np.testing.assert_array_equal(w.R1, C.T @ C)
+        np.testing.assert_array_equal(w.P_terminal, C.T @ C)
+        K = control_gain(A, B, w.R2, riccati_backward(A, B, w))
+        closed = A + B @ K
+        assert closed[0, 1] == 0.0  # lower triangular: [1, 1] is output 2's pole
+        assert abs(closed[1, 1]) < 1.0
+        _, _, C = assemble_bocf(np.zeros(18), PcacConfig(n_hat=3, p=2).dims)
+        np.testing.assert_array_equal(PcacConfig(n_hat=3, p=2).weights.R1, C.T @ C)
 
     def test_extreme_r2_symmetrises_exactly(self):
         # no overflow near the float maximum, no underflow of a subnormal
