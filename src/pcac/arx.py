@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import COUNT, check_fields
+
 
 @dataclass(frozen=True)
 class ModelDims:
@@ -30,10 +32,7 @@ class ModelDims:
     m: int = 1
 
     def __post_init__(self):
-        if self.n_hat < 1:
-            raise ValueError("model order n_hat must be >= 1")
-        if self.p < 1 or self.m < 1:
-            raise ValueError("signal dimensions p, m must be >= 1")
+        check_fields(self, [(name, COUNT) for name in ("n_hat", "p", "m")])
 
     @property
     def n_theta(self) -> int:

@@ -62,8 +62,7 @@ def _any_failed(rows: list[dict]) -> int:
 
 def _cmd_grid(args) -> int:
     spec = _load_spec(args)
-    _or_exit_2(os.makedirs, args.out, exist_ok=True)
-    summary = harness.run_grid(spec, out_dir=args.out, base_seed=args.seed or 0)
+    summary = _or_exit_2(harness.run_grid, spec, args.out, args.seed or 0)
     for row in summary:
         line = (f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, "
                 f"mu={row['mu']:.2f}): {row['status']}")

@@ -19,7 +19,7 @@ from .arx import (
     build_regressor,
     compute_bocf_state,
 )
-from .errors import FINITE, INTEGER, NONNEGATIVE, POSITIVE, NumericalError, check_fields
+from .errors import FINITE, NONNEGATIVE, POSITIVE, NumericalError, check_fields
 from .riccati import (
     HorizonWeights,
     SaturationBounds,
@@ -58,12 +58,9 @@ class PcacConfig:
     bounds: SaturationBounds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The derived objects check eta, alpha and the integers' ranges by name;
-        # these floats they do not see or would report as R2 and u_min.
-        ints = ("n_hat", "p", "m", "tau_n", "tau_d", "ell")
-        check_fields(self, [(name, INTEGER) for name in ints] + [
-            ("theta0_scale", FINITE), ("psi0_scale", POSITIVE),
-            ("r2", POSITIVE), ("u_sat", NONNEGATIVE)])
+        # checked here: the derived objects see these late, or as R2 and u_min
+        check_fields(self, (("theta0_scale", FINITE), ("psi0_scale", POSITIVE),
+                            ("r2", POSITIVE), ("u_sat", NONNEGATIVE)))
         dims = ModelDims(n_hat=self.n_hat, p=self.p, m=self.m)
         derived = {
             "dims": dims,
@@ -76,6 +73,8 @@ class PcacConfig:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        if self.p > 1 and self.tau_d <= self.p + 3:  # see rls.multivariable_dof
+            raise ValueError(f"tau_d must exceed p + 3 = {self.p + 3}, got {self.tau_d}")
 
 
 @dataclass

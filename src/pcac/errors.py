@@ -30,6 +30,7 @@ FINITE = float_rule(math.isfinite, "finite")
 POSITIVE = float_rule(lambda v: 0 < v < math.inf, "positive and finite")
 NONNEGATIVE = float_rule(lambda v: 0 <= v < math.inf, "finite and >= 0")
 INTEGER = (lambda v: isinstance(v, Integral), "an integer")
+COUNT = (lambda v: isinstance(v, Integral) and v >= 1, "an integer >= 1")
 
 
 def check_fields(obj, rules) -> None:

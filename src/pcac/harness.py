@@ -317,14 +317,18 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
 # Sweeps
 
 
-def _sweep(specs: list[ExperimentSpec], measure) -> list[dict]:
+def _sweep(specs: list[ExperimentSpec], measure, out_dir: str | None,
+           rows_file: str, comment: str) -> list[dict]:
     """One row per cell: its operating point, ``status`` and ``measure(spec)``.
 
     The cells run one after another in this process, so the step timings in
     the rows are single-process timings.  A cell whose ``measure`` raises
     gets ``status = "failed: <reason>"`` and no measurements; the sweep goes
-    on with the next cell.
+    on with the next cell.  Given ``out_dir``, the sweep makes it before the
+    first cell and writes the rows to ``out_dir/rows_file`` after the last.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     rows = []
     for index, spec in enumerate(specs):
         row = {
@@ -338,6 +342,8 @@ def _sweep(specs: list[ExperimentSpec], measure) -> list[dict]:
         except Exception as exc:  # per-cell failures must not abort the sweep
             row["status"] = f"failed: {exc}"
         rows.append(row)
+    if out_dir is not None:
+        write_dict_rows(rows, f"{out_dir}/{rows_file}", comment=comment)
     return rows
 
 
@@ -362,19 +368,13 @@ def run_grid(
     """
     specs = grid_specs(base, base_seed=base_seed)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        specs = [
-            replace(s, output_path=f"{out_dir}/cell_{i}.csv")
-            for i, s in enumerate(specs)
-        ]
-    summary = _sweep(specs, lambda spec: experiment_metrics(run_experiment(spec)))
-    if out_dir is not None:
-        write_dict_rows(summary, f"{out_dir}/summary.csv", comment=(
-            "suppression time: first time after the switch at which the trailing "
-            "100 ms RMS drops below 1% of the RMS over the 0.5 s before the "
-            "switch; attenuation compares the same pre-switch RMS with the final "
-            "0.5 s RMS"))
-    return summary
+        specs = [replace(s, output_path=f"{out_dir}/cell_{i}.csv")
+                 for i, s in enumerate(specs)]
+    return _sweep(
+        specs, lambda spec: experiment_metrics(run_experiment(spec)), out_dir,
+        "summary.csv", "suppression time: first time after the switch at which the "
+        "trailing 100 ms RMS drops below 1% of the RMS over the 0.5 s before the "
+        "switch; attenuation compares the same pre-switch RMS with the final 0.5 s RMS")
 
 
 def run_ablation(
@@ -402,8 +402,6 @@ def run_ablation(
     t_event = base.t_open + ABLATION_DELAY_S
     shifted = replace(base, t_total=t_event + ABLATION_TAIL_S, omega_shift_time=t_event,
                       omega_shift_factor=ABLATION_OMEGA_FACTOR, kick_q=ABLATION_KICK_Q)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
 
     def measure(spec):
         cfg_off = replace(spec.controller, eta=0.0)
@@ -415,12 +413,10 @@ def run_ablation(
             "fault_count": rec_on.fault_count + rec_off.fault_count,
         }
 
-    rows = _sweep(grid_specs(shifted, base_seed=base_seed), measure)
-    if out_dir is not None:
-        write_dict_rows(rows, f"{out_dir}/ablation.csv", comment=(
-            "re-suppression time: seconds from the plant change until the "
-            "trailing 100 ms RMS is permanently below 1% of the pre-switch RMS"))
-    return rows
+    return _sweep(
+        grid_specs(shifted, base_seed=base_seed), measure, out_dir, "ablation.csv",
+        "re-suppression time: seconds from the plant change until the trailing "
+        "100 ms RMS is permanently below 1% of the pre-switch RMS")
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +449,24 @@ def write_record(record: ExperimentRecord, path: str) -> None:
 
 
 def read_record(path: str) -> ExperimentRecord:
-    """A record written by :func:`write_record`; ValueError if it is not one."""
+    """A record written by :func:`write_record`; ValueError naming ``path`` if not."""
     with open(path) as fh:
         meta = dict(i.partition("=")[::2] for i in fh.readline().lstrip("# ").split())
         header = fh.readline().strip().split(",")
         if header != list(RECORD_COLUMNS) or not {"k_switch", "t_s"} <= meta.keys():
             raise ValueError(f"{path} is not a record file")
-        dtype = list(RECORD_COLUMNS.items())
-        data = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1)
-    return ExperimentRecord(
-        **{c: data[c] for c in RECORD_COLUMNS},
-        step_wall=np.zeros(data.size),
-        k_switch=int(meta["k_switch"]),
-        t_s=float(meta["t_s"]),
-    )
+        body = fh.tell()
+        if not fh.readline().strip():  # np.loadtxt only warns on an empty body
+            raise ValueError(f"{path} has no rows")
+        fh.seek(body)
+        data = np.loadtxt(fh, delimiter=",", dtype=list(RECORD_COLUMNS.items()), ndmin=1)
+    k_switch, t_s = int(meta["k_switch"]), float(meta["t_s"])
+    if not 0 < t_s < math.inf:
+        raise ValueError(f"{path}: t_s must be positive and finite, got {t_s!r}")
+    if not 0 <= k_switch < data.size:
+        raise ValueError(f"{path}: k_switch {k_switch} is not in [0, {data.size - 1}]")
+    return ExperimentRecord(**{c: data[c] for c in RECORD_COLUMNS},
+                            step_wall=np.zeros(data.size), k_switch=k_switch, t_s=t_s)
 
 
 def write_dict_rows(rows: list[dict], path: str, comment: str | None = None) -> None:

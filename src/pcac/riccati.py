@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import COUNT, NumericalError, check_fields
 
 _COND_LIMIT = 1e12
 
@@ -38,13 +38,14 @@ class HorizonWeights:
     P_terminal: np.ndarray
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("horizon ell must be >= 1")
+        check_fields(self, (("ell", COUNT),))
         for name in ("R1", "R2", "P_terminal"):
-            object.__setattr__(self, name, _read_only(getattr(self, name), 2))
-            shape = getattr(self, name).shape
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError(f"{name} must be a square matrix, got shape {shape}")
+            M = _read_only(getattr(self, name), 2)
+            object.__setattr__(self, name, M)
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
         if self.P_terminal.shape != self.R1.shape:
             raise ValueError(
                 f"P_terminal {self.P_terminal.shape} must have R1's shape "
@@ -77,8 +78,8 @@ class SaturationBounds:
             object.__setattr__(self, name, _read_only(getattr(self, name), 1))
         if self.u_min.shape != self.u_max.shape:
             raise ValueError("u_min and u_max shapes differ")
-        if np.any(self.u_min > self.u_max):
-            raise ValueError("u_min must not exceed u_max")
+        if not np.all(self.u_min <= self.u_max):  # also refuses NaN
+            raise ValueError(f"need u_min <= u_max, got {self.u_min} and {self.u_max}")
 
     @classmethod
     def symmetric(cls, level: float, m: int = 1) -> "SaturationBounds":

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NONNEGATIVE, NumericalError, check_fields, float_rule
+from .errors import COUNT, NONNEGATIVE, NumericalError, check_fields, float_rule
 
 # Long-window variance below this is treated as "perfect prediction": no
 # evidence of model change, so no forgetting.
@@ -50,11 +50,10 @@ class ForgettingConfig:
     alpha: float = 0.001
 
     def __post_init__(self):
-        if not 1 <= self.tau_n < self.tau_d:
-            raise ValueError("need 1 <= tau_n < tau_d")
         # the F-test reads the 1 - alpha quantile: 1 - alpha must lie in (0, 1) in floats
         check_fields(self, (
-            ("eta", NONNEGATIVE),
+            ("tau_n", COUNT), ("tau_d", COUNT), ("eta", NONNEGATIVE),
+            ("tau_n", (lambda v: v < self.tau_d, f"below tau_d = {self.tau_d}")),
             ("alpha",
              float_rule(lambda v: 0 < 1.0 - v < 1.0, "in (0, 1) with 1 - alpha < 1")),
         ))
@@ -74,8 +73,10 @@ class RlsState:
         cls, theta0: np.ndarray, psi0_scale: float, cfg: ForgettingConfig, p: int = 1
     ) -> "RlsState":
         theta0 = np.asarray(theta0, dtype=float).reshape(-1)
-        if psi0_scale <= 0:
-            raise ValueError("psi0_scale must be positive")
+        if not 0 < psi0_scale < math.inf:
+            raise ValueError(f"psi0_scale must be positive and finite, got {psi0_scale!r}")
+        if not np.isfinite(theta0).all():
+            raise ValueError("theta0 must be finite")
         psi0 = psi0_scale * np.eye(theta0.size)
         # The F-test waits until every zero row is shifted out (rls_update).
         return cls(theta0, psi0, np.zeros((cfg.tau_d + 1, p)), 0)

@@ -1,7 +1,7 @@
 """End-to-end acceptance gate.
 
 One test per release criterion, each printing a single PASS line with the
-measured numbers.  Oracles (quadrature F-distribution CDF, regularized batch
+measured numbers, and a bit-for-bit replay of criterion 6's cell records.  Oracles (quadrature F-distribution CDF, regularized batch
 least squares, the algebraic Riccati fixed point) are independent of the
 implementation routes they check.
 """
@@ -23,6 +23,8 @@ from pcac import (
     compute_bocf_state,
     default_spec,
     inverse_f_cdf,
+    pcac_init,
+    pcac_step,
     read_record,
     riccati_backward,
     rls_update,
@@ -31,6 +33,7 @@ from pcac import (
     write_spec_file,
 )
 from pcac.cli import main as cli_main
+from pcac.harness import grid_specs
 from test_arx import predict_output
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -247,6 +250,23 @@ def test_criterion_07_saturation_invariant(grid):
     assert worst <= 8.0
     report(7, f"|u| <= 8 on every one of {rows} logged samples "
               f"(max {worst:.6f})")
+
+
+def test_grid_cell_records_replay_bit_for_bit(grid):
+    # a step carries nothing but its state: each cell's recorded closed-loop
+    # outputs, fed to a fresh controller, give back its controls to the bit
+    _, out_dir, _ = grid
+    for i, spec in enumerate(grid_specs(default_spec())):
+        rec = read_record(f"{out_dir}/cell_{i}.csv")
+        state = pcac_init(spec.controller)
+        u_req, u = [state.u_requested[0]], [state.u_implemented[0]]
+        for y in rec.y[rec.k_switch : -1]:
+            state, fault = pcac_step(state, np.array([y]), spec.controller)
+            assert fault is None, (i, fault)
+            u_req.append(state.u_requested[0])
+            u.append(state.u_implemented[0])
+        assert u_req == rec.u_req[rec.k_switch :].tolist(), i
+        assert u == rec.u[rec.k_switch :].tolist(), i
 
 
 def test_criterion_08_spectral_suppression(grid):

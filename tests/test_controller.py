@@ -7,9 +7,12 @@ from test_riccati import textbook_control_gain, textbook_riccati_backward
 from test_rls import textbook_rls_update
 
 from pcac import (
+    ForgettingConfig,
+    HorizonWeights,
     IoHistory,
     ModelDims,
     RlsState,
+    SaturationBounds,
     assemble_bocf,
     build_regressor,
     compute_bocf_state,
@@ -76,6 +79,48 @@ class TestInit:
         # at construction, not at the first step, naming the hyperparameter
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             PcacConfig(**{name: value})
+
+    @staticmethod
+    def weights(**kw):
+        return HorizonWeights(**{"ell": 5, "R1": np.eye(2), "R2": np.eye(1),
+                                 "P_terminal": np.eye(2), **kw})
+
+    # (builder, the field its error names): each derived class refuses its
+    # own bad field when built on its own.  Each of these used to construct:
+    # tau_n = 40.5 then raised TypeError at step tau_d, a non-finite R2 faulted
+    # every step, a NaN bound gave NaN controls, and p = 2 with tau_d = 5
+    # raised at the sixth step.
+    OWN_FIELD_ERRORS = {
+        "fractional_tau_n": (lambda: ForgettingConfig(tau_n=40.5), "tau_n"),
+        "fractional_tau_d": (lambda: ForgettingConfig(tau_d=200.5), "tau_d"),
+        "fractional_n_hat": (lambda: ModelDims(n_hat=2.5), "n_hat"),
+        "fractional_ell": (lambda: TestInit.weights(ell=2.5), "ell"),
+        "nan_R2": (lambda: TestInit.weights(R2=[[np.nan]]), "R2"),
+        "inf_R2": (lambda: TestInit.weights(R2=[[np.inf]]), "R2"),
+        "nan_R1": (lambda: TestInit.weights(R1=[[np.nan, 0.0], [0.0, 1.0]]), "R1"),
+        "inf_P_terminal": (lambda: TestInit.weights(P_terminal=np.diag([1.0, np.inf])),
+                           "P_terminal"),
+        "nan_u_min": (lambda: SaturationBounds([np.nan], [1.0]), "u_min"),
+        "nan_u_max": (lambda: SaturationBounds([-1.0], [np.nan]), "u_max"),
+        "nan_psi0_scale": (lambda: RlsState.initialize(np.zeros(2), np.nan,
+                                                       ForgettingConfig()), "psi0_scale"),
+        "inf_psi0_scale": (lambda: RlsState.initialize(np.zeros(2), np.inf,
+                                                       ForgettingConfig()), "psi0_scale"),
+        "nan_theta0": (lambda: RlsState.initialize(np.array([0.0, np.nan]), 1.0,
+                                                   ForgettingConfig()), "theta0"),
+        "short_tau_d_for_p": (lambda: PcacConfig(p=2, tau_n=1, tau_d=5), "tau_d"),
+    }
+
+    @pytest.mark.parametrize("case", list(OWN_FIELD_ERRORS))
+    def test_derived_class_refuses_its_own_field(self, case):
+        build, name = self.OWN_FIELD_ERRORS[case]
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            build()
+
+    def test_unbounded_actuator_and_smallest_multivariable_window_are_accepted(self):
+        b = SaturationBounds([-np.inf], [np.inf])
+        assert saturate(np.array([1e300]), b)[0] == 1e300
+        assert PcacConfig(p=2, tau_n=1, tau_d=6).forgetting.tau_d == 6
 
     def test_replace_rederives(self):
         cfg = replace(PcacConfig(), n_hat=4, m=2, eta=0.0, ell=7, r2=0.1, u_sat=3.0)

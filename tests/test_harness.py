@@ -714,6 +714,20 @@ class TestCli:
         assert sum("failed: injected cell failure" in r for r in rows) == 1
         assert sum(",ok," in r for r in rows) == 8
 
+    def test_grid_summary_path_taken_exits_two(self, tmp_path, capsys):
+        # used to run all nine cells and then exit 1 with an IsADirectoryError
+        # traceback, where ablate in the same state exited 2
+        path = str(tmp_path / "spec.txt")
+        write_spec_file(short_spec(t_total=0.35), path)
+        out = tmp_path / "grid"
+        (out / "summary.csv").mkdir(parents=True)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["grid", "--spec", path, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcac: ") and str(out / "summary.csv") in err
+        assert (out / "cell_8.csv").exists()
+
     @pytest.mark.parametrize("command", ["run", "grid", "ablate"])
     def test_out_that_is_a_file_exits_two_before_any_run(self, tmp_path, capsys,
                                                          monkeypatch, command):
@@ -785,12 +799,24 @@ class TestCli:
         assert cli_main(["spectrum", "--record", str(out / "record.csv")]) == 0
         assert (out / "record.spectrum.csv").exists()
 
+    # a record's meta line, and how many of its data rows a copy keeps
+    BAD_RECORDS = {
+        "zero_t_s": ("k_switch=1 t_s=0", 2),
+        "negative_t_s": ("k_switch=1 t_s=-0.001", 2),
+        "header_only": ("k_switch=0 t_s=0.001", 0),
+        "k_switch_past_rows": ("k_switch=7 t_s=0.001", 2),
+    }
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ["empty_window", "one_sample_window",
                                       "missing_record", "not_a_record",
-                                      "out_is_a_directory"])
+                                      "out_is_a_directory", *BAD_RECORDS])
     def test_spectrum_input_error_exits_two(self, tmp_path, spec_file, capsys,
                                             case):
-        # the directory case used to exit 1 with an IsADirectoryError traceback
+        # the directory case used to exit 1 with an IsADirectoryError traceback;
+        # t_s = 0 did too, from a ZeroDivisionError, a negative t_s exited 0 with
+        # negative frequencies, a header-only record warned, and a k_switch past
+        # the rows was read without complaint
         record = str(tmp_path / "out" / "record.csv")
         cli_main(["run", "--spec", spec_file, "--out", str(tmp_path / "out"),
                   "--open-loop-only"])
@@ -804,6 +830,12 @@ class TestCli:
             argv[2] = named = str(tmp_path / "missing.csv")
         elif case == "not_a_record":
             argv[2] = named = spec_file
+        elif case in self.BAD_RECORDS:
+            meta, rows = self.BAD_RECORDS[case]
+            lines = (tmp_path / "out" / "record.csv").read_text().splitlines(True)
+            bad = tmp_path / "bad.csv"
+            bad.write_text(f"# {meta}\n" + "".join(lines[1 : 2 + rows]))
+            argv[2] = named = str(bad)
         else:
             argv[4] = named = str(tmp_path / "out")
         capsys.readouterr()
