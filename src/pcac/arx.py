@@ -40,6 +40,11 @@ class ModelDims:
         return self.n_hat * self.p * (self.m + self.p)
 
     @property
+    def n_f(self) -> int:
+        """Length of vec[F_1 ... F_n], the head of the parameter vector."""
+        return self.n_hat * self.p * self.p
+
+    @property
     def n_state(self) -> int:
         """Dimension of the BOCF state."""
         return self.n_hat * self.p
@@ -150,8 +155,7 @@ def build_regressor(
     history.check_dims(dims)
     if out is None:
         out = ArxBuffers(dims)
-    p, phi = dims.p, out.phi
-    split = dims.n_hat * p * p
+    p, phi, split = dims.p, out.phi, dims.n_f
     for i in range(p):
         np.negative(history.y_past.ravel(), out=phi[i, i:split:p])
         phi[i, split + i :: p] = history.u_past.ravel()
@@ -172,8 +176,7 @@ def assemble_bocf(
     theta = _checked_theta(theta_next, dims)
     if out is None:
         out = ArxBuffers(dims)
-    n, p, m = dims.n_hat, dims.p, dims.m
-    split = n * p * p
+    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
     out._g[...] = theta[split:].reshape(n, m, p).transpose(0, 2, 1)
     return out.A, out.B, out.C
@@ -205,8 +208,7 @@ def compute_bocf_state(
     theta = _checked_theta(theta_next, dims)
     if out is None:
         out = ArxBuffers(dims)
-    n, p, m = dims.n_hat, dims.p, dims.m
-    split = n * p * p
+    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     # The Hankel windows are copied C-contiguous into the lag matrices,
     # because a strided operand changes the BLAS summation order.
     pasts, lags = (history.y_past, history.u_past), (out.y_lag, out.u_lag)

@@ -92,6 +92,8 @@ class ExperimentSpec:
 # The record file's columns, in file order, and the type each is written as.
 RECORD_COLUMNS = {"t": float, "y": float, "u_req": float, "u": float,
                   "theta_f_norm": float, "theta_g_norm": float, "phase": int}
+# The fields of the record file's meta line, in line order, and their types.
+RECORD_META = {"k_switch": int, "t_s": float}
 
 
 @dataclass
@@ -132,10 +134,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     th_f, th_g, wall = record.theta_f_norm, record.theta_g_norm, record.step_wall
     t[:] = np.arange(n + 1) * spec.t_s
 
-    # theta is vec F followed by vec G (see the pcac.arx docstring); the norm
-    # of each contiguous half is np.linalg.norm of F and G, to the bit.
-    dims = spec.controller.dims
-    n_f = dims.n_hat * dims.p * dims.p
+    # theta is vec F followed by vec G; the norm of each contiguous half is
+    # np.linalg.norm of F and G, to the bit.
+    n_f = spec.controller.dims.n_f
 
     def log(k: int, ctrl) -> None:
         u_req[k] = ctrl.u_requested[0]
@@ -442,25 +443,35 @@ def write_record(record: ExperimentRecord, path: str) -> None:
     Wall-clock timings are intentionally written to a separate sidecar file
     so that record files are byte-identical across reruns of the same spec.
     """
-    meta = f"# k_switch={record.k_switch} t_s={float(record.t_s)!r}\n"
+    meta = " ".join(f"{k}={cast(getattr(record, k))!r}" for k, cast in RECORD_META.items())
     columns = [np.asarray(getattr(record, c), dt) for c, dt in RECORD_COLUMNS.items()]
-    write_csv(path, meta + ",".join(RECORD_COLUMNS) + "\n", columns)
+    write_csv(path, f"# {meta}\n" + ",".join(RECORD_COLUMNS) + "\n", columns)
     write_csv(path + ".timing", "t,step_wall_s\n", [record.t, record.step_wall])
 
 
 def read_record(path: str) -> ExperimentRecord:
     """A record written by :func:`write_record`; ValueError naming ``path`` if not."""
     with open(path) as fh:
-        meta = dict(i.partition("=")[::2] for i in fh.readline().lstrip("# ").split())
+        meta = [i.partition("=")[::2] for i in fh.readline().lstrip("# ").split()]
         header = fh.readline().strip().split(",")
-        if header != list(RECORD_COLUMNS) or not {"k_switch", "t_s"} <= meta.keys():
+        if header != list(RECORD_COLUMNS):
             raise ValueError(f"{path} is not a record file")
+        if [key for key, _ in meta] != list(RECORD_META):
+            raise ValueError(f"{path}: the meta line must hold {', '.join(RECORD_META)}, "
+                             "once each and in that order")
+        values = []
+        for (key, text), cast in zip(meta, RECORD_META.values()):
+            try:
+                values.append(cast(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {key} must parse as {cast.__name__}, got {text!r}") from None
         body = fh.tell()
         if not fh.readline().strip():  # np.loadtxt only warns on an empty body
             raise ValueError(f"{path} has no rows")
         fh.seek(body)
         data = np.loadtxt(fh, delimiter=",", dtype=list(RECORD_COLUMNS.items()), ndmin=1)
-    k_switch, t_s = int(meta["k_switch"]), float(meta["t_s"])
+    k_switch, t_s = values
     if not 0 < t_s < math.inf:
         raise ValueError(f"{path}: t_s must be positive and finite, got {t_s!r}")
     if not 0 <= k_switch < data.size:

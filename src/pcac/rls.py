@@ -85,26 +85,38 @@ class RlsState:
 def inverse_f_cdf(d1: float, d2: float, prob: float) -> float:
     """Quantile of the F-distribution with degrees of freedom (d1, d2).
 
-    Computed through the inverse regularized incomplete beta function; the
-    result is round-trip checked through the forward CDF and a failure to
-    converge raises instead of returning silently.
+    The root x of I_w(d1/2, d2/2) = prob, with w = d1 x / (d1 x + d2), is
+    found by bisection over bit patterns: positive doubles order as their
+    bit patterns do, so halving the integer bracket [bits(0), bits(x_max)]
+    is geometric far from the root and linear near it.  After at most 63
+    halvings it holds two adjacent doubles between which the residual
+    changes sign; the upper one is returned.  w and 1 - w are both formed
+    from x, so the residual keeps its precision on either tail.  A root
+    outside the bracket, or a residual above 1e-10, raises instead of
+    returning silently.
     """
     if not (0 < d1 < math.inf and 0 < d2 < math.inf):
         raise ValueError("degrees of freedom must be positive and finite")
     if not 0 < prob < 1:
         raise ValueError("prob must lie in (0, 1)")
     a, b, prob_c = d1 / 2.0, d2 / 2.0, 1.0 - prob
-    w, w_c = _beta_quantile(a, b, prob, prob_c)
-    x = d2 * w / (d1 * w_c)
-    if not 0 < x < math.inf:
-        raise NumericalError(f"inverse beta failed for ({d1}, {d2}, {prob})")
-    s = d1 * x + d2
-    back = _beta_residual(a, b, prob, prob_c, d1 * x / s, d2 / s)
-    if abs(back) > 1e-10:
+    # below x_max, d1 x + d2 stays finite
+    top = struct.unpack("<q", struct.pack("<d", sys.float_info.max / (d1 + d2)))[0]
+    lo, hi, x_hi, back = 0, top, 0.0, math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = struct.unpack("<d", struct.pack("<q", mid))[0]
+        s = d1 * x + d2
+        res = _beta_residual(a, b, prob, prob_c, d1 * x / s, d2 / s)
+        if res >= 0.0:
+            hi, x_hi, back = mid, x, res
+        else:
+            lo = mid
+    if hi in (1, top) or back > 1e-10:
         raise NumericalError(
-            f"F quantile round-trip error {abs(back):.3e} for ({d1}, {d2}, {prob})"
+            f"F quantile did not converge for ({d1}, {d2}, {prob}): residual {back:.3e}"
         )
-    return float(x)
+    return x_hi
 
 
 def _betainc(a: float, b: float, x: float, x_c: float) -> tuple[float, float]:
@@ -120,7 +132,12 @@ def _betainc(a: float, b: float, x: float, x_c: float) -> tuple[float, float]:
         log_x, log_x_c = math.log(x), math.log1p(-x)
     else:
         log_x, log_x_c = math.log1p(-x_c), math.log(x_c)
-    front = math.exp(a * log_x + b * log_x_c - _log_beta(a, b))
+    try:
+        front = math.exp(a * log_x + b * log_x_c - _log_beta(a, b))
+    except OverflowError as exc:  # the log cancels to garbage for huge a, b
+        raise NumericalError(
+            f"incomplete beta did not converge for ({a}, {b}, {x})"
+        ) from exc
     if x < (a + 1.0) / (a + b + 2.0):
         tail = front * _beta_fraction(a, b, x) / a
         return tail, 1.0 - tail
@@ -188,44 +205,6 @@ def _beta_residual(
     both ends."""
     lower, upper = _betainc(a, b, x, x_c)
     return lower - prob if prob <= prob_c else prob_c - upper
-
-
-def _beta_quantile(
-    a: float, b: float, prob: float, prob_c: float
-) -> tuple[float, float]:
-    """(w, 1 - w) with I_w(a, b) = prob, each to nearly full relative precision.
-
-    The bisection over bit patterns runs on whichever of w and 1 - w lies
-    below 1/2, through the symmetry I_w(a, b) = 1 - I_{1-w}(b, a).
-    """
-    if _beta_residual(a, b, prob, prob_c, 0.5, 0.5) >= 0.0:
-        w = _lower_beta_quantile(a, b, prob, prob_c)
-        return w, 1.0 - w
-    w_c = _lower_beta_quantile(b, a, prob_c, prob)
-    return 1.0 - w_c, w_c
-
-
-def _lower_beta_quantile(a: float, b: float, prob: float, prob_c: float) -> float:
-    """Root w in (0, 1/2] of I_w(a, b) = prob, given with prob_c = 1 - prob.
-
-    Positive doubles order as their bit patterns do, so halving the integer
-    bracket [bits(0), bits(1/2)] is geometric far from the root and linear
-    near it.  After at most 62 halvings it holds two adjacent doubles between
-    which the residual changes sign; the upper one is returned.
-    """
-    lo, hi, w_hi = 0, 0x3FE0_0000_0000_0000, 0.5
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        w = struct.unpack("<d", struct.pack("<q", mid))[0]
-        if _beta_residual(a, b, prob, prob_c, w, 1.0 - w) >= 0.0:
-            hi, w_hi = mid, w
-        else:
-            lo = mid
-    if hi == 1:  # the root is at or below the smallest subnormal
-        raise NumericalError(
-            f"inverse incomplete beta did not converge for ({a}, {b}, {prob})"
-        )
-    return w_hi
 
 
 @lru_cache(maxsize=64)

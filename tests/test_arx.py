@@ -301,3 +301,11 @@ def test_dims_validation():
     with pytest.raises(ValueError):
         ModelDims(1, 0, 1)
     assert ModelDims(10, 1, 1).n_theta == 20
+
+
+def test_f_length_is_the_head_of_theta():
+    # theta is vec[F_1 ... F_n] (n p^2 entries) followed by vec[G_1 ... G_n]
+    dims = ModelDims(4, 2, 3)
+    assert dims.n_f == 4 * 2 * 2
+    F, _ = split_coefficients(np.arange(dims.n_theta, dtype=float), dims)
+    assert F.max() == dims.n_f - 1

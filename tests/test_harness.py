@@ -805,6 +805,13 @@ class TestCli:
         "negative_t_s": ("k_switch=1 t_s=-0.001", 2),
         "header_only": ("k_switch=0 t_s=0.001", 0),
         "k_switch_past_rows": ("k_switch=7 t_s=0.001", 2),
+        "unparsable_k_switch": ("k_switch=abc t_s=0.001", 2),
+        "fractional_k_switch": ("k_switch=2.5 t_s=0.001", 2),
+        "unparsable_t_s": ("k_switch=1 t_s=abc", 2),
+        "missing_meta_key": ("k_switch=1", 2),
+        "extra_meta_key": ("k_switch=1 t_s=0.001 extra", 2),
+        "repeated_meta_key": ("k_switch=1 t_s=0.001 t_s=0.002", 2),
+        "reordered_meta_keys": ("t_s=0.001 k_switch=1", 2),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -816,7 +823,9 @@ class TestCli:
         # the directory case used to exit 1 with an IsADirectoryError traceback;
         # t_s = 0 did too, from a ZeroDivisionError, a negative t_s exited 0 with
         # negative frequencies, a header-only record warned, and a k_switch past
-        # the rows was read without complaint
+        # the rows was read without complaint; an unparsable meta value raised
+        # a ValueError naming no file, and an extra, repeated or reordered meta
+        # key was read
         record = str(tmp_path / "out" / "record.csv")
         cli_main(["run", "--spec", spec_file, "--out", str(tmp_path / "out"),
                   "--open-loop-only"])

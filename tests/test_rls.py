@@ -21,7 +21,6 @@ from pcac import (
 from pcac import rls
 from pcac.rls import (
     _VAR_FLOOR,
-    _beta_quantile,
     _beta_residual,
     _betainc,
     _cached_f_quantile,
@@ -132,9 +131,16 @@ class TestInverseFCdf:
         monkeypatch.setattr(rls, "_betainc", counted)
         with pytest.raises(NumericalError, match="did not converge"):
             inverse_f_cdf(d1, d2, prob)
-        # one evaluation picks the side of 1/2, then one per halving of the
-        # bit-pattern bracket [0, bits(0.5)], which takes at most 62
+        # one evaluation per halving of the bit-pattern bracket
+        # [0, bits(x_max)], which takes at most 63
         assert len(calls) <= 63
+
+    def test_overflowing_prefactor_raises_numerical_error(self):
+        # for huge shapes the log of the prefactor cancels to garbage near
+        # the mode, and its exp overflows
+        x = 0.49999999902481196
+        with pytest.raises(NumericalError, match="did not converge"):
+            _betainc(5e19, 5e19, x, 1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +173,16 @@ class TestIncompleteBetaOracle:
 
     @pytest.mark.parametrize("a", SHAPES)
     def test_inverse_matches_scipy(self, a):
-        # both w and 1 - w keep their relative precision
+        # the quantile keeps the relative precision of its smaller tail
         worst = 0.0
         for b in SHAPES:
             for prob in PROBS:
-                w, w_c = _beta_quantile(a, b, prob, 1.0 - prob)
-                worst = max(worst,
-                            _rel_err(w, special.betaincinv(a, b, prob)),
-                            _rel_err(w_c, special.betainccinv(b, a, prob)))
+                x = inverse_f_cdf(2 * a, 2 * b, prob)
+                if prob <= 0.5:
+                    err = _rel_err(special.fdtr(2 * a, 2 * b, x), prob)
+                else:
+                    err = _rel_err(special.fdtrc(2 * a, 2 * b, x), 1.0 - prob)
+                worst = max(worst, err)
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("a", SHAPES)
@@ -188,18 +196,17 @@ class TestIncompleteBetaOracle:
 
     @pytest.mark.parametrize("a", SHAPES)
     def test_inverse_brackets_the_root(self, a):
-        # on the side _beta_quantile solves, the residual changes sign
-        # between the returned w and the double below it
+        # the residual changes sign between the returned x and the double
+        # below it
+        def residual(x, b, prob):
+            s = 2 * a * x + 2 * b
+            return _beta_residual(a, b, prob, 1.0 - prob, 2 * a * x / s, 2 * b / s)
+
         for b in SHAPES:
             for prob in PROBS:
-                args = (a, b, prob, 1.0 - prob)
-                w, w_c = _beta_quantile(*args)
-                if _beta_residual(*args, 0.5, 0.5) < 0.0:
-                    # solved for 1 - w, through I_w(a, b) = 1 - I_{1-w}(b, a)
-                    args, w = (b, a, 1.0 - prob, prob), w_c
-                below = math.nextafter(w, 0.0)
-                assert _beta_residual(*args, w, 1.0 - w) >= 0.0, (b, prob)
-                assert _beta_residual(*args, below, 1.0 - below) < 0.0, (b, prob)
+                x = inverse_f_cdf(2 * a, 2 * b, prob)
+                assert residual(x, b, prob) >= 0.0, (b, prob)
+                assert residual(math.nextafter(x, 0.0), b, prob) < 0.0, (b, prob)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_multivariable_quantile_matches_scipy(self, p):
