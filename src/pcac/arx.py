@@ -91,31 +91,30 @@ class IoHistory:
 
 class ArxBuffers:
     """The arrays that :func:`build_regressor`, :func:`assemble_bocf` and
-    :func:`compute_bocf_state` write into when given them as ``out``.
+    :func:`compute_bocf_state` write into, given them as ``out``.
 
     What the data never changes is written here, once: the zeros of phi
     off its lag columns, the identity superdiagonal blocks of A, C, and the
     zero rows above the history in the state's lag scratch.  A call then
     writes only the lagged data, -F_i and G_i, or the history and the state,
-    and returns arrays that the next call overwrites.  ``A`` and ``B`` may
-    be given, as the column blocks of the Riccati sweep's Z = [A | B], so
-    that the realization is written where the sweep reads it.
+    and returns arrays that the next call overwrites.  ``A`` and ``B`` are
+    the column blocks of the Riccati sweep's Z = [A | B], so that the
+    realization is written where the sweep reads it.
     """
 
     __slots__ = ("phi", "A", "B", "C", "y_lag", "u_lag", "x", "_neg_f", "_g", "_tail",
                  "_rows", "_windows")
 
-    def __init__(self, dims: ModelDims, A=None, B=None):
+    def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
         n, p, m = dims.n_hat, dims.p, dims.m
         self.phi = np.zeros((p, dims.n_theta))
-        self.A = np.empty((n * p, n * p)) if A is None else A
-        self.B = np.empty((n * p, m)) if B is None else B
-        if self.A.shape != (n * p, n * p) or self.B.shape != (n * p, m):
+        if A.shape != (n * p, n * p) or B.shape != (n * p, m):
             raise ValueError(
-                f"A {self.A.shape} and B {self.B.shape} must be "
+                f"A {A.shape} and B {B.shape} must be "
                 f"({n * p}, {n * p}) and ({n * p}, {m})"
             )
-        self.A[...] = np.eye(n * p, k=p)
+        self.A, self.B = A, B
+        A[...] = np.eye(n * p, k=p)
         self.C = np.eye(p, n * p)
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
@@ -142,19 +141,15 @@ def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
     return theta
 
 
-def build_regressor(
-    history: IoHistory, dims: ModelDims, out: ArxBuffers | None = None
-) -> np.ndarray:
+def build_regressor(history: IoHistory, dims: ModelDims, out: ArxBuffers) -> np.ndarray:
     """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'] kron I_p.
 
     Returns a (p, n_hat*p*(m+p)) matrix such that phi_k @ theta reproduces
     the ARX prediction for the stacked coefficient layout: row i holds the
-    lagged data in columns i, i + p, i + 2p, ... and zeros elsewhere.  With
-    ``out`` it is ``out.phi``.
+    lagged data in columns i, i + p, i + 2p, ... and zeros elsewhere: it
+    is ``out.phi``.
     """
     history.check_dims(dims)
-    if out is None:
-        out = ArxBuffers(dims)
     p, phi, split = dims.p, out.phi, dims.n_f
     for i in range(p):
         np.negative(history.y_past.ravel(), out=phi[i, i:split:p])
@@ -162,20 +157,16 @@ def build_regressor(
     return phi
 
 
-def assemble_bocf(
-    theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers | None = None
-):
+def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
     """Build (A, B, C) of the block observable canonical form.
 
     ``theta_next`` holds the coefficient estimate used for the realization
     at the current step (the freshly updated one).  A is block companion
     with -F_i in the first block column and identity superdiagonal blocks,
-    B stacks the G_i, and C reads the first state block.  With ``out`` they
-    are ``out.A``, ``out.B`` and ``out.C``.
+    B stacks the G_i, and C reads the first state block: ``out.A``,
+    ``out.B`` and ``out.C``.
     """
     theta = _checked_theta(theta_next, dims)
-    if out is None:
-        out = ArxBuffers(dims)
     n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
     out._g[...] = theta[split:].reshape(n, m, p).transpose(0, 2, 1)
@@ -187,9 +178,9 @@ def compute_bocf_state(
     y_now: np.ndarray,
     theta_next: np.ndarray,
     dims: ModelDims,
-    out: ArxBuffers | None = None,
+    out: ArxBuffers,
 ) -> np.ndarray:
-    """Explicit BOCF state at the current step; with ``out`` it is ``out.x``.
+    """Explicit BOCF state at the current step, ``out.x``.
 
     Block 1 is the current measurement; block j >= 2 collects the tail of
     the ARX convolution not yet absorbed into the output:
@@ -206,8 +197,6 @@ def compute_bocf_state(
     if y_now.shape != (dims.p,):
         raise ValueError(f"y_now shape {y_now.shape} does not match p={dims.p}")
     theta = _checked_theta(theta_next, dims)
-    if out is None:
-        out = ArxBuffers(dims)
     n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     # The Hankel windows are copied C-contiguous into the lag matrices,
     # because a strided operand changes the BLAS summation order.

@@ -134,8 +134,8 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
 
     fault = None
     try:
-        P2 = riccati_backward(A, B, cfg.weights, sweep)
-        K = control_gain(A, B, cfg.weights.R2, P2, sweep)
+        P2 = riccati_backward(cfg.weights, sweep)
+        K = control_gain(cfg.weights.R2, P2, sweep)
         u_req = K.dot(x_next)
         if not np.isfinite(u_req).all():
             raise NumericalError("non-finite requested control")

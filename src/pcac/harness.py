@@ -250,13 +250,16 @@ def resuppression_time(record: ExperimentRecord, t_event: float) -> float:
 
 def final_attenuation_db(record: ExperimentRecord) -> float | None:
     """Pre-switch RMS over the RMS of the last 0.5 s of the closed loop (all
-    of it when shorter), in dB; None when the run has no closed-loop sample."""
+    of it when shorter), in dB; None when the run has no closed-loop sample
+    or the pre-switch output is all zero."""
     n_fin = round(FINAL_WINDOW_S / record.t_s)
     closed = record.y[record.phase == 1][-n_fin:]
     if closed.size == 0:
         return None
-    post = float(np.sqrt(np.mean(np.square(closed))))
     pre = pre_switch_rms(record)
+    if pre == 0.0:
+        return None
+    post = float(np.sqrt(np.mean(np.square(closed))))
     if post == 0.0:
         return float("inf")
     return 20.0 * np.log10(pre / post)
@@ -270,7 +273,8 @@ def peak_attenuation_db(record: ExperimentRecord):
     when it is shorter) within ``PEAK_BAND_HZ`` of the open-loop peak.
     Returns (peak frequency, attenuation in dB); the attenuation is None
     when the closed loop has fewer than two samples, or too few to put a
-    frequency bin in that band.
+    frequency bin in that band, and both are None when the open-loop
+    spectrum above 10 Hz is all zero, so that it has no peak.
     """
     n_win, k_switch = round(1.0 / record.t_s), record.k_switch
     f_open, a_open = amplitude_spectrum(
@@ -279,6 +283,8 @@ def peak_attenuation_db(record: ExperimentRecord):
     i_peak = np.argmax(a_open[sel])
     f_peak = float(f_open[sel][i_peak])
     a_peak = float(a_open[sel][i_peak])
+    if a_peak == 0.0:
+        return None, None
     closed = record.y[max(k_switch, record.y.size - n_win) :]
     if closed.size < 2:
         return f_peak, None
@@ -294,7 +300,7 @@ def peak_attenuation_db(record: ExperimentRecord):
 
 def experiment_metrics(record: ExperimentRecord) -> dict:
     """A run's figures; the four measured against the open-loop segment
-    are None when it has fewer than two samples."""
+    are None when it has fewer than two samples or is all zero."""
     closed = record.phase == 1
     wall = record.step_wall[record.step_wall > 0]
     supp = atten = f_peak = peak_db = None

@@ -131,19 +131,18 @@ def _gain_into(M: np.ndarray, n: int, out: np.ndarray) -> Callable[[], np.ndarra
 
 
 class SweepBuffers:
-    """Scratch of :func:`riccati_backward` and :func:`control_gain`, given to
-    them as ``out``: made once for an n-state, m-input model and written in
-    place by every call.
+    """The model and scratch of :func:`riccati_backward` and
+    :func:`control_gain`, given to them as ``out``: made once for an
+    n-state, m-input model and written in place by every call.
 
     Two stacked (2k x k) buffers, k = n + m, hold W = [Z; KZ; Z; [0 | I]]
     and V = [M W[:k]; R1 Z; [0 | R2]], so that one product W'V is the next
     M = W[:k]' M W[:k] + Z'R1Z + diag(0, R2).  Z = [A | B], W's third
-    block, is read by both functions.  A call whose A and B are Z's own
-    column blocks ``self.A`` and ``self.B`` (an identity test) reads Z as it
-    stands, so the realization can be written there; other A and B are
-    copied in.  W's [0 | I] and the zeros beside V's R2 are written here,
-    R2 by every call, and W's first Z and V's R1 Z by every sweep; M, the
-    gain K, P and the returned P2 are scratch.
+    block, is the model both functions read, as it stands: the caller
+    writes it into Z's column blocks ``self.A`` and ``self.B``.  W's
+    [0 | I] and the zeros beside V's R2 are written here, R2 by every call,
+    and W's first Z and V's R1 Z by every sweep; M, the gain K, P and the
+    returned P2 are scratch.
     """
 
     __slots__ = ("Z", "A", "B", "W", "V", "M", "K", "P", "P2", "_gain", "_w_z",
@@ -162,38 +161,20 @@ class SweepBuffers:
         self._v_top, self._v_z, self._v_r2 = self.V[:k], self.V[k:-m], self.V[-m:, n:]
         self._w_low, self._v_low = self.W[k:].T, self.V[k:]
 
-    @classmethod
-    def like(cls, A, B) -> "SweepBuffers":
-        """Buffers sized for the model (A, B); B may be flat, one entry per
-        row of A."""
-        A = np.atleast_2d(np.asarray(A, float))
-        return cls(A.shape[0], np.size(B) // A.shape[0])
-
-    def hessian(self, A, B, R2: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """M = Z'PZ + diag(0, R2), with [A | B] in Z and R2 in V, as the
-        product of W's and V's last two blocks."""
+    def hessian(self, R2: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """M = Z'PZ + diag(0, R2), with R2 written into V, as the product
+        of W's and V's last two blocks."""
         if R2.shape != self._v_r2.shape:
             raise ValueError(f"R2 must be {self._v_r2.shape} for a B with "
                              f"{self.B.shape[1]} columns, got {R2.shape}")
         np.copyto(self._v_r2, R2)
-        if A is not self.A or B is not self.B:
-            A = np.atleast_2d(np.asarray(A, float))
-            B = np.asarray(B, float).reshape(A.shape[0], -1)
-            if A.shape != self.A.shape or B.shape != self.B.shape:
-                raise ValueError(
-                    f"A {A.shape} and B {B.shape} do not match the buffers' "
-                    f"{self.A.shape} and {self.B.shape}"
-                )
-            self.A[...] = A
-            self.B[...] = B
         P.dot(self.Z, self._v_z)
         return self._w_low.dot(self._v_low, self.M)
 
 
-def riccati_backward(
-    A: np.ndarray, B: np.ndarray, w: HorizonWeights, out: SweepBuffers | None = None
-) -> np.ndarray:
-    """Sweep the Riccati recursion backward over the horizon.
+def riccati_backward(w: HorizonWeights, out: SweepBuffers) -> np.ndarray:
+    """Sweep the Riccati recursion backward over the horizon, for the
+    model Z = [A | B] that ``out`` holds.
 
     Starting from the terminal weight, iterates
 
@@ -201,13 +182,11 @@ def riccati_backward(
         K_j = -(R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
 
     down to the second prediction step and returns that matrix,
-    symmetrized (``out.P2`` when given ``out``).  The sweep carries
+    symmetrized, as ``out.P2``.  The sweep carries
     M_j = Z' P_{j+1} Z + diag(0, R2), Z = [A | B], rather than P: with
     W = [Z; K_j Z], M_{j-1} = W' M_j W + Z' R1 Z + diag(0, R2), and the
     last step reads P_2 = M_aa + M_ab K + R1.  No iterate is stored.
     """
-    if out is None:
-        out = SweepBuffers.like(A, B)
     R1, n = w.R1, out.P.shape[0]
     if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
         raise ValueError(
@@ -215,7 +194,7 @@ def riccati_backward(
             f"({n}, {n}) for A's {n} states"
         )
     P, Z, gain = w.P_terminal, out.Z, out._gain
-    M = out.hessian(A, B, w.R2, P)
+    M = out.hessian(w.R2, P)
     if w.ell > 1:
         np.copyto(out._w_z, Z)
         R1.dot(Z, out._v_z)
@@ -238,19 +217,11 @@ def riccati_backward(
     return P2
 
 
-def control_gain(
-    A: np.ndarray,
-    B: np.ndarray,
-    R2: np.ndarray,
-    P2: np.ndarray,
-    out: SweepBuffers | None = None,
-) -> np.ndarray:
-    """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A, read from
-    Z'P2Z + diag(0, R2) as in the sweep (``out.K`` when given ``out``)."""
-    R2 = np.atleast_2d(np.asarray(R2, float))
-    if out is None:
-        out = SweepBuffers.like(A, B)
-    out.hessian(A, B, R2, P2)
+def control_gain(R2: np.ndarray, P2: np.ndarray, out: SweepBuffers) -> np.ndarray:
+    """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A of the model
+    Z = [A | B] that ``out`` holds, read from Z'P2Z + diag(0, R2) as in the
+    sweep: ``out.K``."""
+    out.hessian(np.atleast_2d(np.asarray(R2, float)), P2)
     return out._gain()
 
 

@@ -34,7 +34,8 @@ from pcac import (
 )
 from pcac.cli import main as cli_main
 from pcac.harness import grid_specs
-from test_arx import predict_output
+from test_arx import arx_buffers, predict_output
+from test_riccati import sweep_holding
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -135,7 +136,7 @@ def test_criterion_02_rls_consistency():
     h = IoHistory.zeros(dims)
     hit = None
     for k in range(200):
-        phi = build_regressor(h, dims)
+        phi = build_regressor(h, dims, arx_buffers(dims))
         y = predict_output(theta_true, phi)
         state = rls_update(state, np.atleast_2d(phi), np.atleast_1d(y), cfg)
         u = rng.standard_normal(1)  # persistently exciting input
@@ -185,11 +186,12 @@ def test_criterion_04_bocf_equivalence():
         y_now = rng.standard_normal(p)
         u_now = rng.standard_normal(m)
 
-        A, B, C = assemble_bocf(theta, dims)
-        x = compute_bocf_state(h, y_now, theta, dims)
+        A, B, C = assemble_bocf(theta, dims, arx_buffers(dims))
+        x = compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims))
         y_state = C @ (A @ x + B @ u_now)
 
-        y_arx = predict_output(theta, build_regressor(h.push(y_now, u_now), dims))
+        phi = build_regressor(h.push(y_now, u_now), dims, arx_buffers(dims))
+        y_arx = predict_output(theta, phi)
         scale = max(np.linalg.norm(np.atleast_1d(y_arx)), 1.0)
         worst = max(worst, np.linalg.norm(np.atleast_1d(y_state - y_arx)) / scale)
     assert worst <= 1e-12
@@ -209,12 +211,12 @@ def test_criterion_05_riccati_dare_agreement():
         B = rng.standard_normal((n, m))
         w = HorizonWeights(ell=500, R1=np.eye(n), R2=np.eye(m),
                            P_terminal=np.zeros((n, n)))
-        P = riccati_backward(A, B, w)
+        P = riccati_backward(w, sweep_holding(A, B))
         P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
         worst = max(worst, np.linalg.norm(P - P_star) / np.linalg.norm(P_star))
     scalar = riccati_backward(
-        [[1.0]], [[1.0]],
         HorizonWeights(ell=500, R1=[[1.0]], R2=[[1.0]], P_terminal=[[0.0]]),
+        sweep_holding([[1.0]], [[1.0]]),
     )[0, 0]
     golden_err = abs(scalar - GOLDEN)
     elapsed = time.perf_counter() - t0

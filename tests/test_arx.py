@@ -12,6 +12,14 @@ from pcac import (
     compute_bocf_state,
 )
 from pcac.arx import ArxBuffers
+from pcac.riccati import SweepBuffers
+
+
+def arx_buffers(dims):
+    """ArxBuffers on the column blocks of a fresh sweep's Z = [A | B], as
+    pcac_init makes them."""
+    sweep = SweepBuffers(dims.n_state, dims.m)
+    return ArxBuffers(dims, sweep.A, sweep.B)
 
 
 def split_coefficients(theta, dims):
@@ -72,18 +80,18 @@ class TestRegressor:
     def test_first_order_scalar(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[3.0]]), np.array([[2.0]]))
-        assert np.array_equal(build_regressor(h, dims), [[-3.0, 2.0]])
+        assert np.array_equal(build_regressor(h, dims, arx_buffers(dims)), [[-3.0, 2.0]])
 
     def test_zero_history(self):
         dims = ModelDims(2, 1, 1)
-        phi = build_regressor(IoHistory.zeros(dims), dims)
+        phi = build_regressor(IoHistory.zeros(dims), dims, arx_buffers(dims))
         assert np.array_equal(phi, np.zeros((1, 4)))
 
     def test_vector_output_kron(self):
         # p=2 regressor must reproduce -F1 y + G1 u for any coefficients
         dims = ModelDims(1, 2, 1)
         h = IoHistory(np.array([[1.0, 2.0]]), np.array([[5.0]]))
-        phi = build_regressor(h, dims)
+        phi = build_regressor(h, dims, arx_buffers(dims))
         assert phi.shape == (2, 6)
         rng = np.random.default_rng(7)
         F1 = rng.standard_normal((2, 2))
@@ -96,20 +104,21 @@ class TestRegressor:
         dims = ModelDims(3, 1, 1)
         h = IoHistory.zeros(ModelDims(2, 1, 1))
         with pytest.raises(ValueError):
-            build_regressor(h, dims)
+            build_regressor(h, dims, arx_buffers(dims))
 
 
 class TestPredict:
     def test_zero_parameters(self):
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-        assert predict_output(np.zeros(4), build_regressor(h, dims)) == 0.0
+        phi = build_regressor(h, dims, arx_buffers(dims))
+        assert predict_output(np.zeros(4), phi) == 0.0
 
     def test_hand_example(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[4.0]]), np.array([[1.0]]))
         theta = np.array([0.5, 2.0])
-        y_hat = predict_output(theta, build_regressor(h, dims))
+        y_hat = predict_output(theta, build_regressor(h, dims, arx_buffers(dims)))
         assert y_hat[0] == pytest.approx(-0.5 * 4 + 2 * 1, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
@@ -123,7 +132,7 @@ class TestPredict:
         # phi @ theta must equal the explicit double sum to 1e-12 relative
         rng = np.random.default_rng(seed)
         dims, theta, h = random_model(rng, n, p, m)
-        y_hat = predict_output(theta, build_regressor(h, dims))
+        y_hat = predict_output(theta, build_regressor(h, dims, arx_buffers(dims)))
         expect = arx_sum(theta, dims, h.y_past, h.u_past)
         np.testing.assert_allclose(y_hat, expect, rtol=1e-12, atol=1e-12)
 
@@ -132,13 +141,14 @@ class TestBocfAssembly:
     def test_second_order_scalar_pattern(self):
         dims = ModelDims(2, 1, 1)
         theta = np.array([0.4, 0.7, 1.2, -0.9])  # f1 f2 g1 g2
-        A, B, C = assemble_bocf(theta, dims)
+        A, B, C = assemble_bocf(theta, dims, arx_buffers(dims))
         np.testing.assert_array_equal(A, [[-0.4, 1.0], [-0.7, 0.0]])
         np.testing.assert_array_equal(B, [[1.2], [-0.9]])
         np.testing.assert_array_equal(C, [[1.0, 0.0]])
 
     def test_first_order_degenerate(self):
-        A, B, C = assemble_bocf(np.array([0.3, 2.0]), ModelDims(1, 1, 1))
+        dims = ModelDims(1, 1, 1)
+        A, B, C = assemble_bocf(np.array([0.3, 2.0]), dims, arx_buffers(dims))
         assert A == np.array([[-0.3]]) and B == np.array([[2.0]]) and C == 1.0
 
     def test_characteristic_polynomial(self):
@@ -147,7 +157,7 @@ class TestBocfAssembly:
         dims = ModelDims(3, 2, 1)
         theta = rng.standard_normal(dims.n_theta)
         F, _ = split_coefficients(theta, dims)
-        A, _, _ = assemble_bocf(theta, dims)
+        A, _, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         for z in rng.standard_normal(5) + 1j * rng.standard_normal(5):
             lhs = np.linalg.det(z * np.eye(6) - A)
             rhs = np.linalg.det(
@@ -161,7 +171,7 @@ class TestBocfAssembly:
         theta = rng.standard_normal(dims.n_theta)
         # avoid accidental zeros in the coefficient blocks
         theta[: dims.n_hat * dims.p**2] += np.sign(theta[: dims.n_hat * dims.p**2])
-        A, _, _ = assemble_bocf(theta, dims)
+        A, _, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         n, p = dims.n_hat, dims.p
         mask = np.zeros_like(A, dtype=bool)
         mask[:, :p] = True
@@ -175,14 +185,14 @@ class TestBocfState:
     def test_first_order_is_output(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[2.0]]), np.array([[1.0]]))
-        x = compute_bocf_state(h, [7.0], np.array([0.5, 1.0]), dims)
+        x = compute_bocf_state(h, [7.0], np.array([0.5, 1.0]), dims, arx_buffers(dims))
         assert np.array_equal(x, [7.0])
 
     def test_second_order_hand_value(self):
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[2.0], [9.0]]), np.array([[1.0], [4.0]]))
         theta = np.array([0.1, 0.3, 0.7, 1.5])  # f2=0.3, g2=1.5 enter block 2
-        x = compute_bocf_state(h, [7.0], theta, dims)
+        x = compute_bocf_state(h, [7.0], theta, dims, arx_buffers(dims))
         np.testing.assert_allclose(x, [7.0, -0.3 * 2 + 1.5 * 1])
 
     def test_full_state_propagates_arx_data(self):
@@ -194,14 +204,14 @@ class TestBocfState:
             p, m = (int(v) for v in rng.integers(1, 4, size=2))
             dims, theta, h = random_model(rng, n, p, m)
             theta *= 0.3
-            A, B, _ = assemble_bocf(theta, dims)
+            A, B, _ = assemble_bocf(theta, dims, arx_buffers(dims))
             y = rng.standard_normal(p)
-            x = compute_bocf_state(h, y, theta, dims)
+            x = compute_bocf_state(h, y, theta, dims, arx_buffers(dims))
             for _ in range(n + 2):
                 u = rng.standard_normal(m)
                 h = h.push(y, u)
                 y = arx_sum(theta, dims, h.y_past, h.u_past)
-                x_next = compute_bocf_state(h, y, theta, dims)
+                x_next = compute_bocf_state(h, y, theta, dims, arx_buffers(dims))
                 scale = max(1.0, np.max(np.abs(x_next)))
                 np.testing.assert_allclose(
                     A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
@@ -222,7 +232,7 @@ class TestBocfState:
             h = pushed
             y_now = rng.standard_normal(p)
             np.testing.assert_array_equal(
-                compute_bocf_state(h, y_now, theta, dims),
+                compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims)),
                 gathered_state(h, y_now, theta, dims),
             )
 
@@ -230,14 +240,14 @@ class TestBocfState:
         rng = np.random.default_rng(8)
         dims, theta, h = random_model(rng, 4, 2, 2)
         y_k = rng.standard_normal(2)
-        x = compute_bocf_state(h, y_k, theta, dims)
-        _, _, C = assemble_bocf(theta, dims)
+        x = compute_bocf_state(h, y_k, theta, dims, arx_buffers(dims))
+        _, _, C = assemble_bocf(theta, dims, arx_buffers(dims))
         np.testing.assert_array_equal(C @ x, y_k)
 
 
 class TestBuffers:
-    """A layer given ArxBuffers returns what it returns without them, bit
-    for bit, however often the buffers are reused."""
+    """A layer given a buffer set reused across calls and models returns,
+    bit for bit, what it returns given a fresh set."""
 
     @staticmethod
     def draws(seed):
@@ -257,19 +267,19 @@ class TestBuffers:
             Z = np.full((n, n + m), np.nan)
             out = ArxBuffers(dims, Z[:, :n], Z[:, n:])
         else:
-            out = ArxBuffers(dims)
+            out = ArxBuffers(dims, np.empty((n, n)), np.empty((n, m)))
         for _ in range(4):
             y_now = rng.standard_normal(p)
             assert (build_regressor(h, dims, out).tobytes()
-                    == build_regressor(h, dims).tobytes())
-            for got, ref in zip(assemble_bocf(theta, dims, out),
-                                assemble_bocf(theta, dims)):
-                assert got.tobytes() == ref.tobytes()
+                    == build_regressor(h, dims, arx_buffers(dims)).tobytes())
+            ref = assemble_bocf(theta, dims, arx_buffers(dims))
+            for got, want in zip(assemble_bocf(theta, dims, out), ref):
+                assert got.tobytes() == want.tobytes()
+            x_ref = compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims))
             assert (compute_bocf_state(h, y_now, theta, dims, out).tobytes()
-                    == compute_bocf_state(h, y_now, theta, dims).tobytes())
+                    == x_ref.tobytes())
             if on_z:
-                A, B, _ = assemble_bocf(theta, dims)
-                np.testing.assert_array_equal(Z, np.hstack((A, B)))
+                np.testing.assert_array_equal(Z, np.hstack(ref[:2]))
             h = h.push(y_now, rng.standard_normal(m))
             theta = rng.standard_normal(dims.n_theta)
 
@@ -280,7 +290,7 @@ class TestBuffers:
 
     def test_theta_length_checked_with_buffers(self):
         dims = ModelDims(2, 1, 1)
-        out = ArxBuffers(dims)
+        out = arx_buffers(dims)
         with pytest.raises(ValueError, match="theta"):
             assemble_bocf(np.zeros(5), dims, out)
         with pytest.raises(ValueError, match="theta"):

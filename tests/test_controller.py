@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_riccati import textbook_control_gain, textbook_riccati_backward
+from test_arx import arx_buffers
+from test_riccati import sweep_holding, textbook_control_gain, textbook_riccati_backward
 from test_rls import textbook_rls_update
 
 from pcac import (
@@ -185,7 +186,7 @@ class TestStep:
     @pytest.mark.parametrize("p, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_matches_manual_composition(self, p, m, monkeypatch):
         # a step must equal the four module operations called in order, the
-        # layers here allocating what the step writes into its buffers; short
+        # layers here on fresh buffers rather than the step's own; short
         # windows, alpha = 0.5 and data that jumps 100x make forgetting fire
         cfg = PcacConfig(n_hat=4, p=p, m=m, tau_n=3, tau_d=8, alpha=0.5)
         betas = []
@@ -201,13 +202,15 @@ class TestStep:
         state = pcac_init(cfg)
         for k in range(25):
             y_k = rng.normal(0, 10 if k < 18 else 1000, p)
-            phi = build_regressor(state.history, cfg.dims)
+            phi = build_regressor(state.history, cfg.dims, arx_buffers(cfg.dims))
             rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
-            A, B, _ = assemble_bocf(rls_next.theta, cfg.dims)
-            x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims)
+            A, B, _ = assemble_bocf(rls_next.theta, cfg.dims, arx_buffers(cfg.dims))
+            x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims,
+                                       arx_buffers(cfg.dims))
             x_next = A @ x_now + B @ state.u_implemented
-            P2 = riccati_backward(A, B, cfg.weights)
-            K = control_gain(A, B, cfg.weights.R2, P2)
+            sweep = sweep_holding(A, B)
+            P2 = riccati_backward(cfg.weights, sweep)
+            K = control_gain(cfg.weights.R2, P2, sweep)
             expect_req = K @ x_next
             expect_impl = saturate(expect_req, cfg.bounds)
 
@@ -228,7 +231,8 @@ class TestStep:
             arrays = (rls.theta, rls.psi, rls.error_window,
                       history.y_past, history.u_past)
             kept = [a.copy() for a in arrays]
-            rls_update(rls, build_regressor(history, cfg.dims), y, cfg.forgetting)
+            phi = build_regressor(history, cfg.dims, arx_buffers(cfg.dims))
+            rls_update(rls, phi, y, cfg.forgetting)
             history.push(y, rng.standard_normal(1))
             state, _ = pcac_step(state, y, cfg)
             for a, b in zip(arrays, kept):
@@ -261,10 +265,9 @@ class TestStep:
         assert max(ys[1600:]) < 0.2 * max(ys), "late amplitude did not shrink"
         # and it identified the plant it stabilized
         np.testing.assert_allclose(state.rls.theta, [f1, f2, g1, g2], atol=1e-2)
-        A, B, _ = assemble_bocf(state.rls.theta, cfg.dims)
-        K = control_gain(
-            A, B, cfg.weights.R2, riccati_backward(A, B, cfg.weights)
-        )
+        A, B, _ = assemble_bocf(state.rls.theta, cfg.dims, arx_buffers(cfg.dims))
+        sweep = sweep_holding(A, B)
+        K = control_gain(cfg.weights.R2, riccati_backward(cfg.weights, sweep), sweep)
         assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
     def test_calls_each_layer_by_name_once_per_step(self, monkeypatch):
@@ -364,10 +367,10 @@ class TestBufferOwnership:
         _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
         sweep = controller.riccati_backward
 
-        def boom(A, B, w, out):
+        def boom(w, out):
             # everything the sweep writes: W's copy of Z and KZ, V but the
             # zeros beside R2, M, K, P and P2
-            sweep(A, B, w, out)
+            sweep(w, out)
             k, n = out.M.shape[0], out.P.shape[0]
             for scratch in (out.W[:k], out.V[:k + n], out.V[k + n:, n:],
                             out.M, out.K, out.P, out.P2):

@@ -339,15 +339,29 @@ class TestRunExperiment:
         assert np.count_nonzero(rec.phase) == steps + inits
         assert np.count_nonzero(rec.step_wall) == steps
 
-    @pytest.mark.parametrize("t_open", [0.0, 0.001])
-    def test_metrics_without_open_loop_segment_are_none(self, t_open):
-        # fewer than two open-loop samples: nothing to measure against
-        m = experiment_metrics(run_experiment(short_spec(t_open=t_open,
-                                                         t_total=0.2)))
+    AT_REST = {"q0": 0.0, "t_open": 0.5, "t_total": 1.2}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kw", [
+        {"t_open": 0.0, "t_total": 0.2},
+        {"t_open": 0.001, "t_total": 0.2},
+        AT_REST,
+        {**AT_REST, "omega_shift_time": 0.8, "kick_q": 1.0},
+    ], ids=["0.0", "0.001", "at_rest", "at_rest_kicked"])
+    def test_metrics_without_open_loop_segment_are_none(self, kw):
+        # fewer than two open-loop samples, or a plant at rest until the
+        # switch, and then kicked or not: nothing to measure against
+        rec = run_experiment(short_spec(**kw))
+        m = experiment_metrics(rec)
         for key in ("suppression_time_s", "attenuation_db", "peak_freq_hz",
                     "peak_attenuation_db"):
             assert m[key] is None, key
-        assert m["fault_count"] == 0 and 0 < m["max_abs_u"] <= 8.0
+        moved = kw.get("q0") != 0.0 or "kick_q" in kw
+        assert m["fault_count"] == 0 and m["max_abs_u"] <= 8.0
+        assert (m["max_abs_u"] > 0) == moved
+        if rec.k_switch >= 2:
+            assert final_attenuation_db(rec) is None
+            assert harness.peak_attenuation_db(rec) == (None, None)
 
     def test_peak_attenuation_reads_only_closed_loop_samples(self, monkeypatch):
         # 0.2 s of closed loop: its spectrum is those 201 samples, not the
@@ -790,6 +804,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert ("attenuation_db: None" if command == "run"
                 else "attenuation None") in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_plant_at_rest_prints_none_metrics(self, tmp_path, capsys):
+        # at rest until the switch, then kicked: no open-loop RMS or peak to
+        # compare with, so no division by zero either
+        path = tmp_path / "spec.txt"
+        path.write_text("sim.q0 = 0.0\nsim.t_open = 0.5\nsim.t_total = 1.2\n"
+                        "sim.omega_shift_time = 0.8\nsim.kick_q = 1.0\n")
+        assert cli_main(["run", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        for key in ("suppression_time_s", "attenuation_db", "peak_freq_hz",
+                    "peak_attenuation_db"):
+            assert f"{key}: None" in out, key
 
     def test_spectrum_default_path_strips_only_the_suffix(self, tmp_path,
                                                           spec_file):

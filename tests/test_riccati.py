@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from test_arx import arx_buffers
 
 from pcac import (
     HorizonWeights,
@@ -34,10 +35,18 @@ def random_stable_system(rng, n, m, sprad=0.9):
     return A, B
 
 
-def textbook_riccati_backward(A, B, w, out=None):
-    """The textbook recursion P <- A'P(A - B Gamma) + R1, symmetrized every
-    iteration: the reference for the fused sweep (``out`` is ignored)."""
-    P = w.P_terminal
+def sweep_holding(A, B):
+    """A fresh SweepBuffers whose Z = [A | B] holds the model (A, B)."""
+    out = SweepBuffers(*np.shape(B))
+    out.A[...], out.B[...] = A, B
+    return out
+
+
+def textbook_riccati_backward(w, out):
+    """The textbook recursion P <- A'P(A - B Gamma) + R1 on the model that
+    ``out`` holds, symmetrized every iteration: the reference for the fused
+    sweep (``out`` is only read)."""
+    A, B, P = out.A, out.B, w.P_terminal
     for _ in range(w.ell - 1):
         BtP = B.T @ P
         gamma = np.linalg.solve(w.R2 + BtP @ B, BtP @ A)
@@ -46,7 +55,8 @@ def textbook_riccati_backward(A, B, w, out=None):
     return P
 
 
-def textbook_control_gain(A, B, R2, P2, out=None):
+def textbook_control_gain(R2, P2, out):
+    A, B = out.A, out.B
     BtP = B.T @ P2
     return -np.linalg.solve(R2 + BtP @ B, BtP @ A)
 
@@ -61,8 +71,9 @@ def random_problem(rng, bocf, shape=None):
         n, m = shape
     ell, r2 = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 1)
     if bocf:
-        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)),
-                                ModelDims(n, 1, m))
+        dims = ModelDims(n, 1, m)
+        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)), dims,
+                                arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(n, p=1, m=m, ell=ell, r2=r2)
     A, B = random_stable_system(rng, n, m, sprad=rng.uniform(0.5, 1.2))
     return A, B, HorizonWeights(ell=ell, R1=np.eye(n), R2=r2 * np.eye(m),
@@ -85,16 +96,16 @@ def max_rel_gap(x, ref):
 
 class TestRiccatiBackward:
     def test_unit_horizon_returns_terminal(self):
-        P = riccati_backward([[1.0]], [[1.0]], scalar_weights(ell=1))
+        P = riccati_backward(scalar_weights(ell=1), sweep_holding([[1.0]], [[1.0]]))
         assert P[0, 0] == 0.0
 
     def test_single_step_hand_value(self):
-        P = riccati_backward([[1.0]], [[1.0]], scalar_weights(ell=2))
+        P = riccati_backward(scalar_weights(ell=2), sweep_holding([[1.0]], [[1.0]]))
         assert P[0, 0] == pytest.approx(1.0)
 
     def test_long_horizon_reaches_golden_ratio(self):
         # fixed point of P = 1 + P - P^2/(1+P) for A=B=R1=R2=1
-        P = riccati_backward([[1.0]], [[1.0]], scalar_weights(ell=200))
+        P = riccati_backward(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
         assert P[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
 
     def test_scalar_sequence_monotone(self):
@@ -104,8 +115,9 @@ class TestRiccatiBackward:
             b = rng.uniform(0.2, 2.0)
             r1 = rng.uniform(0.1, 3.0)
             r2 = rng.uniform(0.1, 3.0)
+            out = sweep_holding([[a]], [[b]])
             values = [
-                riccati_backward([[a]], [[b]], scalar_weights(ell, r1, r2))[0, 0]
+                riccati_backward(scalar_weights(ell, r1, r2), out)[0, 0]
                 for ell in range(1, 12)
             ]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
@@ -119,7 +131,7 @@ class TestRiccatiBackward:
             w = HorizonWeights(
                 ell=500, R1=np.eye(n), R2=np.eye(m), P_terminal=np.zeros((n, n))
             )
-            P = riccati_backward(A, B, w)
+            P = riccati_backward(w, sweep_holding(A, B))
             P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
             err = np.linalg.norm(P - P_star) / np.linalg.norm(P_star)
             assert err < 1e-6
@@ -131,7 +143,7 @@ class TestRiccatiBackward:
             w = HorizonWeights(
                 ell=ell, R1=np.eye(4), R2=np.eye(1), P_terminal=np.zeros((4, 4))
             )
-            P = riccati_backward(A, B, w)
+            P = riccati_backward(w, sweep_holding(A, B))
             np.testing.assert_array_equal(P, P.T)
             assert np.min(np.linalg.eigvalsh(P)) >= -1e-12
 
@@ -140,11 +152,12 @@ class TestRiccatiBackward:
         rng = np.random.default_rng(26 + bocf)
         for _ in range(150):
             A, B, w = random_problem(rng, bocf)
-            P_ref = textbook_riccati_backward(A, B, w)
-            P = riccati_backward(A, B, w)
+            out = sweep_holding(A, B)
+            P_ref = textbook_riccati_backward(w, out)
+            P = riccati_backward(w, out)
             assert max_rel_gap(P, P_ref) <= ORACLE_RTOL
-            K = control_gain(A, B, w.R2, P)
-            K_ref = textbook_control_gain(A, B, w.R2, P_ref)
+            K = control_gain(w.R2, P, out)
+            K_ref = textbook_control_gain(w.R2, P_ref, out)
             assert max_rel_gap(K, K_ref) <= ORACLE_RTOL
 
     def test_multi_input_cheap_control_matches_textbook(self):
@@ -154,11 +167,13 @@ class TestRiccatiBackward:
         # missed by more than ORACLE_RTOL on 11 of 100 such draws.
         rng = np.random.default_rng(27)
         for _ in range(60):
-            A, B, _ = assemble_bocf(0.5 * rng.standard_normal(18),
-                                    ModelDims(6, 1, 2))
+            dims = ModelDims(6, 1, 2)
+            A, B, _ = assemble_bocf(0.5 * rng.standard_normal(18), dims,
+                                    arx_buffers(dims))
             w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
-            P_ref = textbook_riccati_backward(A, B, w)
-            assert max_rel_gap(riccati_backward(A, B, w), P_ref) <= ORACLE_RTOL
+            out = sweep_holding(A, B)
+            P_ref = textbook_riccati_backward(w, out)
+            assert max_rel_gap(riccati_backward(w, out), P_ref) <= ORACLE_RTOL
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_non_finite_model_raises_numerical_error(self, m):
@@ -166,27 +181,31 @@ class TestRiccatiBackward:
                            P_terminal=np.eye(2))
         A = np.array([[np.nan, 0.0], [0.0, 0.5]])
         with pytest.raises(NumericalError):
-            riccati_backward(A, np.ones((2, m)), w)
+            riccati_backward(w, sweep_holding(A, np.ones((2, m))))
 
 
 class TestScratchBuffers:
-    """The sweep's in-place scratch stays inside one call."""
+    """The sweep's in-place scratch stays inside one call, and the model it
+    reads is left as it was written."""
 
     @staticmethod
     def problem(seed, m, ell):
         rng = np.random.default_rng(seed)
-        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)),
-                                ModelDims(6, 1, m))
+        dims = ModelDims(6, 1, m)
+        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)), dims,
+                                arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(6, p=1, m=m, ell=ell, r2=1e-2)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("ell", [1, 2, 20])
     def test_inputs_unchanged_and_result_not_shared(self, m, ell):
         A, B, w = self.problem(30, m, ell)
-        before = [x.copy() for x in (A, B, w.P_terminal, w.R1, w.R2)]
-        P2 = riccati_backward(A, B, w)
-        K = control_gain(A, B, w.R2, P2)
-        for x, x0 in zip((A, B, w.P_terminal, w.R1, w.R2), before):
+        out = sweep_holding(A, B)
+        held = (out.A, out.B, w.P_terminal, w.R1, w.R2)
+        before = [x.copy() for x in held]
+        P2 = riccati_backward(w, out)
+        K = control_gain(w.R2, P2, out)
+        for x, x0 in zip(held, before):
             np.testing.assert_array_equal(x, x0)
         assert not np.shares_memory(P2, w.P_terminal)
         assert not np.shares_memory(K, P2)
@@ -196,47 +215,52 @@ class TestScratchBuffers:
     def test_sweeps_do_not_carry_over(self, m, ell):
         A1, B1, w = self.problem(31, m, ell)
         A2, B2, _ = self.problem(32, m, ell)
-        first = riccati_backward(A1, B1, w)
-        riccati_backward(A2, B2, w)
-        assert riccati_backward(A1, B1, w).tobytes() == first.tobytes()
+        out = sweep_holding(A1, B1)
+        first = riccati_backward(w, out).tobytes()
+        out.A[...], out.B[...] = A2, B2
+        riccati_backward(w, out)
+        out.A[...], out.B[...] = A1, B1
+        assert riccati_backward(w, out).tobytes() == first
 
 
 class TestSweepBuffers:
-    """A sweep or gain given SweepBuffers returns what it returns without
-    them, bit for bit, whether A and B are the buffers' own blocks of Z or
-    another model's arrays, which are copied in."""
+    """A sweep or gain on a buffer set reused across calls and models
+    returns, bit for bit, what it returns on a fresh set holding the same
+    model."""
 
     @staticmethod
     def check(A, B, w, out):
-        P2_ref = riccati_backward(A, B, w)
-        K_ref = control_gain(A, B, w.R2, P2_ref)
-        P2 = riccati_backward(A, B, w, out)
+        # writes (A, B) into the reused set ``out`` as the realization does
+        fresh = sweep_holding(A, B)
+        P2_ref = riccati_backward(w, fresh)
+        K_ref = control_gain(w.R2, P2_ref, fresh)
+        out.A[...], out.B[...] = A, B
+        P2 = riccati_backward(w, out)
         assert P2.tobytes() == P2_ref.tobytes()
-        assert control_gain(A, B, w.R2, P2, out).tobytes() == K_ref.tobytes()
+        assert control_gain(w.R2, P2, out).tobytes() == K_ref.tobytes()
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_own_blocks_equal_allocating(self, bocf):
+        # one set, holding the model from the start, swept twice
         rng = np.random.default_rng(40 + bocf)
         for _ in range(40):
             A, B, w = random_problem(rng, bocf)
-            out = SweepBuffers(*B.shape)
-            out.A[...], out.B[...] = A, B
-            self.check(out.A, out.B, w, out)
+            out = sweep_holding(A, B)
+            self.check(A, B, w, out)
             self.check(A, B, w, out)
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_buffers_holding_another_model(self, bocf):
         # Z holds model 1 when model 2 (its own weights, R2 included) is
-        # passed: the sweep must read model 2, then model 1 again
+        # written over it: the sweep must read model 2, then model 1 again
         rng = np.random.default_rng(42 + bocf)
         for _ in range(40):
             A1, B1, w1 = random_problem(rng, bocf)
-            out = SweepBuffers(*B1.shape)
-            out.A[...], out.B[...] = A1, B1
+            out = sweep_holding(A1, B1)
+            riccati_backward(w1, out)
             A2, B2, w2 = random_problem(rng, bocf, B1.shape)
             self.check(A2, B2, w2, out)
-            out.A[...], out.B[...] = A1, B1
-            self.check(out.A, out.B, w1, out)
+            self.check(A1, B1, w1, out)
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_one_buffer_set_serves_weights_in_turn(self, bocf):
@@ -245,33 +269,35 @@ class TestSweepBuffers:
         rng = np.random.default_rng(44 + bocf)
         for _ in range(20):
             A, B, _ = random_problem(rng, bocf)
-            (n, m), out = B.shape, SweepBuffers(*B.shape)
+            (n, m), out = B.shape, sweep_holding(A, B)
             cheap = HorizonWeights(ell=3, R1=np.eye(n), R2=1e-3 * np.eye(m),
                                    P_terminal=np.eye(n))
             dear = HorizonWeights.output_weighted(n, p=1, m=m, ell=30, r2=3.0)
             for w in (cheap, dear, cheap, dear):
-                K = control_gain(A, B, w.R2, riccati_backward(A, B, w, out), out)
+                K = control_gain(w.R2, riccati_backward(w, out), out)
                 K_ref = textbook_control_gain(
-                    A, B, w.R2, textbook_riccati_backward(A, B, w))
+                    w.R2, textbook_riccati_backward(w, out), out)
                 assert max_rel_gap(K, K_ref) <= ORACLE_RTOL
 
     def test_rejects_a_model_of_another_shape(self):
+        # weights for two states on buffers for three, and a two-input R2
+        # on buffers for one
         out = SweepBuffers(3, 1)
         w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
-        with pytest.raises(ValueError):
-            riccati_backward(np.eye(2), np.ones((2, 1)), w, out)
+        with pytest.raises(ValueError, match="R1"):
+            riccati_backward(w, out)
         with pytest.raises(ValueError, match="R2"):
-            control_gain(out.A, out.B, np.eye(2), np.eye(3), out)
+            control_gain(np.eye(2), np.eye(3), out)
 
 
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
-        K = control_gain([[0.7]], [[1.3]], [[1.0]], np.zeros((1, 1)))
+        K = control_gain([[1.0]], np.zeros((1, 1)), sweep_holding([[0.7]], [[1.3]]))
         assert K[0, 0] == 0.0
 
     def test_scalar_fixed_point_gain(self):
-        P = riccati_backward([[1.0]], [[1.0]], scalar_weights(ell=200))
-        K = control_gain([[1.0]], [[1.0]], [[1.0]], P)
+        out = sweep_holding([[1.0]], [[1.0]])
+        K = control_gain([[1.0]], riccati_backward(scalar_weights(ell=200), out), out)
         assert K[0, 0] == pytest.approx(-GOLDEN / (1.0 + GOLDEN), abs=1e-9)
 
     def test_long_horizon_gain_stabilizes(self):
@@ -282,7 +308,8 @@ class TestControlGain:
             w = HorizonWeights(
                 ell=300, R1=np.eye(n), R2=np.eye(1), P_terminal=np.zeros((n, n))
             )
-            K = control_gain(A, B, np.eye(1), riccati_backward(A, B, w))
+            out = sweep_holding(A, B)
+            K = control_gain(np.eye(1), riccati_backward(w, out), out)
             assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
     def test_gain_invariant_under_common_weight_scaling(self):
@@ -294,7 +321,8 @@ class TestControlGain:
                 ell=40, R1=scale * R1, R2=scale * 1e-2 * np.eye(1),
                 P_terminal=scale * R1,
             )
-            K = control_gain(A, B, w.R2, riccati_backward(A, B, w))
+            out = sweep_holding(A, B)
+            K = control_gain(w.R2, riccati_backward(w, out), out)
             if scale == 1e-3:
                 K_ref = K
             else:
@@ -357,15 +385,17 @@ class TestHorizonWeights:
         # left K = 0 and the second output unstable at 1.05.
         cfg = PcacConfig(n_hat=1, p=2)
         A, B, C = assemble_bocf(np.array([-1.05, 0.0, 0.0, -1.05, 0.0, 1.0]),
-                                cfg.dims)
+                                cfg.dims, arx_buffers(cfg.dims))
         w = cfg.weights
         np.testing.assert_array_equal(w.R1, C.T @ C)
         np.testing.assert_array_equal(w.P_terminal, C.T @ C)
-        K = control_gain(A, B, w.R2, riccati_backward(A, B, w))
+        out = sweep_holding(A, B)
+        K = control_gain(w.R2, riccati_backward(w, out), out)
         closed = A + B @ K
         assert closed[0, 1] == 0.0  # lower triangular: [1, 1] is output 2's pole
         assert abs(closed[1, 1]) < 1.0
-        _, _, C = assemble_bocf(np.zeros(18), PcacConfig(n_hat=3, p=2).dims)
+        dims = PcacConfig(n_hat=3, p=2).dims
+        _, _, C = assemble_bocf(np.zeros(18), dims, arx_buffers(dims))
         np.testing.assert_array_equal(PcacConfig(n_hat=3, p=2).weights.R1, C.T @ C)
 
     def test_extreme_r2_symmetrises_exactly(self):
@@ -393,16 +423,16 @@ class TestHorizonWeights:
         A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
         w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(2), P_terminal=np.eye(3))
         with pytest.raises(ValueError, match="R2"):
-            riccati_backward(A, B, w)
+            riccati_backward(w, sweep_holding(A, B))
         with pytest.raises(ValueError, match="R2"):
-            control_gain(A, B, w.R2, np.eye(3))
+            control_gain(w.R2, np.eye(3), sweep_holding(A, B))
 
     def test_terminal_weight_must_match_the_states(self):
         # used to fail inside numpy: shapes (1,1) and (3,4) not aligned
         A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
         w = HorizonWeights(ell=5, R1=np.eye(1), R2=np.eye(1), P_terminal=np.eye(1))
         with pytest.raises(ValueError, match="P_terminal"):
-            riccati_backward(A, B, w)
+            riccati_backward(w, sweep_holding(A, B))
 
     def test_holds_read_only_copies(self):
         # the caller's arrays stay the caller's, and the held ones keep the
