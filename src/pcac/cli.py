@@ -69,7 +69,8 @@ def _cmd_grid(args) -> int:
         if row["status"] == "ok":
             atten = row["attenuation_db"]
             line += (f", suppression {row['suppression_time_s']} s, attenuation "
-                     + ("None" if atten is None else f"{atten:.1f} dB"))
+                     + ("None" if atten is None else f"{atten:.1f} dB")
+                     + f", {row['budget_misses']} budget misses")
         print(line)
     print(f"summary written to {args.out}/summary.csv")
     return _any_failed(summary)
@@ -88,26 +89,26 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_ablate(args) -> int:
     """A spec the ablation cannot measure, or an --out that cannot be a
-    directory, exits with 2 before any run."""
+    directory, exits with 2 before any run.  A cell whose re-suppression
+    times are None prints them so and counts as no win."""
     spec = _load_spec(args)
     rows = _or_exit_2(harness.run_ablation, spec, out_dir=args.out,
                       base_seed=args.seed or 0)
-    wins = sum(
-        row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
-        for row in rows
-        if row["status"] == "ok"
-    )
+    ok = [row for row in rows if row["status"] == "ok"]
+    # both runs of a pair share the open loop: both times are None, or neither
+    measured = [row for row in ok if row["resuppression_forgetting_s"] is not None]
+    wins = sum(row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
+               for row in measured)
     for row in rows:
-        print(
-            f"cell {row['cell']}: "
-            + (
-                f"forgetting {row['resuppression_forgetting_s']:.3f} s vs "
-                f"{row['resuppression_no_forgetting_s']:.3f} s without"
-                if row["status"] == "ok"
-                else row["status"]
-            )
-        )
+        on, off = ("None" if t is None else f"{t:.3f} s" for t in (
+            row.get("resuppression_forgetting_s"),
+            row.get("resuppression_no_forgetting_s")))
+        print(f"cell {row['cell']}: " + (f"forgetting {on} vs {off} without"
+                                         if row["status"] == "ok" else row["status"]))
     print(f"forgetting re-suppressed at least as fast on {wins}/{len(rows)} cells")
+    if len(measured) < len(ok):
+        print(f"{len(measured)}/{len(rows)} cells measured; {len(ok) - len(measured)} "
+              "not measurable (all-zero pre-switch output)")
     return _any_failed(rows)
 
 

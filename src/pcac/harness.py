@@ -237,10 +237,13 @@ def suppression_time(record: ExperimentRecord) -> float | None:
     return float(record.t[record.k_switch + below[0]] - record.t[record.k_switch])
 
 
-def resuppression_time(record: ExperimentRecord, t_event: float) -> float:
+def resuppression_time(record: ExperimentRecord, t_event: float) -> float | None:
     """Seconds from ``t_event`` until the trailing RMS is permanently below
-    the suppression threshold (0 if it never re-exceeds it)."""
+    the suppression threshold (0 if it never re-exceeds it; None if the
+    threshold is zero, as for an all-zero pre-switch output)."""
     rms, thresh = _suppression_rms(record)
+    if thresh == 0.0:
+        return None
     k0 = int(np.searchsorted(record.t, t_event))
     above = np.nonzero(rms[k0:] >= thresh)[0]
     if above.size == 0:
@@ -300,7 +303,8 @@ def peak_attenuation_db(record: ExperimentRecord):
 
 def experiment_metrics(record: ExperimentRecord) -> dict:
     """A run's figures; the four measured against the open-loop segment
-    are None when it has fewer than two samples or is all zero."""
+    are None when it has fewer than two samples or is all zero.
+    ``budget_misses`` counts the steps that took longer than ``t_s``."""
     closed = record.phase == 1
     wall = record.step_wall[record.step_wall > 0]
     supp = atten = f_peak = peak_db = None
@@ -317,6 +321,7 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
         "mean_step_ms": float(np.mean(wall) * 1e3) if wall.size else 0.0,
         "step_p50_ms": float(np.percentile(wall, 50) * 1e3) if wall.size else 0.0,
         "step_p99_ms": float(np.percentile(wall, 99) * 1e3) if wall.size else 0.0,
+        "budget_misses": int(np.count_nonzero(wall > record.t_s)),
     }
 
 

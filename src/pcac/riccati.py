@@ -1,12 +1,12 @@
 """Receding-horizon optimization via a backward Riccati sweep.
 
 The finite-horizon quadratic cost is minimized by sweeping the Riccati
-recursion backward from the terminal weight; only the matrix reaching the
-first prediction step is kept, from which the first-step feedback gain
-follows.  The sweep carries each stage's one-step cost Hessian
-Z'PZ + diag(0, R2), Z = [A | B], rather than P, so that a stage is one
-gain and three matrix products.  The requested control is then clamped to
-the actuator range.
+recursion backward from the terminal weight.  The sweep carries each
+stage's one-step cost Hessian Z'PZ + diag(0, R2), Z = [A | B], rather than
+P, so that a stage is one gain and three matrix products, and it ends in
+the first prediction step's Hessian, from which the first-step feedback
+gain is read.  The requested control is then clamped to the actuator
+range.
 """
 from __future__ import annotations
 
@@ -137,22 +137,21 @@ class SweepBuffers:
 
     Two stacked (2k x k) buffers, k = n + m, hold W = [Z; KZ; Z; [0 | I]]
     and V = [M W[:k]; R1 Z; [0 | R2]], so that one product W'V is the next
-    M = W[:k]' M W[:k] + Z'R1Z + diag(0, R2).  Z = [A | B], W's third
-    block, is the model both functions read, as it stands: the caller
-    writes it into Z's column blocks ``self.A`` and ``self.B``.  W's
-    [0 | I] and the zeros beside V's R2 are written here, R2 by every call,
-    and W's first Z and V's R1 Z by every sweep; M, the gain K, P and the
-    returned P2 are scratch.
+    M = W[:k]' M W[:k] + Z'R1Z + diag(0, R2); with P_terminal Z for R1 Z,
+    that of their last two blocks is the first M.  Z = [A | B], W's third
+    block, is the model the sweep reads, as it stands: the caller writes
+    it into Z's column blocks ``self.A`` and ``self.B``.  W's
+    [0 | I] and the zeros beside V's R2 are written here, the rest by every
+    sweep, which leaves the first stage's Hessian in M for the gain K.
     """
 
-    __slots__ = ("Z", "A", "B", "W", "V", "M", "K", "P", "P2", "_gain", "_w_z",
-                 "_w_kz", "_w_top", "_v_top", "_v_z", "_v_r2", "_w_low", "_v_low")
+    __slots__ = ("Z", "A", "B", "W", "V", "M", "K", "_gain", "_w_z", "_w_kz",
+                 "_w_top", "_v_top", "_v_z", "_v_r2", "_w_low", "_v_low")
 
     def __init__(self, n: int, m: int):
         k = n + m
         self.W, self.V = np.zeros((2 * k, k)), np.zeros((2 * k, k))
         self.M, self.K = np.empty((k, k)), np.empty((m, n))
-        self.P, self.P2 = np.empty((n, n)), np.empty((n, n))
         self.W[k + n :, n:] = np.eye(m)
         self.Z = self.W[k : k + n]
         self.A, self.B = self.Z[:, :n], self.Z[:, n:]
@@ -161,40 +160,35 @@ class SweepBuffers:
         self._v_top, self._v_z, self._v_r2 = self.V[:k], self.V[k:-m], self.V[-m:, n:]
         self._w_low, self._v_low = self.W[k:].T, self.V[k:]
 
-    def hessian(self, R2: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """M = Z'PZ + diag(0, R2), with R2 written into V, as the product
-        of W's and V's last two blocks."""
-        if R2.shape != self._v_r2.shape:
-            raise ValueError(f"R2 must be {self._v_r2.shape} for a B with "
-                             f"{self.B.shape[1]} columns, got {R2.shape}")
-        np.copyto(self._v_r2, R2)
-        P.dot(self.Z, self._v_z)
-        return self._w_low.dot(self._v_low, self.M)
-
 
 def riccati_backward(w: HorizonWeights, out: SweepBuffers) -> np.ndarray:
     """Sweep the Riccati recursion backward over the horizon, for the
-    model Z = [A | B] that ``out`` holds.
+    model Z = [A | B] that ``out`` holds, and return the first prediction
+    step's cost Hessian M_1 = Z' P_2 Z + diag(0, R2) as ``out.M``.
 
-    Starting from the terminal weight, iterates
+    Starting from the terminal weight, the recursion
 
         P_j = R1 + K_j' R2 K_j + (A + B K_j)' P_{j+1} (A + B K_j),
         K_j = -(R2 + B' P_{j+1} B)^{-1} B' P_{j+1} A,
 
-    down to the second prediction step and returns that matrix,
-    symmetrized, as ``out.P2``.  The sweep carries
-    M_j = Z' P_{j+1} Z + diag(0, R2), Z = [A | B], rather than P: with
-    W = [Z; K_j Z], M_{j-1} = W' M_j W + Z' R1 Z + diag(0, R2), and the
-    last step reads P_2 = M_aa + M_ab K + R1.  No iterate is stored.
+    is carried as M_j = Z' P_{j+1} Z + diag(0, R2) rather than as P: with
+    W = [Z; K_j Z], M_{j-1} = W' M_j W + Z' R1 Z + diag(0, R2).  The sweep
+    makes ell - 1 such stages from M_ell = Z' P_terminal Z + diag(0, R2),
+    none for ell = 1, stores no iterate and symmetrizes none, M_1 included.
     """
-    R1, n = w.R1, out.P.shape[0]
+    R1, n = w.R1, out.Z.shape[0]
     if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
         raise ValueError(
             f"R1 {R1.shape} and P_terminal {w.P_terminal.shape} must be "
             f"({n}, {n}) for A's {n} states"
         )
-    P, Z, gain = w.P_terminal, out.Z, out._gain
-    M = out.hessian(w.R2, P)
+    if w.R2.shape != out._v_r2.shape:
+        raise ValueError(f"R2 must be {out._v_r2.shape} for a B with "
+                         f"{out.B.shape[1]} columns, got {w.R2.shape}")
+    Z, M, gain = out.Z, out.M, out._gain
+    np.copyto(out._v_r2, w.R2)
+    w.P_terminal.dot(Z, out._v_z)
+    out._w_low.dot(out._v_low, M)
     if w.ell > 1:
         np.copyto(out._w_z, Z)
         R1.dot(Z, out._v_z)
@@ -203,25 +197,19 @@ def riccati_backward(w: HorizonWeights, out: SweepBuffers) -> np.ndarray:
         # make the same BLAS call, with bit-identical results, but the method
         # skips the __array_function__ dispatcher, and the step's cost is
         # dispatch rather than arithmetic.
-        for _ in range(w.ell - 2):
+        for _ in range(w.ell - 1):
             gain().dot(Z, W_kz)
             M.dot(W_top, V_top)
             W_t.dot(V, M)
-        P = M[:n, n:].dot(gain(), out.P)
-        P += M[:n, :n]
-        P += R1
-    P2 = np.add(P, P.T, out=out.P2)
-    P2 *= 0.5
-    if not np.isfinite(P2).all():
+    if not np.isfinite(M).all():
         raise NumericalError("Riccati sweep diverged")
-    return P2
+    return M
 
 
-def control_gain(R2: np.ndarray, P2: np.ndarray, out: SweepBuffers) -> np.ndarray:
-    """First-step feedback gain K = -(R2 + B'P2B)^{-1} B'P2A of the model
-    Z = [A | B] that ``out`` holds, read from Z'P2Z + diag(0, R2) as in the
-    sweep: ``out.K``."""
-    out.hessian(np.atleast_2d(np.asarray(R2, float)), P2)
+def control_gain(out: SweepBuffers) -> np.ndarray:
+    """First-step feedback gain K = -(R2 + B'P_2B)^{-1} B'P_2A, read from
+    the Hessian M_1 = Z'P_2Z + diag(0, R2) that :func:`riccati_backward`
+    left in ``out``: ``out.K``."""
     return out._gain()
 
 

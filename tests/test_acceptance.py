@@ -35,7 +35,7 @@ from pcac import (
 from pcac.cli import main as cli_main
 from pcac.harness import grid_specs
 from test_arx import arx_buffers, predict_output
-from test_riccati import sweep_holding
+from test_riccati import dare_hessian, sweep_holding
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -211,9 +211,12 @@ def test_criterion_05_riccati_dare_agreement():
         B = rng.standard_normal((n, m))
         w = HorizonWeights(ell=500, R1=np.eye(n), R2=np.eye(m),
                            P_terminal=np.zeros((n, n)))
-        P = riccati_backward(w, sweep_holding(A, B))
+        # the sweep ends in M_1 = Z'P_2Z + diag(0, R2); at the fixed point
+        # P_2 is the DARE solution P*
+        M = riccati_backward(w, sweep_holding(A, B))
         P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
-        worst = max(worst, np.linalg.norm(P - P_star) / np.linalg.norm(P_star))
+        M_star = dare_hessian(A, B, P_star, np.eye(m))
+        worst = max(worst, np.linalg.norm(M - M_star) / np.linalg.norm(M_star))
     scalar = riccati_backward(
         HorizonWeights(ell=500, R1=[[1.0]], R2=[[1.0]], P_terminal=[[0.0]]),
         sweep_holding([[1.0]], [[1.0]]),

@@ -945,6 +945,13 @@ class TestResuppressionTime:
         assert resuppression_time(rec, 4.0) == pytest.approx(1.0)
         assert resuppression_time(rec, 5.1) == 0.0
 
+    def test_all_zero_open_loop_gives_none(self):
+        # a zero threshold, which every RMS is at or above, used to return
+        # the whole tail after the event
+        rec = self.record_with({44: 1.0})
+        rec.y[:30] = 0.0
+        assert resuppression_time(rec, 4.0) is None
+
 
 def test_step_time_columns_are_percentiles():
     # samples without a controller step (step_wall 0) are left out
@@ -956,6 +963,14 @@ def test_step_time_columns_are_percentiles():
     assert m["step_p50_ms"] == pytest.approx(1.35)
     assert m["step_p99_ms"] == pytest.approx(2.575)
     assert "max_step_ms" not in m and "budget_violations" not in m
+
+
+def test_budget_misses_count_steps_over_the_record_sample_time():
+    # at 4 kHz the budget is 0.25 ms; a step of exactly that is no miss
+    rec = replace(synthetic_record(), t_s=2.5e-4)
+    rec.step_wall[30:34] = [1e-4, 2.5e-4, 2.6e-4, 9e-4]
+    assert experiment_metrics(rec)["budget_misses"] == 2
+    assert experiment_metrics(replace(rec, t_s=1e-3))["budget_misses"] == 0
 
 
 def stub_runs(monkeypatch, fail_on=None, fault_count=0):
@@ -1009,6 +1024,25 @@ class TestAblation:
         rows = harness.run_ablation(default_spec(), out_dir=None)
         assert [row["fault_count"] for row in rows] == [2 * fault_count] * 9
         assert cli_main(["ablate", "--out", str(tmp_path)]) == status
+
+    def test_at_rest_cell_is_not_measurable(self, tmp_path, monkeypatch, capsys):
+        # a noise-free plant at rest until the kick: nothing to re-suppress
+        # below, where the ablation used to report 1.500 s for both runs and
+        # count the tie as a win.  One cell keeps the two real runs short.
+        cells = harness.grid_specs
+        monkeypatch.setattr(harness, "grid_specs",
+                            lambda base, base_seed: cells(base, base_seed)[:1])
+        path = tmp_path / "spec.txt"
+        path.write_text("sim.q0 = 0.0\nsim.t_open = 0.3\nsim.t_total = 0.6\n")
+        assert cli_main(["ablate", "--spec", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["cell 0: forgetting None vs None without",
+                       "forgetting re-suppressed at least as fast on 0/1 cells",
+                       "0/1 cells measured; 1 not measurable (all-zero "
+                       "pre-switch output)"]
+        row = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[2]
+        assert row.endswith(",ok,None,None,0")
 
     def test_no_open_loop_segment_refused_before_any_run(self, tmp_path,
                                                          monkeypatch, capsys):

@@ -42,23 +42,40 @@ def sweep_holding(A, B):
     return out
 
 
+def dare_hessian(A, B, P, R2):
+    """Z'PZ + diag(0, R2), Z = [A | B]: the sweep's M_1 when P is P_2."""
+    Z = np.hstack([A, B])
+    M = Z.T @ P @ Z
+    M[A.shape[0]:, A.shape[0]:] += R2
+    return M
+
+
 def textbook_riccati_backward(w, out):
-    """The textbook recursion P <- A'P(A - B Gamma) + R1 on the model that
-    ``out`` holds, symmetrized every iteration: the reference for the fused
-    sweep (``out`` is only read)."""
+    """The reference for the fused sweep: the textbook recursion
+    P <- A'P(A - B Gamma) + R1 on the model that ``out`` holds, symmetrized
+    every iteration, down to P_2, and from it M_1 = Z'P_2Z + diag(0, R2).
+    Returns M_1, and writes it into ``out.M`` as the sweep does, for
+    :func:`textbook_control_gain`; ``out`` is otherwise only read."""
     A, B, P = out.A, out.B, w.P_terminal
     for _ in range(w.ell - 1):
         BtP = B.T @ P
         gamma = np.linalg.solve(w.R2 + BtP @ B, BtP @ A)
         P = A.T @ P @ (A - B @ gamma) + w.R1
         P = 0.5 * (P + P.T)
-    return P
+    out.M[...] = M = dare_hessian(A, B, P, w.R2)
+    return M
 
 
-def textbook_control_gain(R2, P2, out):
-    A, B = out.A, out.B
-    BtP = B.T @ P2
-    return -np.linalg.solve(R2 + BtP @ B, BtP @ A)
+def textbook_control_gain(out):
+    """K = -(R2 + B'P_2B)^{-1} B'P_2A from the blocks of ``out.M``."""
+    n = out.A.shape[0]
+    return -np.linalg.solve(out.M[n:, n:], out.M[n:, :n])
+
+
+def first_gain(w, out):
+    """The sweep, then the gain it leaves for: ``out.K``."""
+    riccati_backward(w, out)
+    return control_gain(out)
 
 
 def random_problem(rng, bocf, shape=None):
@@ -82,11 +99,13 @@ def random_problem(rng, bocf, shape=None):
 
 # Largest entrywise gap to the textbook recursion, relative to its largest
 # entry.  Both are float64 and sum in different orders.  Over 1000 draws of
-# each kind of random_problem the gap peaked at 1.7e-12 (P2) and 5.2e-13
-# (gain), and at 9.7e-13 and 7.7e-13 for a sweep that carries P instead of
-# Z'PZ; with that sweep, draws in another order reached 2.3e-10 and 4.4e-10
-# on an unstable 4-state BOCF with ell=23, where an extended-precision run
-# of the recursion put the sweep (6e-12) closer than the textbook one (2e-10).
+# each kind of random_problem the gap peaked at 2.3e-12 (M_1) and 1.7e-12
+# (gain); for a sweep that ended in a symmetrized P_2, at 1.7e-12 (P_2) and
+# 5.2e-13 (gain), and at 9.7e-13 and 7.7e-13 for one that carries P instead
+# of Z'PZ; with that sweep, draws in another order reached 2.3e-10 and
+# 4.4e-10 on an unstable 4-state BOCF with ell=23, where an extended-precision
+# run of the recursion put the sweep (6e-12) closer than the textbook one
+# (2e-10).
 ORACLE_RTOL = 1e-9
 
 
@@ -95,18 +114,22 @@ def max_rel_gap(x, ref):
 
 
 class TestRiccatiBackward:
+    """The sweep returns M_1 = Z'P_2Z + diag(0, R2); with A = B = 1, as in
+    the scalar tests, M_1[0, 0] is P_2."""
+
     def test_unit_horizon_returns_terminal(self):
-        P = riccati_backward(scalar_weights(ell=1), sweep_holding([[1.0]], [[1.0]]))
-        assert P[0, 0] == 0.0
+        M = riccati_backward(scalar_weights(ell=1), sweep_holding([[1.0]], [[1.0]]))
+        np.testing.assert_array_equal(M, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_single_step_hand_value(self):
-        P = riccati_backward(scalar_weights(ell=2), sweep_holding([[1.0]], [[1.0]]))
-        assert P[0, 0] == pytest.approx(1.0)
+        # P_2 = 1: M_1 = [[1, 1], [1, 1 + 1]]
+        M = riccati_backward(scalar_weights(ell=2), sweep_holding([[1.0]], [[1.0]]))
+        np.testing.assert_allclose(M, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_long_horizon_reaches_golden_ratio(self):
         # fixed point of P = 1 + P - P^2/(1+P) for A=B=R1=R2=1
-        P = riccati_backward(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
-        assert P[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
+        M = riccati_backward(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
+        assert M[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
 
     def test_scalar_sequence_monotone(self):
         rng = np.random.default_rng(21)
@@ -131,21 +154,22 @@ class TestRiccatiBackward:
             w = HorizonWeights(
                 ell=500, R1=np.eye(n), R2=np.eye(m), P_terminal=np.zeros((n, n))
             )
-            P = riccati_backward(w, sweep_holding(A, B))
+            M = riccati_backward(w, sweep_holding(A, B))
             P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
-            err = np.linalg.norm(P - P_star) / np.linalg.norm(P_star)
+            M_star = dare_hessian(A, B, P_star, np.eye(m))
+            err = np.linalg.norm(M - M_star) / np.linalg.norm(M_star)
             assert err < 1e-6
 
     def test_intermediate_iterates_psd(self):
+        # M_1 is left unsymmetrized; its symmetric part is PSD
         rng = np.random.default_rng(23)
         A, B = random_stable_system(rng, 4, 1)
         for ell in (2, 5, 20):
             w = HorizonWeights(
                 ell=ell, R1=np.eye(4), R2=np.eye(1), P_terminal=np.zeros((4, 4))
             )
-            P = riccati_backward(w, sweep_holding(A, B))
-            np.testing.assert_array_equal(P, P.T)
-            assert np.min(np.linalg.eigvalsh(P)) >= -1e-12
+            M = riccati_backward(w, sweep_holding(A, B))
+            assert np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) >= -1e-12
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_matches_textbook_recursion(self, bocf):
@@ -153,12 +177,10 @@ class TestRiccatiBackward:
         for _ in range(150):
             A, B, w = random_problem(rng, bocf)
             out = sweep_holding(A, B)
-            P_ref = textbook_riccati_backward(w, out)
-            P = riccati_backward(w, out)
-            assert max_rel_gap(P, P_ref) <= ORACLE_RTOL
-            K = control_gain(w.R2, P, out)
-            K_ref = textbook_control_gain(w.R2, P_ref, out)
-            assert max_rel_gap(K, K_ref) <= ORACLE_RTOL
+            M_ref = textbook_riccati_backward(w, out)
+            K_ref = textbook_control_gain(out)
+            assert max_rel_gap(riccati_backward(w, out), M_ref) <= ORACLE_RTOL
+            assert max_rel_gap(control_gain(out), K_ref) <= ORACLE_RTOL
 
     def test_multi_input_cheap_control_matches_textbook(self):
         # Unstable BOCF, m = 2, r2 = 1e-3, ell = 40: the unsymmetrized
@@ -172,8 +194,10 @@ class TestRiccatiBackward:
                                     arx_buffers(dims))
             w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
             out = sweep_holding(A, B)
-            P_ref = textbook_riccati_backward(w, out)
-            assert max_rel_gap(riccati_backward(w, out), P_ref) <= ORACLE_RTOL
+            M_ref = textbook_riccati_backward(w, out)
+            K_ref = textbook_control_gain(out)
+            assert max_rel_gap(riccati_backward(w, out), M_ref) <= ORACLE_RTOL
+            assert max_rel_gap(control_gain(out), K_ref) <= ORACLE_RTOL
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_non_finite_model_raises_numerical_error(self, m):
@@ -203,12 +227,12 @@ class TestScratchBuffers:
         out = sweep_holding(A, B)
         held = (out.A, out.B, w.P_terminal, w.R1, w.R2)
         before = [x.copy() for x in held]
-        P2 = riccati_backward(w, out)
-        K = control_gain(w.R2, P2, out)
+        M = riccati_backward(w, out)
+        K = control_gain(out)
         for x, x0 in zip(held, before):
             np.testing.assert_array_equal(x, x0)
-        assert not np.shares_memory(P2, w.P_terminal)
-        assert not np.shares_memory(K, P2)
+        assert not np.shares_memory(M, w.P_terminal)
+        assert not np.shares_memory(K, M)
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("ell", [1, 2, 20])
@@ -232,12 +256,11 @@ class TestSweepBuffers:
     def check(A, B, w, out):
         # writes (A, B) into the reused set ``out`` as the realization does
         fresh = sweep_holding(A, B)
-        P2_ref = riccati_backward(w, fresh)
-        K_ref = control_gain(w.R2, P2_ref, fresh)
+        M_ref = riccati_backward(w, fresh)
+        K_ref = control_gain(fresh)
         out.A[...], out.B[...] = A, B
-        P2 = riccati_backward(w, out)
-        assert P2.tobytes() == P2_ref.tobytes()
-        assert control_gain(w.R2, P2, out).tobytes() == K_ref.tobytes()
+        assert riccati_backward(w, out).tobytes() == M_ref.tobytes()
+        assert control_gain(out).tobytes() == K_ref.tobytes()
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_own_blocks_equal_allocating(self, bocf):
@@ -274,30 +297,26 @@ class TestSweepBuffers:
                                    P_terminal=np.eye(n))
             dear = HorizonWeights.output_weighted(n, p=1, m=m, ell=30, r2=3.0)
             for w in (cheap, dear, cheap, dear):
-                K = control_gain(w.R2, riccati_backward(w, out), out)
-                K_ref = textbook_control_gain(
-                    w.R2, textbook_riccati_backward(w, out), out)
-                assert max_rel_gap(K, K_ref) <= ORACLE_RTOL
+                textbook_riccati_backward(w, out)
+                K_ref = textbook_control_gain(out)
+                assert max_rel_gap(first_gain(w, out), K_ref) <= ORACLE_RTOL
 
     def test_rejects_a_model_of_another_shape(self):
-        # weights for two states on buffers for three, and a two-input R2
-        # on buffers for one
+        # weights for two states on buffers for three (a two-input R2 on
+        # buffers for one: test_r2_must_match_the_inputs)
         out = SweepBuffers(3, 1)
         w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
         with pytest.raises(ValueError, match="R1"):
             riccati_backward(w, out)
-        with pytest.raises(ValueError, match="R2"):
-            control_gain(np.eye(2), np.eye(3), out)
 
 
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
-        K = control_gain([[1.0]], np.zeros((1, 1)), sweep_holding([[0.7]], [[1.3]]))
+        K = first_gain(scalar_weights(ell=1), sweep_holding([[0.7]], [[1.3]]))
         assert K[0, 0] == 0.0
 
     def test_scalar_fixed_point_gain(self):
-        out = sweep_holding([[1.0]], [[1.0]])
-        K = control_gain([[1.0]], riccati_backward(scalar_weights(ell=200), out), out)
+        K = first_gain(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
         assert K[0, 0] == pytest.approx(-GOLDEN / (1.0 + GOLDEN), abs=1e-9)
 
     def test_long_horizon_gain_stabilizes(self):
@@ -308,8 +327,7 @@ class TestControlGain:
             w = HorizonWeights(
                 ell=300, R1=np.eye(n), R2=np.eye(1), P_terminal=np.zeros((n, n))
             )
-            out = sweep_holding(A, B)
-            K = control_gain(np.eye(1), riccati_backward(w, out), out)
+            K = first_gain(w, sweep_holding(A, B))
             assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
     def test_gain_invariant_under_common_weight_scaling(self):
@@ -321,8 +339,7 @@ class TestControlGain:
                 ell=40, R1=scale * R1, R2=scale * 1e-2 * np.eye(1),
                 P_terminal=scale * R1,
             )
-            out = sweep_holding(A, B)
-            K = control_gain(w.R2, riccati_backward(w, out), out)
+            K = first_gain(w, sweep_holding(A, B))
             if scale == 1e-3:
                 K_ref = K
             else:
@@ -389,8 +406,7 @@ class TestHorizonWeights:
         w = cfg.weights
         np.testing.assert_array_equal(w.R1, C.T @ C)
         np.testing.assert_array_equal(w.P_terminal, C.T @ C)
-        out = sweep_holding(A, B)
-        K = control_gain(w.R2, riccati_backward(w, out), out)
+        K = first_gain(w, sweep_holding(A, B))
         closed = A + B @ K
         assert closed[0, 1] == 0.0  # lower triangular: [1, 1] is output 2's pole
         assert abs(closed[1, 1]) < 1.0
@@ -424,8 +440,6 @@ class TestHorizonWeights:
         w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(2), P_terminal=np.eye(3))
         with pytest.raises(ValueError, match="R2"):
             riccati_backward(w, sweep_holding(A, B))
-        with pytest.raises(ValueError, match="R2"):
-            control_gain(w.R2, np.eye(3), sweep_holding(A, B))
 
     def test_terminal_weight_must_match_the_states(self):
         # used to fail inside numpy: shapes (1,1) and (3,4) not aligned
