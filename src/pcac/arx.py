@@ -94,7 +94,7 @@ class ArxBuffers:
     :func:`compute_bocf_state` write into, given them as ``out``.
 
     What the data never changes is written here, once: the zeros of phi
-    off its lag columns, the identity superdiagonal blocks of A, C, and the
+    off its lag columns, the identity superdiagonal blocks of A, and the
     zero rows above the history in the state's lag scratch.  A call then
     writes only the lagged data, -F_i and G_i, or the history and the state,
     and returns arrays that the next call overwrites.  ``A`` and ``B`` are
@@ -102,7 +102,7 @@ class ArxBuffers:
     realization is written where the sweep reads it.
     """
 
-    __slots__ = ("phi", "A", "B", "C", "y_lag", "u_lag", "x", "_neg_f", "_g", "_tail",
+    __slots__ = ("phi", "A", "B", "y_lag", "u_lag", "x", "_neg_f", "_g", "_x_blocks",
                  "_rows", "_windows")
 
     def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
@@ -115,16 +115,15 @@ class ArxBuffers:
             )
         self.A, self.B = A, B
         A[...] = np.eye(n * p, k=p)
-        self.C = np.eye(p, n * p)
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
         self._g = self.B.reshape(n, p, m)
-        self.y_lag = np.empty((n - 1, n * p))
-        self.u_lag = np.empty((n - 1, n * m))
+        self.y_lag = np.empty((n, n * p))
+        self.u_lag = np.empty((n, n * m))
         self.x = np.empty(n * p)
-        self._tail = self.x[p:].reshape(n - 1, p)
+        self._x_blocks = self.x.reshape(n, p)
         # Per signal, a (2n-1, width) scratch whose last n rows take the
-        # history, and its fixed Hankel view: row j-2 of the lag matrix is
+        # history, and its fixed Hankel view: row j-1 of the lag matrix is
         # history rows 1-j..n-j, zero where the row index is negative.
         pads = [np.zeros((2 * n - 1, width)) for width in (p, m)]
         self._rows = [pad[n - 1 :] for pad in pads]
@@ -158,44 +157,38 @@ def build_regressor(history: IoHistory, dims: ModelDims, out: ArxBuffers) -> np.
 
 
 def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
-    """Build (A, B, C) of the block observable canonical form.
+    """Build (A, B) of the block observable canonical form.
 
     ``theta_next`` holds the coefficient estimate used for the realization
     at the current step (the freshly updated one).  A is block companion
     with -F_i in the first block column and identity superdiagonal blocks,
-    B stacks the G_i, and C reads the first state block: ``out.A``,
-    ``out.B`` and ``out.C``.
+    and B stacks the G_i: ``out.A`` and ``out.B``.  The output matrix,
+    which reads the first state block, is [I_p 0 ... 0].
     """
     theta = _checked_theta(theta_next, dims)
     n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
     out._g[...] = theta[split:].reshape(n, m, p).transpose(0, 2, 1)
-    return out.A, out.B, out.C
+    return out.A, out.B
 
 
 def compute_bocf_state(
-    history: IoHistory,
-    y_now: np.ndarray,
-    theta_next: np.ndarray,
-    dims: ModelDims,
-    out: ArxBuffers,
+    history: IoHistory, theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers
 ) -> np.ndarray:
-    """Explicit BOCF state at the current step, ``out.x``.
+    """Explicit BOCF state x_{k+1|k} after the newest pair, ``out.x``.
 
-    Block 1 is the current measurement; block j >= 2 collects the tail of
-    the ARX convolution not yet absorbed into the output:
+    Row 0 of ``history`` holds (y_k, u_k).  Block j = 1..n collects the
+    part of the ARX convolution that the data up to sample k contribute to
+    y_{k+j}:
 
-        x(j) = -sum_{i=1}^{n-j+1} F_{i+j-1} y_{k-i} + sum G_{i+j-1} u_{k-i}.
+        x(j) = sum_{r=0}^{n-j} (-F_{r+j} y_{k-r} + G_{r+j} u_{k-r}),
 
-    Blocks 2..n come from one block-Toeplitz product: block j pairs lag
-    l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row l-j+1
-    (row 0 is the newest sample) and reads zero padding where that row
-    index is negative.
+    which is A x_k + B u_k for the state x_k whose first block is y_k.
+    All n blocks come from one block-Hankel product per signal: block j
+    pairs lag l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row
+    l-j+1 and reads zero padding where that row index is negative.
     """
     history.check_dims(dims)
-    y_now = np.asarray(y_now, dtype=float).reshape(-1)
-    if y_now.shape != (dims.p,):
-        raise ValueError(f"y_now shape {y_now.shape} does not match p={dims.p}")
     theta = _checked_theta(theta_next, dims)
     n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
     # The Hankel windows are copied C-contiguous into the lag matrices,
@@ -205,8 +198,7 @@ def compute_bocf_state(
         np.copyto(rows, past)
         np.copyto(lag, window)
     # The stacked F_i' and G_i' are theta's two halves, reshaped.
-    x, tail = out.x, out._tail
-    x[:p] = y_now
-    out.u_lag.dot(theta[split:].reshape(n * m, p), tail)
-    tail -= out.y_lag.dot(theta[:split].reshape(n * p, p))
-    return x
+    blocks = out._x_blocks
+    out.u_lag.dot(theta[split:].reshape(n * m, p), blocks)
+    blocks -= out.y_lag.dot(theta[:split].reshape(n * p, p))
+    return out.x

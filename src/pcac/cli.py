@@ -67,9 +67,9 @@ def _cmd_grid(args) -> int:
         line = (f"cell {row['cell']} ({row['freq_hz']:.0f} Hz, "
                 f"mu={row['mu']:.2f}): {row['status']}")
         if row["status"] == "ok":
-            atten = row["attenuation_db"]
-            line += (f", suppression {row['suppression_time_s']} s, attenuation "
-                     + ("None" if atten is None else f"{atten:.1f} dB")
+            supp, atten = row["suppression_time_s"], row["attenuation_db"]
+            line += (", suppression " + ("None" if supp is None else f"{supp} s")
+                     + ", attenuation " + ("None" if atten is None else f"{atten:.1f} dB")
                      + f", {row['budget_misses']} budget misses")
         print(line)
     print(f"summary written to {args.out}/summary.csv")

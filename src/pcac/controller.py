@@ -2,8 +2,9 @@
 
 Each call consumes the latest measurement and produces the control for the
 next sample: regressor from the history buffer, RLS update, realization of
-the freshly updated coefficients, explicit state construction and one-step
-propagation, backward Riccati sweep, gain application, and saturation.
+the freshly updated coefficients, the explicit one-step-ahead state of the
+history that the sample joins, backward Riccati sweep, gain application,
+and saturation.
 """
 from __future__ import annotations
 
@@ -127,16 +128,19 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
     arx, sweep = state.arx, state.sweep
     phi = build_regressor(state.history, cfg.dims, arx)
     rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
+    history = state.history.push(y_k, state.u_implemented)
 
-    A, B, _ = assemble_bocf(rls_next.theta, cfg.dims, arx)
-    x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims, arx)
-    x_next = A.dot(x_now) + B.dot(state.u_implemented)
+    assemble_bocf(rls_next.theta, cfg.dims, arx)
 
     fault = None
     try:
-        riccati_backward(cfg.weights, sweep)
-        K = control_gain(sweep)
-        u_req = K.dot(x_next)
+        # An overflow to inf or nan is left to the finiteness checks, which
+        # turn it into a fault, rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_next = compute_bocf_state(history, rls_next.theta, cfg.dims, arx)
+            riccati_backward(cfg.weights, sweep)
+            K = control_gain(sweep)
+            u_req = K.dot(x_next)
         if not np.isfinite(u_req).all():
             raise NumericalError("non-finite requested control")
         u_impl = saturate(u_req, cfg.bounds)
@@ -147,7 +151,7 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
 
     new_state = PcacState(
         rls=rls_next,
-        history=state.history.push(y_k, state.u_implemented),
+        history=history,
         u_implemented=u_impl,
         u_requested=u_req,
         arx=arx,

@@ -304,8 +304,11 @@ def peak_attenuation_db(record: ExperimentRecord):
 def experiment_metrics(record: ExperimentRecord) -> dict:
     """A run's figures; the four measured against the open-loop segment
     are None when it has fewer than two samples or is all zero.
-    ``budget_misses`` counts the steps that took longer than ``t_s``."""
+    ``clamped_steps`` counts the samples after the switch whose implemented
+    control differs from the requested one, and ``budget_misses`` the steps
+    that took longer than ``t_s``."""
     closed = record.phase == 1
+    after = slice(record.k_switch + 1, None)
     wall = record.step_wall[record.step_wall > 0]
     supp = atten = f_peak = peak_db = None
     if record.k_switch >= 2:
@@ -317,6 +320,9 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
         "peak_freq_hz": f_peak,
         "peak_attenuation_db": peak_db,
         "max_abs_u": float(np.max(np.abs(record.u[closed]))) if closed.any() else 0.0,
+        "max_abs_u_req": (float(np.max(np.abs(record.u_req[closed])))
+                          if closed.any() else 0.0),
+        "clamped_steps": int(np.count_nonzero(record.u_req[after] != record.u[after])),
         "fault_count": record.fault_count,
         "mean_step_ms": float(np.mean(wall) * 1e3) if wall.size else 0.0,
         "step_p50_ms": float(np.percentile(wall, 50) * 1e3) if wall.size else 0.0,

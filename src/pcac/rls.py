@@ -153,18 +153,19 @@ def _log_beta(a: float, b: float) -> float:
         return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     s = a + b
     # lgamma(b) - lgamma(s) + a, without its terms of order b log b
-    rest = _stirling_tail(b) - _stirling_tail(s) - (b - 0.5) * math.log1p(a / b)
+    rest = (_stirling_correction(b) - _stirling_correction(s)
+            - (b - 0.5) * math.log1p(a / b))
     if a < 20.0:
         return math.lgamma(a) + a - a * math.log(s) + rest
     return (
         0.5 * math.log(2.0 * math.pi / a)
         + a * math.log(a / s)
-        + _stirling_tail(a)
+        + _stirling_correction(a)
         + rest
     )
 
 
-def _stirling_tail(x: float) -> float:
+def _stirling_correction(x: float) -> float:
     """lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= 20 (the
     first omitted term is below 1e-18)."""
     r, acc = 1.0 / (x * x), 0.0

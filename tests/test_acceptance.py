@@ -34,7 +34,7 @@ from pcac import (
 )
 from pcac.cli import main as cli_main
 from pcac.harness import grid_specs
-from test_arx import arx_buffers, predict_output
+from test_arx import arx_buffers, current_state, predict_output
 from test_riccati import dare_hessian, sweep_holding
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -175,7 +175,7 @@ def test_criterion_03_f_quantile_quadrature():
 
 def test_criterion_04_bocf_equivalence():
     rng = np.random.default_rng(104)
-    worst = 0.0
+    worst = worst_state = 0.0
     for trial in range(100):
         p = 1 + trial % 2
         m = int(rng.integers(1, 3))
@@ -186,17 +186,22 @@ def test_criterion_04_bocf_equivalence():
         y_now = rng.standard_normal(p)
         u_now = rng.standard_normal(m)
 
-        A, B, C = assemble_bocf(theta, dims, arx_buffers(dims))
-        x = compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims))
-        y_state = C @ (A @ x + B @ u_now)
+        A, B = assemble_bocf(theta, dims, arx_buffers(dims))
+        x_prop = A @ current_state(h, y_now, theta, dims) + B @ u_now
+        pushed = h.push(y_now, u_now)
+        x_next = compute_bocf_state(pushed, theta, dims, arx_buffers(dims))
+        scale = max(1.0, np.max(np.abs(x_next)))
+        worst_state = max(worst_state, np.max(np.abs(x_prop - x_next)) / scale)
 
-        phi = build_regressor(h.push(y_now, u_now), dims, arx_buffers(dims))
+        phi = build_regressor(pushed, dims, arx_buffers(dims))
         y_arx = predict_output(theta, phi)
         scale = max(np.linalg.norm(np.atleast_1d(y_arx)), 1.0)
-        worst = max(worst, np.linalg.norm(np.atleast_1d(y_state - y_arx)) / scale)
+        worst = max(worst, np.linalg.norm(np.atleast_1d(x_prop[:p] - y_arx)) / scale)
     assert worst <= 1e-12
+    assert worst_state <= 1e-12
     report(4, f"state-space propagation equals the input-output recursion on "
-              f"100 random draws, worst relative error {worst:.2e}")
+              f"100 random draws, worst relative error {worst:.2e}; A x_k + B u_k "
+              f"equals the state of the pushed history to {worst_state:.2e}")
 
 
 def test_criterion_05_riccati_dare_agreement():
@@ -255,6 +260,21 @@ def test_criterion_07_saturation_invariant(grid):
     assert worst <= 8.0
     report(7, f"|u| <= 8 on every one of {rows} logged samples "
               f"(max {worst:.6f})")
+
+
+def test_grid_summary_counts_clamped_steps(grid):
+    # a step clamps exactly when its request is out of range; cell 4 is
+    # default_spec(0), where about 3% of the 2000 closed-loop steps clamp
+    summary, out_dir, _ = grid
+    for i, row in enumerate(summary):
+        rec = read_record(f"{out_dir}/cell_{i}.csv")
+        u_req = rec.u_req[rec.k_switch + 1 :]
+        assert row["clamped_steps"] == np.count_nonzero(np.abs(u_req) > 8.0), i
+        assert row["max_abs_u_req"] == np.max(np.abs(u_req)), i
+    assert summary[4]["clamped_steps"] == 61
+    with open(f"{out_dir}/summary.csv") as fh:
+        fh.readline()
+        assert {"clamped_steps", "max_abs_u_req"} <= set(fh.readline().strip().split(","))
 
 
 def test_grid_cell_records_replay_bit_for_bit(grid):

@@ -62,18 +62,27 @@ def arx_sum(theta, dims, y_past, u_past):
     return out
 
 
-def gathered_state(history, y_now, theta, dims):
+def gathered_state(history, theta, dims):
     """BOCF state from a zero-padded copy of the history and a lag-index table."""
     n, p, m = dims.n_hat, dims.p, dims.m
     F, G = split_coefficients(theta, dims)
-    offset = np.arange(n) - np.arange(1, n)[:, None] + (n - 1)
+    offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
     y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
     u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
-    tail = (
-        u_pad[offset].reshape(n - 1, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
-        - y_pad[offset].reshape(n - 1, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
+    blocks = (
+        u_pad[offset].reshape(n, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
+        - y_pad[offset].reshape(n, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
     )
-    return np.concatenate([y_now, tail.ravel()])
+    return blocks.ravel()
+
+
+def current_state(history, y_now, theta, dims):
+    """x_k, the state whose first block is the measured y_k: the state of
+    the history before (y_k, u_k) is pushed, its first block (the
+    prediction of y_k) replaced by y_k."""
+    x = compute_bocf_state(history, theta, dims, arx_buffers(dims)).copy()
+    x[: dims.p] = y_now
+    return x
 
 
 class TestRegressor:
@@ -141,15 +150,14 @@ class TestBocfAssembly:
     def test_second_order_scalar_pattern(self):
         dims = ModelDims(2, 1, 1)
         theta = np.array([0.4, 0.7, 1.2, -0.9])  # f1 f2 g1 g2
-        A, B, C = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, B = assemble_bocf(theta, dims, arx_buffers(dims))
         np.testing.assert_array_equal(A, [[-0.4, 1.0], [-0.7, 0.0]])
         np.testing.assert_array_equal(B, [[1.2], [-0.9]])
-        np.testing.assert_array_equal(C, [[1.0, 0.0]])
 
     def test_first_order_degenerate(self):
         dims = ModelDims(1, 1, 1)
-        A, B, C = assemble_bocf(np.array([0.3, 2.0]), dims, arx_buffers(dims))
-        assert A == np.array([[-0.3]]) and B == np.array([[2.0]]) and C == 1.0
+        A, B = assemble_bocf(np.array([0.3, 2.0]), dims, arx_buffers(dims))
+        assert A == np.array([[-0.3]]) and B == np.array([[2.0]])
 
     def test_characteristic_polynomial(self):
         # det(zI - A) must equal det(z^n I + F1 z^{n-1} + ... + Fn)
@@ -157,7 +165,7 @@ class TestBocfAssembly:
         dims = ModelDims(3, 2, 1)
         theta = rng.standard_normal(dims.n_theta)
         F, _ = split_coefficients(theta, dims)
-        A, _, _ = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         for z in rng.standard_normal(5) + 1j * rng.standard_normal(5):
             lhs = np.linalg.det(z * np.eye(6) - A)
             rhs = np.linalg.det(
@@ -171,7 +179,7 @@ class TestBocfAssembly:
         theta = rng.standard_normal(dims.n_theta)
         # avoid accidental zeros in the coefficient blocks
         theta[: dims.n_hat * dims.p**2] += np.sign(theta[: dims.n_hat * dims.p**2])
-        A, _, _ = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         n, p = dims.n_hat, dims.p
         mask = np.zeros_like(A, dtype=bool)
         mask[:, :p] = True
@@ -182,41 +190,43 @@ class TestBocfAssembly:
 
 
 class TestBocfState:
-    def test_first_order_is_output(self):
+    def test_first_order_is_prediction(self):
+        # n = 1: the state is the one-step prediction -F_1 y_k + G_1 u_k
         dims = ModelDims(1, 1, 1)
-        h = IoHistory(np.array([[2.0]]), np.array([[1.0]]))
-        x = compute_bocf_state(h, [7.0], np.array([0.5, 1.0]), dims, arx_buffers(dims))
-        assert np.array_equal(x, [7.0])
+        h = IoHistory(np.array([[7.0]]), np.array([[1.0]]))
+        x = compute_bocf_state(h, np.array([0.5, 1.0]), dims, arx_buffers(dims))
+        assert np.array_equal(x, [-0.5 * 7.0 + 1.0])
 
     def test_second_order_hand_value(self):
         dims = ModelDims(2, 1, 1)
-        h = IoHistory(np.array([[2.0], [9.0]]), np.array([[1.0], [4.0]]))
-        theta = np.array([0.1, 0.3, 0.7, 1.5])  # f2=0.3, g2=1.5 enter block 2
-        x = compute_bocf_state(h, [7.0], theta, dims, arx_buffers(dims))
-        np.testing.assert_allclose(x, [7.0, -0.3 * 2 + 1.5 * 1])
+        h = IoHistory(np.array([[7.0], [2.0]]), np.array([[5.0], [1.0]]))
+        theta = np.array([0.1, 0.3, 0.7, 1.5])  # f1 f2 g1 g2; f2, g2 enter block 2
+        x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+        np.testing.assert_allclose(
+            x, [-0.1 * 7 - 0.3 * 2 + 0.7 * 5 + 1.5 * 1, -0.3 * 7 + 1.5 * 5])
 
     def test_full_state_propagates_arx_data(self):
-        # On data generated by the ARX model, A x_k + B u_k must equal x_{k+1}
-        # in every block, including blocks 3..n that C (A x + B u) never reads
+        # On data generated by the ARX model, A x_k + B u_k must equal the
+        # state of the pushed history in every block, including blocks 3..n
+        # that C (A x + B u) never reads
         rng = np.random.default_rng(11)
         for trial in range(120):
             n = 1 if trial % 10 == 0 else int(rng.integers(2, 11))
             p, m = (int(v) for v in rng.integers(1, 4, size=2))
             dims, theta, h = random_model(rng, n, p, m)
             theta *= 0.3
-            A, B, _ = assemble_bocf(theta, dims, arx_buffers(dims))
+            A, B = assemble_bocf(theta, dims, arx_buffers(dims))
             y = rng.standard_normal(p)
-            x = compute_bocf_state(h, y, theta, dims, arx_buffers(dims))
             for _ in range(n + 2):
+                x = current_state(h, y, theta, dims)
                 u = rng.standard_normal(m)
                 h = h.push(y, u)
-                y = arx_sum(theta, dims, h.y_past, h.u_past)
-                x_next = compute_bocf_state(h, y, theta, dims, arx_buffers(dims))
+                x_next = compute_bocf_state(h, theta, dims, arx_buffers(dims))
                 scale = max(1.0, np.max(np.abs(x_next)))
                 np.testing.assert_allclose(
                     A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
                 )
-                x = x_next
+                y = arx_sum(theta, dims, h.y_past, h.u_past)
 
     @pytest.mark.parametrize("n, p, m", [(1, 1, 1), (1, 2, 2), (4, 2, 2), (10, 1, 1)])
     def test_push_and_state_match_padded_copy(self, n, p, m):
@@ -230,19 +240,19 @@ class TestBocfState:
             np.testing.assert_array_equal(pushed.y_past, np.vstack([y, h.y_past[:-1]]))
             np.testing.assert_array_equal(pushed.u_past, np.vstack([u, h.u_past[:-1]]))
             h = pushed
-            y_now = rng.standard_normal(p)
             np.testing.assert_array_equal(
-                compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims)),
-                gathered_state(h, y_now, theta, dims),
+                compute_bocf_state(h, theta, dims, arx_buffers(dims)),
+                gathered_state(h, theta, dims),
             )
 
-    def test_first_block_reads_output(self):
+    def test_first_block_is_arx_prediction(self):
+        # C x_{k+1|k}, with C = [I_p 0 ... 0], is the ARX prediction of y_{k+1}
         rng = np.random.default_rng(8)
         dims, theta, h = random_model(rng, 4, 2, 2)
-        y_k = rng.standard_normal(2)
-        x = compute_bocf_state(h, y_k, theta, dims, arx_buffers(dims))
-        _, _, C = assemble_bocf(theta, dims, arx_buffers(dims))
-        np.testing.assert_array_equal(C @ x, y_k)
+        x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+        C = np.eye(dims.p, dims.n_state)
+        np.testing.assert_allclose(C @ x, arx_sum(theta, dims, h.y_past, h.u_past),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestBuffers:
@@ -269,18 +279,16 @@ class TestBuffers:
         else:
             out = ArxBuffers(dims, np.empty((n, n)), np.empty((n, m)))
         for _ in range(4):
-            y_now = rng.standard_normal(p)
             assert (build_regressor(h, dims, out).tobytes()
                     == build_regressor(h, dims, arx_buffers(dims)).tobytes())
             ref = assemble_bocf(theta, dims, arx_buffers(dims))
             for got, want in zip(assemble_bocf(theta, dims, out), ref):
                 assert got.tobytes() == want.tobytes()
-            x_ref = compute_bocf_state(h, y_now, theta, dims, arx_buffers(dims))
-            assert (compute_bocf_state(h, y_now, theta, dims, out).tobytes()
-                    == x_ref.tobytes())
+            x_ref = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+            assert compute_bocf_state(h, theta, dims, out).tobytes() == x_ref.tobytes()
             if on_z:
-                np.testing.assert_array_equal(Z, np.hstack(ref[:2]))
-            h = h.push(y_now, rng.standard_normal(m))
+                np.testing.assert_array_equal(Z, np.hstack(ref))
+            h = h.push(rng.standard_normal(p), rng.standard_normal(m))
             theta = rng.standard_normal(dims.n_theta)
 
     def test_rejects_blocks_of_another_shape(self):
@@ -294,7 +302,7 @@ class TestBuffers:
         with pytest.raises(ValueError, match="theta"):
             assemble_bocf(np.zeros(5), dims, out)
         with pytest.raises(ValueError, match="theta"):
-            compute_bocf_state(IoHistory.zeros(dims), [1.0], np.zeros(3), dims, out)
+            compute_bocf_state(IoHistory.zeros(dims), np.zeros(3), dims, out)
 
 
 def test_split_pack_roundtrip():

@@ -209,10 +209,10 @@ class TestStep:
             y_k = rng.normal(0, 10 if k < 18 else 1000, p)
             phi = build_regressor(state.history, cfg.dims, arx_buffers(cfg.dims))
             rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
-            A, B, _ = assemble_bocf(rls_next.theta, cfg.dims, arx_buffers(cfg.dims))
-            x_now = compute_bocf_state(state.history, y_k, rls_next.theta, cfg.dims,
-                                       arx_buffers(cfg.dims))
-            x_next = A @ x_now + B @ state.u_implemented
+            history = state.history.push(y_k, state.u_implemented)
+            A, B = assemble_bocf(rls_next.theta, cfg.dims, arx_buffers(cfg.dims))
+            x_next = compute_bocf_state(history, rls_next.theta, cfg.dims,
+                                        arx_buffers(cfg.dims))
             sweep = sweep_holding(A, B)
             riccati_backward(cfg.weights, sweep)
             K = control_gain(sweep)
@@ -270,7 +270,7 @@ class TestStep:
         assert max(ys[1600:]) < 0.2 * max(ys), "late amplitude did not shrink"
         # and it identified the plant it stabilized
         np.testing.assert_allclose(state.rls.theta, [f1, f2, g1, g2], atol=1e-2)
-        A, B, _ = assemble_bocf(state.rls.theta, cfg.dims, arx_buffers(cfg.dims))
+        A, B = assemble_bocf(state.rls.theta, cfg.dims, arx_buffers(cfg.dims))
         K = first_gain(cfg.weights, sweep_holding(A, B))
         assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
@@ -314,6 +314,23 @@ class TestStep:
         np.testing.assert_array_equal(new_state.u_implemented, state.u_implemented)
         np.testing.assert_array_equal(new_state.u_requested, state.u_requested)
         assert new_state.rls.step == state.rls.step + 1  # identification still advanced
+
+    @pytest.mark.parametrize("y", [1.0, 1e200], ids=["sweep", "state_and_sweep"])
+    def test_overflow_is_a_fault_under_warnings_as_errors(self, y):
+        # F_1 = -1e200 overflows the sweep's products to inf and nan, and
+        # with y = 1e200 the state's too; the step's finiteness checks must
+        # report that, not a RuntimeWarning
+        import warnings
+
+        cfg = PcacConfig(n_hat=2, ell=3)
+        state = pcac_init(cfg)
+        theta = np.array([-1e200, 0.0, 1.0, 1.0])
+        state = replace(state, rls=replace(state.rls, theta=theta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new_state, fault = pcac_step(state, np.array([y]), cfg)
+        assert fault == "R2 + B'PB is not positive definite"
+        np.testing.assert_array_equal(new_state.u_implemented, state.u_implemented)
 
 
 class TestBufferOwnership:

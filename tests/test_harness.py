@@ -652,7 +652,9 @@ class TestCli:
         rc = cli_main(["run", "--spec", spec_file, "--out", out])
         assert rc == 0
         assert (tmp_path / "out" / "record.csv").exists()
-        assert "attenuation_db" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for key in ("attenuation_db", "max_abs_u_req", "clamped_steps"):
+            assert f"\n{key}: " in out, key
 
     def test_run_open_loop_only(self, tmp_path, spec_file):
         out = str(tmp_path / "out")
@@ -804,6 +806,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert ("attenuation_db: None" if command == "run"
                 else "attenuation None") in out
+
+    def test_grid_prints_no_unit_after_a_missing_suppression_time(self, tmp_path,
+                                                                  capsys):
+        # at rest until the switch: every cell's suppression time is None
+        path = tmp_path / "spec.txt"
+        path.write_text("sim.q0 = 0.0\nsim.t_open = 0.3\nsim.t_total = 0.6\n")
+        assert cli_main(["grid", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("suppression None, attenuation None,") == 9
+        assert "None s" not in out
 
     @pytest.mark.filterwarnings("error")
     def test_plant_at_rest_prints_none_metrics(self, tmp_path, capsys):

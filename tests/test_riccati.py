@@ -89,8 +89,8 @@ def random_problem(rng, bocf, shape=None):
     ell, r2 = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 1)
     if bocf:
         dims = ModelDims(n, 1, m)
-        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)), dims,
-                                arx_buffers(dims))
+        A, B = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)), dims,
+                             arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(n, p=1, m=m, ell=ell, r2=r2)
     A, B = random_stable_system(rng, n, m, sprad=rng.uniform(0.5, 1.2))
     return A, B, HorizonWeights(ell=ell, R1=np.eye(n), R2=r2 * np.eye(m),
@@ -190,8 +190,8 @@ class TestRiccatiBackward:
         rng = np.random.default_rng(27)
         for _ in range(60):
             dims = ModelDims(6, 1, 2)
-            A, B, _ = assemble_bocf(0.5 * rng.standard_normal(18), dims,
-                                    arx_buffers(dims))
+            A, B = assemble_bocf(0.5 * rng.standard_normal(18), dims,
+                                 arx_buffers(dims))
             w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
             out = sweep_holding(A, B)
             M_ref = textbook_riccati_backward(w, out)
@@ -216,8 +216,8 @@ class TestScratchBuffers:
     def problem(seed, m, ell):
         rng = np.random.default_rng(seed)
         dims = ModelDims(6, 1, m)
-        A, B, _ = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)), dims,
-                                arx_buffers(dims))
+        A, B = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)), dims,
+                             arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(6, p=1, m=m, ell=ell, r2=1e-2)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -401,8 +401,9 @@ class TestHorizonWeights:
         # second output is controllable.  Weighting the first output alone
         # left K = 0 and the second output unstable at 1.05.
         cfg = PcacConfig(n_hat=1, p=2)
-        A, B, C = assemble_bocf(np.array([-1.05, 0.0, 0.0, -1.05, 0.0, 1.0]),
-                                cfg.dims, arx_buffers(cfg.dims))
+        A, B = assemble_bocf(np.array([-1.05, 0.0, 0.0, -1.05, 0.0, 1.0]),
+                             cfg.dims, arx_buffers(cfg.dims))
+        C = np.eye(2)  # [I_p 0 ... 0], the BOCF output matrix, for n_hat = 1
         w = cfg.weights
         np.testing.assert_array_equal(w.R1, C.T @ C)
         np.testing.assert_array_equal(w.P_terminal, C.T @ C)
@@ -410,8 +411,7 @@ class TestHorizonWeights:
         closed = A + B @ K
         assert closed[0, 1] == 0.0  # lower triangular: [1, 1] is output 2's pole
         assert abs(closed[1, 1]) < 1.0
-        dims = PcacConfig(n_hat=3, p=2).dims
-        _, _, C = assemble_bocf(np.zeros(18), dims, arx_buffers(dims))
+        C = np.eye(2, 6)  # for n_hat = 3
         np.testing.assert_array_equal(PcacConfig(n_hat=3, p=2).weights.R1, C.T @ C)
 
     def test_extreme_r2_symmetrises_exactly(self):
