@@ -102,8 +102,8 @@ class ArxBuffers:
     realization is written where the sweep reads it.
     """
 
-    __slots__ = ("phi", "A", "B", "y_lag", "u_lag", "x", "_neg_f", "_g", "_x_blocks",
-                 "_rows", "_windows")
+    __slots__ = ("phi", "A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_rows",
+                 "_windows")
 
     def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
         n, p, m = dims.n_hat, dims.p, dims.m
@@ -118,17 +118,18 @@ class ArxBuffers:
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
         self._g = self.B.reshape(n, p, m)
-        self.y_lag = np.empty((n, n * p))
-        self.u_lag = np.empty((n, n * m))
+        self.lag = np.empty((n, n * (p + m)))
         self.x = np.empty(n * p)
         self._x_blocks = self.x.reshape(n, p)
         # Per signal, a (2n-1, width) scratch whose last n rows take the
-        # history, and its fixed Hankel view: row j-1 of the lag matrix is
-        # history rows 1-j..n-j, zero where the row index is negative.
+        # history, and its fixed Hankel view, paired with the signal's column
+        # block of the lag matrix: row j-1 of the block is history rows
+        # 1-j..n-j, zero where the row index is negative.
         pads = [np.zeros((2 * n - 1, width)) for width in (p, m)]
         self._rows = [pad[n - 1 :] for pad in pads]
-        self._windows = [np.ndarray(lag.shape, buffer=pad, strides=pad.strides)[::-1]
-                         for pad, lag in zip(pads, (self.y_lag, self.u_lag))]
+        blocks = np.split(self.lag, [n * p], axis=1)
+        self._windows = [(np.ndarray(block.shape, buffer=pad, strides=pad.strides)[::-1],
+                          block) for pad, block in zip(pads, blocks)]
 
 
 def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
@@ -184,21 +185,19 @@ def compute_bocf_state(
         x(j) = sum_{r=0}^{n-j} (-F_{r+j} y_{k-r} + G_{r+j} u_{k-r}),
 
     which is A x_k + B u_k for the state x_k whose first block is y_k.
-    All n blocks come from one block-Hankel product per signal: block j
-    pairs lag l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row
-    l-j+1 and reads zero padding where that row index is negative.
+    All n blocks come from one product, the block-Hankel lag matrix [-Y | U]
+    times theta as stored, [F_1' ... F_n'; G_1' ... G_n']: block j pairs
+    lag l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row l-j+1
+    and reads zero padding where that row index is negative.
     """
     history.check_dims(dims)
     theta = _checked_theta(theta_next, dims)
-    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
-    # The Hankel windows are copied C-contiguous into the lag matrices,
-    # because a strided operand changes the BLAS summation order.
-    pasts, lags = (history.y_past, history.u_past), (out.y_lag, out.u_lag)
-    for rows, past, window, lag in zip(out._rows, pasts, out._windows, lags):
-        np.copyto(rows, past)
-        np.copyto(lag, window)
-    # The stacked F_i' and G_i' are theta's two halves, reshaped.
-    blocks = out._x_blocks
-    out.u_lag.dot(theta[split:].reshape(n * m, p), blocks)
-    blocks -= out.y_lag.dot(theta[:split].reshape(n * p, p))
+    n, p, m = dims.n_hat, dims.p, dims.m
+    # y goes in negated.  The Hankel windows are copied into the contiguous
+    # lag matrix, because a strided operand changes the BLAS summation order.
+    np.negative(history.y_past, out=out._rows[0])
+    np.copyto(out._rows[1], history.u_past)
+    for window, block in out._windows:
+        np.copyto(block, window)
+    out.lag.dot(theta.reshape(n * (p + m), p), out._x_blocks)
     return out.x

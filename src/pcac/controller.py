@@ -127,27 +127,27 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
     y_k = np.atleast_1d(np.asarray(y_k, float))
     arx, sweep = state.arx, state.sweep
     phi = build_regressor(state.history, cfg.dims, arx)
-    rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
-    history = state.history.push(y_k, state.u_implemented)
+    # An overflow to inf or nan is left to the finiteness checks, which
+    # raise NumericalError, rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
+        history = state.history.push(y_k, state.u_implemented)
 
-    assemble_bocf(rls_next.theta, cfg.dims, arx)
+        assemble_bocf(rls_next.theta, cfg.dims, arx)
 
-    fault = None
-    try:
-        # An overflow to inf or nan is left to the finiteness checks, which
-        # turn it into a fault, rather than warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
+        fault = None
+        try:
             x_next = compute_bocf_state(history, rls_next.theta, cfg.dims, arx)
             riccati_backward(cfg.weights, sweep)
             K = control_gain(sweep)
             u_req = K.dot(x_next)
-        if not np.isfinite(u_req).all():
-            raise NumericalError("non-finite requested control")
-        u_impl = saturate(u_req, cfg.bounds)
-    except NumericalError as exc:
-        fault = str(exc)
-        u_req = state.u_requested.copy()
-        u_impl = state.u_implemented.copy()
+            if not np.isfinite(u_req).all():
+                raise NumericalError("non-finite requested control")
+            u_impl = saturate(u_req, cfg.bounds)
+        except NumericalError as exc:
+            fault = str(exc)
+            u_req = state.u_requested.copy()
+            u_impl = state.u_implemented.copy()
 
     new_state = PcacState(
         rls=rls_next,

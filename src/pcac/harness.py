@@ -240,7 +240,11 @@ def suppression_time(record: ExperimentRecord) -> float | None:
 def resuppression_time(record: ExperimentRecord, t_event: float) -> float | None:
     """Seconds from ``t_event`` until the trailing RMS is permanently below
     the suppression threshold (0 if it never re-exceeds it; None if the
-    threshold is zero, as for an all-zero pre-switch output)."""
+    threshold is zero, as for an all-zero pre-switch output).  An event
+    outside the record's span [t[0], t[-1]] raises ValueError."""
+    if not record.t[0] <= t_event <= record.t[-1]:
+        raise ValueError(f"t_event = {t_event!r} lies outside the record's span "
+                         f"[{float(record.t[0])}, {float(record.t[-1])}]")
     rms, thresh = _suppression_rms(record)
     if thresh == 0.0:
         return None

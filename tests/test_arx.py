@@ -63,17 +63,17 @@ def arx_sum(theta, dims, y_past, u_past):
 
 
 def gathered_state(history, theta, dims):
-    """BOCF state from a zero-padded copy of the history and a lag-index table."""
+    """BOCF state from a zero-padded copy of the history and a lag-index
+    table: the lag matrix [-Y | U] times the stacked [F_1' ...; G_1' ...]."""
     n, p, m = dims.n_hat, dims.p, dims.m
     F, G = split_coefficients(theta, dims)
     offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
     y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
     u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
-    blocks = (
-        u_pad[offset].reshape(n, n * m) @ G.transpose(0, 2, 1).reshape(n * m, p)
-        - y_pad[offset].reshape(n, n * p) @ F.transpose(0, 2, 1).reshape(n * p, p)
-    )
-    return blocks.ravel()
+    lag = np.hstack([-y_pad[offset].reshape(n, n * p), u_pad[offset].reshape(n, n * m)])
+    coefficients = np.vstack([F.transpose(0, 2, 1).reshape(n * p, p),
+                              G.transpose(0, 2, 1).reshape(n * m, p)])
+    return (lag @ coefficients).ravel()
 
 
 def current_state(history, y_now, theta, dims):

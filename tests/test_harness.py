@@ -957,6 +957,19 @@ class TestResuppressionTime:
         assert resuppression_time(rec, 4.0) == pytest.approx(1.0)
         assert resuppression_time(rec, 5.1) == 0.0
 
+    def test_event_outside_the_record_raises(self):
+        # an event after the last sample is not "re-suppressed at once", and
+        # one before the first is not measured from before the run
+        rec = self.record_with({44: 1.0})
+        for t_event in (rec.t[-1] + 0.1, 99.0, rec.t[0] - 0.1, -1.0):
+            with pytest.raises(ValueError, match=r"t_event = .* span \[0\.0, 5\.5"):
+                resuppression_time(rec, t_event)
+
+    def test_end_samples_are_inside(self):
+        rec = self.record_with({44: 1.0})
+        assert resuppression_time(rec, rec.t[0]) == pytest.approx(4.4)
+        assert resuppression_time(rec, rec.t[-1]) == 0.0
+
     def test_all_zero_open_loop_gives_none(self):
         # a zero threshold, which every RMS is at or above, used to return
         # the whole tail after the event
