@@ -51,63 +51,62 @@ class ModelDims:
 
 
 class IoHistory:
-    """Fixed-length buffer of the ``n_hat`` most recent outputs and inputs.
-
-    Row 0 of ``y_past`` (n_hat, p) and ``u_past`` (n_hat, m) holds the newest
-    sample (y_{k-1}, u_{k-1}) and row n_hat-1 the oldest; pre-start samples
-    are zero, matching the model's zero initialization.  Both are copies of
-    the caller's arrays, and ``push`` returns a new history: immutable values.
+    """The ``n_hat`` most recent outputs and inputs, held as the regressor
+    phi = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'] of d = n_hat (p+m)
+    entries for every p: newest first, y negated.  Made from ``outputs``
+    (n_hat, p) and ``inputs`` (n_hat, m), newest row first; pre-start samples
+    are zero, matching the model's zero initialization.  ``push`` returns a
+    new history: immutable values.
     """
 
-    __slots__ = ("y_past", "u_past")
+    __slots__ = ("phi", "dims")
 
-    def __init__(self, y_past: np.ndarray, u_past: np.ndarray):
-        self.y_past = np.array(y_past, dtype=float, ndmin=2)
-        self.u_past = np.array(u_past, dtype=float, ndmin=2)
-        if self.y_past.shape[0] != self.u_past.shape[0]:
+    def __init__(self, outputs: np.ndarray, inputs: np.ndarray):
+        outputs = np.array(outputs, dtype=float, ndmin=2)
+        inputs = np.array(inputs, dtype=float, ndmin=2)
+        if outputs.shape[0] != inputs.shape[0]:
             raise ValueError("output and input history lengths differ")
+        self.dims = ModelDims(*outputs.shape, inputs.shape[1])
+        self.phi = np.concatenate((-outputs.ravel(), inputs.ravel()))
 
     @classmethod
     def zeros(cls, dims: ModelDims) -> "IoHistory":
         return cls(np.zeros((dims.n_hat, dims.p)), np.zeros((dims.n_hat, dims.m)))
 
     def push(self, y: np.ndarray, u: np.ndarray) -> "IoHistory":
-        """Shift in (y_k, u_k), dropping the oldest pair."""
-        y = np.asarray(y, dtype=float).reshape(1, -1)
-        u = np.asarray(u, dtype=float).reshape(1, -1)
+        """Shift (y_k, u_k) into both blocks of phi, dropping the oldest pair."""
+        y = np.asarray(y, dtype=float).reshape(-1)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        split, p, m = self.dims.n_state, self.dims.p, self.dims.m
+        if (y.size, u.size) != (p, m):
+            raise ValueError(f"sample sizes ({y.size}, {u.size}) do not match ({p}, {m})")
         new = IoHistory.__new__(IoHistory)
-        new.y_past = np.concatenate((y, self.y_past[:-1]))
-        new.u_past = np.concatenate((u, self.u_past[:-1]))
+        new.dims, phi = self.dims, self.phi
+        new.phi = np.concatenate((-y, phi[: split - p], u, phi[split:-m]))
         return new
 
     def check_dims(self, dims: ModelDims) -> None:
-        want = ((dims.n_hat, dims.p), (dims.n_hat, dims.m))
-        if (self.y_past.shape, self.u_past.shape) != want:
-            raise ValueError(
-                f"history shapes {self.y_past.shape} and {self.u_past.shape} "
-                f"do not match {want[0]} and {want[1]}"
-            )
+        if self.dims != dims:
+            raise ValueError(f"history dimensions {self.dims} do not match {dims}")
 
 
 class ArxBuffers:
-    """The arrays that :func:`build_regressor`, :func:`assemble_bocf` and
-    :func:`compute_bocf_state` write into, given them as ``out``.
+    """The arrays that :func:`assemble_bocf` and :func:`compute_bocf_state`
+    write into, given them as ``out``.
 
-    What the data never changes is written here, once: the zeros of phi
-    off its lag columns, the identity superdiagonal blocks of A, and the
-    zero rows above the history in the state's lag scratch.  A call then
-    writes only the lagged data, -F_i and G_i, or the history and the state,
-    and returns arrays that the next call overwrites.  ``A`` and ``B`` are
-    the column blocks of the Riccati sweep's Z = [A | B], so that the
-    realization is written where the sweep reads it.
+    What the data never changes is written here, once: the identity
+    superdiagonal blocks of A and the zero rows above the history in the
+    state's lag scratch.  A call then writes only -F_i and G_i, or the
+    history and the state, and returns arrays that the next call
+    overwrites.  ``A`` and ``B`` are the column blocks of the Riccati
+    sweep's Z = [A | B], so that the realization is written where the
+    sweep reads it.
     """
 
-    __slots__ = ("phi", "A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_rows",
-                 "_windows")
+    __slots__ = ("A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_rows", "_windows")
 
     def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
         n, p, m = dims.n_hat, dims.p, dims.m
-        self.phi = np.zeros((p, dims.n_theta))
         if A.shape != (n * p, n * p) or B.shape != (n * p, m):
             raise ValueError(
                 f"A {A.shape} and B {B.shape} must be "
@@ -122,11 +121,11 @@ class ArxBuffers:
         self.x = np.empty(n * p)
         self._x_blocks = self.x.reshape(n, p)
         # Per signal, a (2n-1, width) scratch whose last n rows take the
-        # history, and its fixed Hankel view, paired with the signal's column
-        # block of the lag matrix: row j-1 of the block is history rows
-        # 1-j..n-j, zero where the row index is negative.
+        # signal's block of phi, and its fixed Hankel view, paired with the
+        # signal's column block of the lag matrix: row j-1 of the block is
+        # history rows 1-j..n-j, zero where the row index is negative.
         pads = [np.zeros((2 * n - 1, width)) for width in (p, m)]
-        self._rows = [pad[n - 1 :] for pad in pads]
+        self._rows = [pad[n - 1 :].reshape(-1) for pad in pads]
         blocks = np.split(self.lag, [n * p], axis=1)
         self._windows = [(np.ndarray(block.shape, buffer=pad, strides=pad.strides)[::-1],
                           block) for pad, block in zip(pads, blocks)]
@@ -141,20 +140,15 @@ def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
     return theta
 
 
-def build_regressor(history: IoHistory, dims: ModelDims, out: ArxBuffers) -> np.ndarray:
-    """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'] kron I_p.
+def build_regressor(history: IoHistory, dims: ModelDims) -> np.ndarray:
+    """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'].
 
-    Returns a (p, n_hat*p*(m+p)) matrix such that phi_k @ theta reproduces
-    the ARX prediction for the stacked coefficient layout: row i holds the
-    lagged data in columns i, i + p, i + 2p, ... and zeros elsewhere: it
-    is ``out.phi``.
+    One (n_hat (p+m),) vector for every p: the ARX prediction is
+    phi_k' Theta for theta as stored, viewed as the (n_hat (p+m), p) matrix
+    Theta = [F_1' ... F_n'; G_1' ... G_n'].  It is the history's ``phi``.
     """
     history.check_dims(dims)
-    p, phi, split = dims.p, out.phi, dims.n_f
-    for i in range(p):
-        np.negative(history.y_past.ravel(), out=phi[i, i:split:p])
-        phi[i, split + i :: p] = history.u_past.ravel()
-    return phi
+    return history.phi
 
 
 def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
@@ -178,9 +172,9 @@ def compute_bocf_state(
 ) -> np.ndarray:
     """Explicit BOCF state x_{k+1|k} after the newest pair, ``out.x``.
 
-    Row 0 of ``history`` holds (y_k, u_k).  Block j = 1..n collects the
-    part of the ARX convolution that the data up to sample k contribute to
-    y_{k+j}:
+    The newest sample of ``history`` is (y_k, u_k).  Block j = 1..n
+    collects the part of the ARX convolution that the data up to sample k
+    contribute to y_{k+j}:
 
         x(j) = sum_{r=0}^{n-j} (-F_{r+j} y_{k-r} + G_{r+j} u_{k-r}),
 
@@ -188,15 +182,16 @@ def compute_bocf_state(
     All n blocks come from one product, the block-Hankel lag matrix [-Y | U]
     times theta as stored, [F_1' ... F_n'; G_1' ... G_n']: block j pairs
     lag l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row l-j+1
-    and reads zero padding where that row index is negative.
+    and reads zero padding where that row index is negative.  Row 0 of
+    the lag matrix, ``out.lag[0]``, is the history's phi.
     """
     history.check_dims(dims)
     theta = _checked_theta(theta_next, dims)
-    n, p, m = dims.n_hat, dims.p, dims.m
-    # y goes in negated.  The Hankel windows are copied into the contiguous
+    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
+    # phi holds y negated.  The Hankel windows are copied into the contiguous
     # lag matrix, because a strided operand changes the BLAS summation order.
-    np.negative(history.y_past, out=out._rows[0])
-    np.copyto(out._rows[1], history.u_past)
+    np.copyto(out._rows[0], history.phi[:split])
+    np.copyto(out._rows[1], history.phi[split:])
     for window, block in out._windows:
         np.copyto(block, window)
     out.lag.dot(theta.reshape(n * (p + m), p), out._x_blocks)

@@ -126,7 +126,7 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
     arx, sweep = state.arx, state.sweep
-    phi = build_regressor(state.history, cfg.dims, arx)
+    phi = build_regressor(state.history, cfg.dims)
     # An overflow to inf or nan is left to the finiteness checks, which
     # raise NumericalError, rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -61,7 +61,11 @@ class ForgettingConfig:
 
 @dataclass
 class RlsState:
-    """Estimate, covariance, trailing error window and step counter."""
+    """Estimate, covariance, trailing error window and step counter.
+
+    All p outputs share one regressor phi (d,), y_k = Theta' phi_k: ``theta``
+    holds the (d, p) estimate Theta flat, and ``psi`` its (d, d) covariance P.
+    """
 
     theta: np.ndarray
     psi: np.ndarray
@@ -75,9 +79,14 @@ class RlsState:
         theta0 = np.asarray(theta0, dtype=float).reshape(-1)
         if not 0 < psi0_scale < math.inf:
             raise ValueError(f"psi0_scale must be positive and finite, got {psi0_scale!r}")
+        if not COUNT[0](p):
+            raise ValueError(f"p must be {COUNT[1]}, got {p!r}")
+        if theta0.size == 0 or theta0.size % p:  # P is (d, d), d = theta0.size / p
+            raise ValueError(f"theta0 length must be a positive multiple of p = {p}, "
+                             f"got {theta0.size}")
         if not np.isfinite(theta0).all():
             raise ValueError("theta0 must be finite")
-        psi0 = psi0_scale * np.eye(theta0.size)
+        psi0 = psi0_scale * np.eye(theta0.size // p)
         # The F-test waits until every zero row is shifted out (rls_update).
         return cls(theta0, psi0, np.zeros((cfg.tau_d + 1, p)), 0)
 
@@ -305,39 +314,28 @@ def compute_beta(g: float, cfg: ForgettingConfig) -> float:
     return 1.0 + cfg.eta * max(g, 0.0)
 
 
-def _solve_inner(S: np.ndarray, beta: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I/beta + S) x = rhs, with S = phi psi phi': a checked division
-    by the scalar s = 1/beta + phi psi phi' for one output (the rank-1
-    update), an LU solve otherwise."""
-    if S.shape == (1, 1):
-        s = 1.0 / beta + float(S[0, 0])
-        if not 0.0 < s < math.inf:
-            raise NumericalError("RLS inner term 1/beta + phi psi phi' is not positive")
-        return rhs / s
-    try:
-        return np.linalg.solve(np.eye(S.shape[0]) / beta + S, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("RLS inner term I/beta + phi psi phi' is singular") from exc
-
-
 def rls_update(
     state: RlsState, phi: np.ndarray, y: np.ndarray, cfg: ForgettingConfig
 ) -> RlsState:
-    """One RLS step: record the a-priori error, pick beta, update psi and theta.
+    """One RLS step: record the a-priori error, pick beta, update P and Theta.
+
+    The matrix form, for the d entries of ``phi`` and the p of ``y``: with
+    the scalar s = 1/beta + phi' P phi, P_next = beta (P - P phi phi' P / s)
+    and Theta_next = Theta + P_next phi e'.
 
     The identification error entering the F-test window is the pre-update
-    residual e_k = y_k - phi_k theta_k, and the window includes the current
+    residual e_k = y_k - Theta_k' phi_k, and the window includes the current
     step before beta is computed.  Until the long window has filled once,
     beta is 1 and no test runs.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    phi = np.atleast_2d(np.asarray(phi, dtype=float))
-    p = y.size
-    if phi.shape != (p, state.theta.size):
-        raise ValueError(
-            f"regressor shape {phi.shape} does not match ({p}, {state.theta.size})"
-        )
-    e = y - phi.dot(state.theta)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    p, d = y.size, state.psi.shape[0]
+    if phi.size != d:  # theta's reshape checks p
+        raise ValueError(f"regressor length {phi.size} does not match P {state.psi.shape}")
+    if not all(map(math.isfinite, y.tolist())):
+        raise NumericalError(f"non-finite measured output y = {y}")
+    e = y - phi.dot(state.theta.reshape(d, p))
 
     window = np.concatenate((state.error_window[1:], e[None]))
     beta = 1.0
@@ -346,14 +344,17 @@ def rls_update(
              else forgetting_statistic_multivariable(window, cfg))
         beta = compute_beta(g, cfg)
 
-    gain = state.psi.dot(phi.T)
-    psi_next = state.psi - gain.dot(_solve_inner(phi.dot(gain), beta, gain.T))
+    gain = state.psi.dot(phi)
+    s = 1.0 / beta + float(phi.dot(gain))
+    if not 0.0 < s < math.inf:
+        raise NumericalError("RLS inner term 1/beta + phi' P phi is not positive")
+    psi_next = state.psi - gain[:, None].dot(gain[None] / s)
     if beta != 1.0:  # x * 1.0 == x: without forgetting the pass changes nothing
         psi_next *= beta
     psi_next = 0.5 * (psi_next + psi_next.T)
-    if not np.isfinite(psi_next).all() or (psi_next.diagonal() <= 0).any():
+    if not np.isfinite(psi_next).all() or psi_next.diagonal().min() <= 0:
         raise NumericalError("RLS covariance lost positive definiteness")
-    theta_next = state.theta + psi_next.dot(phi.T.dot(e))
+    theta_next = state.theta + psi_next.dot(phi[:, None].dot(e[None])).reshape(-1)
     if not np.isfinite(theta_next).all():
         raise NumericalError("RLS estimate diverged")
     return RlsState(theta_next, psi_next, window, state.step + 1)

@@ -136,9 +136,9 @@ def test_criterion_02_rls_consistency():
     h = IoHistory.zeros(dims)
     hit = None
     for k in range(200):
-        phi = build_regressor(h, dims, arx_buffers(dims))
+        phi = build_regressor(h, dims)
         y = predict_output(theta_true, phi)
-        state = rls_update(state, np.atleast_2d(phi), np.atleast_1d(y), cfg)
+        state = rls_update(state, phi, y, cfg)
         u = rng.standard_normal(1)  # persistently exciting input
         h = h.push(np.atleast_1d(y), u)
         if hit is None and np.linalg.norm(state.theta - theta_true) < 1e-6:
@@ -193,7 +193,7 @@ def test_criterion_04_bocf_equivalence():
         scale = max(1.0, np.max(np.abs(x_next)))
         worst_state = max(worst_state, np.max(np.abs(x_prop - x_next)) / scale)
 
-        phi = build_regressor(pushed, dims, arx_buffers(dims))
+        phi = build_regressor(pushed, dims)
         y_arx = predict_output(theta, phi)
         scale = max(np.linalg.norm(np.atleast_1d(y_arx)), 1.0)
         worst = max(worst, np.linalg.norm(np.atleast_1d(x_prop[:p] - y_arx)) / scale)

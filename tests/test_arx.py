@@ -41,9 +41,18 @@ def pack_coefficients(F, G):
 
 
 def predict_output(theta, phi):
-    """One-step ARX prediction y_hat = phi @ theta."""
-    assert phi.shape[1] == np.shape(theta)[0]
-    return phi @ theta
+    """One-step ARX prediction y_hat = Theta' phi, Theta = theta viewed as
+    (d, p) for the d-vector regressor phi."""
+    theta = np.asarray(theta, dtype=float)
+    assert theta.size % phi.size == 0
+    return phi @ theta.reshape(phi.size, -1)
+
+
+def past(history):
+    """The history's outputs (n_hat, p) and inputs (n_hat, m), newest row
+    first, read back from its regressor phi = [-y ... ; u ...]."""
+    n, p, m = history.dims.n_hat, history.dims.p, history.dims.m
+    return -history.phi[: n * p].reshape(n, p), history.phi[n * p :].reshape(n, m)
 
 
 def random_model(rng, n, p, m):
@@ -68,8 +77,9 @@ def gathered_state(history, theta, dims):
     n, p, m = dims.n_hat, dims.p, dims.m
     F, G = split_coefficients(theta, dims)
     offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
-    y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
-    u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
+    y_past, u_past = past(history)
+    y_pad = np.vstack([np.zeros((n - 1, p)), y_past])
+    u_pad = np.vstack([np.zeros((n - 1, m)), u_past])
     lag = np.hstack([-y_pad[offset].reshape(n, n * p), u_pad[offset].reshape(n, n * m)])
     coefficients = np.vstack([F.transpose(0, 2, 1).reshape(n * p, p),
                               G.transpose(0, 2, 1).reshape(n * m, p)])
@@ -89,45 +99,79 @@ class TestRegressor:
     def test_first_order_scalar(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[3.0]]), np.array([[2.0]]))
-        assert np.array_equal(build_regressor(h, dims, arx_buffers(dims)), [[-3.0, 2.0]])
+        assert np.array_equal(build_regressor(h, dims), [-3.0, 2.0])
 
     def test_zero_history(self):
         dims = ModelDims(2, 1, 1)
-        phi = build_regressor(IoHistory.zeros(dims), dims, arx_buffers(dims))
-        assert np.array_equal(phi, np.zeros((1, 4)))
+        phi = build_regressor(IoHistory.zeros(dims), dims)
+        assert np.array_equal(phi, np.zeros(4))
 
     def test_vector_output_kron(self):
-        # p=2 regressor must reproduce -F1 y + G1 u for any coefficients
+        # the p=2 regressor is one vector, whose product with theta viewed
+        # as (d, p) must reproduce -F1 y + G1 u for any coefficients
         dims = ModelDims(1, 2, 1)
         h = IoHistory(np.array([[1.0, 2.0]]), np.array([[5.0]]))
-        phi = build_regressor(h, dims, arx_buffers(dims))
-        assert phi.shape == (2, 6)
+        phi = build_regressor(h, dims)
+        assert np.array_equal(phi, [-1.0, -2.0, 5.0])
         rng = np.random.default_rng(7)
         F1 = rng.standard_normal((2, 2))
         G1 = rng.standard_normal((2, 1))
         theta = pack_coefficients(F1[None], G1[None])
         expect = -F1 @ np.array([1.0, 2.0]) + G1 @ np.array([5.0])
-        np.testing.assert_allclose(phi @ theta, expect, rtol=1e-13)
+        np.testing.assert_allclose(predict_output(theta, phi), expect, rtol=1e-13)
 
     def test_dimension_mismatch(self):
         dims = ModelDims(3, 1, 1)
         h = IoHistory.zeros(ModelDims(2, 1, 1))
         with pytest.raises(ValueError):
-            build_regressor(h, dims, arx_buffers(dims))
+            build_regressor(h, dims)
+
+    def test_history_holds_phi_newest_first(self):
+        # outputs negated, then inputs, each newest sample first
+        dims = ModelDims(2, 2, 1)
+        h = IoHistory([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
+        assert h.dims == dims
+        np.testing.assert_array_equal(h.phi, [-1.0, -2.0, -3.0, -4.0, 5.0, 6.0])
+        pushed = h.push([7.0, 8.0], [9.0])
+        np.testing.assert_array_equal(pushed.phi, [-7.0, -8.0, -1.0, -2.0, 9.0, 5.0])
+        np.testing.assert_array_equal(h.phi, [-1.0, -2.0, -3.0, -4.0, 5.0, 6.0])
+
+    def test_push_rejects_samples_of_another_size(self):
+        h = IoHistory.zeros(ModelDims(3, 2, 1))
+        with pytest.raises(ValueError, match="sample sizes"):
+            h.push(np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError, match="sample sizes"):
+            h.push(np.zeros(2), np.zeros(2))
+
+    def test_history_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            IoHistory(np.zeros((3, 1)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("p, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_regressor_of_pushed_history_is_lag_row_zero(self, p, m):
+        # phi_{k+1} is row 0 of the lag matrix [-Y | U] that the state of
+        # the same history is formed from, bit for bit
+        rng = np.random.default_rng(90 + 2 * p + m)
+        dims, theta, h = random_model(rng, 4, p, m)
+        out = arx_buffers(dims)
+        for _ in range(6):
+            h = h.push(rng.standard_normal(p), rng.standard_normal(m))
+            compute_bocf_state(h, theta, dims, out)
+            assert build_regressor(h, dims).tobytes() == out.lag[0].tobytes()
 
 
 class TestPredict:
     def test_zero_parameters(self):
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-        phi = build_regressor(h, dims, arx_buffers(dims))
+        phi = build_regressor(h, dims)
         assert predict_output(np.zeros(4), phi) == 0.0
 
     def test_hand_example(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[4.0]]), np.array([[1.0]]))
         theta = np.array([0.5, 2.0])
-        y_hat = predict_output(theta, build_regressor(h, dims, arx_buffers(dims)))
+        y_hat = predict_output(theta, build_regressor(h, dims))
         assert y_hat[0] == pytest.approx(-0.5 * 4 + 2 * 1, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
@@ -141,8 +185,8 @@ class TestPredict:
         # phi @ theta must equal the explicit double sum to 1e-12 relative
         rng = np.random.default_rng(seed)
         dims, theta, h = random_model(rng, n, p, m)
-        y_hat = predict_output(theta, build_regressor(h, dims, arx_buffers(dims)))
-        expect = arx_sum(theta, dims, h.y_past, h.u_past)
+        y_hat = predict_output(theta, build_regressor(h, dims))
+        expect = arx_sum(theta, dims, *past(h))
         np.testing.assert_allclose(y_hat, expect, rtol=1e-12, atol=1e-12)
 
 
@@ -226,7 +270,7 @@ class TestBocfState:
                 np.testing.assert_allclose(
                     A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
                 )
-                y = arx_sum(theta, dims, h.y_past, h.u_past)
+                y = arx_sum(theta, dims, *past(h))
 
     @pytest.mark.parametrize("n, p, m", [(1, 1, 1), (1, 2, 2), (4, 2, 2), (10, 1, 1)])
     def test_push_and_state_match_padded_copy(self, n, p, m):
@@ -237,8 +281,9 @@ class TestBocfState:
         for _ in range(n + 2):
             y, u = rng.standard_normal(p), rng.standard_normal(m)
             pushed = h.push(y, u)
-            np.testing.assert_array_equal(pushed.y_past, np.vstack([y, h.y_past[:-1]]))
-            np.testing.assert_array_equal(pushed.u_past, np.vstack([u, h.u_past[:-1]]))
+            (y_past, u_past), (y_new, u_new) = past(h), past(pushed)
+            np.testing.assert_array_equal(y_new, np.vstack([y, y_past[:-1]]))
+            np.testing.assert_array_equal(u_new, np.vstack([u, u_past[:-1]]))
             h = pushed
             np.testing.assert_array_equal(
                 compute_bocf_state(h, theta, dims, arx_buffers(dims)),
@@ -251,7 +296,7 @@ class TestBocfState:
         dims, theta, h = random_model(rng, 4, 2, 2)
         x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
         C = np.eye(dims.p, dims.n_state)
-        np.testing.assert_allclose(C @ x, arx_sum(theta, dims, h.y_past, h.u_past),
+        np.testing.assert_allclose(C @ x, arx_sum(theta, dims, *past(h)),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -279,8 +324,6 @@ class TestBuffers:
         else:
             out = ArxBuffers(dims, np.empty((n, n)), np.empty((n, m)))
         for _ in range(4):
-            assert (build_regressor(h, dims, out).tobytes()
-                    == build_regressor(h, dims, arx_buffers(dims)).tobytes())
             ref = assemble_bocf(theta, dims, arx_buffers(dims))
             for got, want in zip(assemble_bocf(theta, dims, out), ref):
                 assert got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_arx import arx_buffers
+from test_arx import arx_buffers, past
 from test_riccati import (
     first_gain,
     sweep_holding,
@@ -56,7 +56,7 @@ class TestInit:
         assert np.all(state.rls.theta == 1e-10)
         np.testing.assert_array_equal(state.rls.psi, 1e-4 * np.eye(20))
         assert state.u_implemented[0] == 0.0
-        np.testing.assert_array_equal(state.history.y_past, np.zeros((10, 1)))
+        np.testing.assert_array_equal(state.history.phi, np.zeros(20))
 
     def test_rejects_zero_psi0(self):
         with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ class TestStep:
         state = pcac_init(cfg)
         for k in range(25):
             y_k = rng.normal(0, 10 if k < 18 else 1000, p)
-            phi = build_regressor(state.history, cfg.dims, arx_buffers(cfg.dims))
+            phi = build_regressor(state.history, cfg.dims)
             rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
             history = state.history.push(y_k, state.u_implemented)
             A, B = assemble_bocf(rls_next.theta, cfg.dims, arx_buffers(cfg.dims))
@@ -233,10 +233,9 @@ class TestStep:
         for _ in range(12):
             y = rng.standard_normal(1)
             rls, history = state.rls, state.history
-            arrays = (rls.theta, rls.psi, rls.error_window,
-                      history.y_past, history.u_past)
+            arrays = (rls.theta, rls.psi, rls.error_window, history.phi)
             kept = [a.copy() for a in arrays]
-            phi = build_regressor(history, cfg.dims, arx_buffers(cfg.dims))
+            phi = build_regressor(history, cfg.dims)
             rls_update(rls, phi, y, cfg.forgetting)
             history.push(y, rng.standard_normal(1))
             state, _ = pcac_step(state, y, cfg)
@@ -384,8 +383,7 @@ class TestBufferOwnership:
         rng = np.random.default_rng(37)
         _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
         arrays = (state.rls.theta, state.rls.psi, state.rls.error_window,
-                  state.history.y_past, state.history.u_past,
-                  state.u_implemented, state.u_requested)
+                  state.history.phi, state.u_implemented, state.u_requested)
         kept = [a.tobytes() for a in arrays]
         y = np.array([12.5])
         first = pcac_step(state, y, cfg)
@@ -555,8 +553,9 @@ class TestAgainstTwoProductState:
     def two_product_state(history, theta_next, dims, out):
         n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
         offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
-        y_pad = np.vstack([np.zeros((n - 1, p)), history.y_past])
-        u_pad = np.vstack([np.zeros((n - 1, m)), history.u_past])
+        y_past, u_past = past(history)
+        y_pad = np.vstack([np.zeros((n - 1, p)), y_past])
+        u_pad = np.vstack([np.zeros((n - 1, m)), u_past])
         y_lag, u_lag = y_pad[offset].reshape(n, n * p), u_pad[offset].reshape(n, n * m)
         blocks = out.x.reshape(n, p)
         u_lag.dot(theta_next[split:].reshape(n * m, p), blocks)
@@ -656,8 +655,9 @@ class TestAgainstLeastSquaresOracle:
 
     def check(self, state, y_k, u_req, theta, cfg, ell=None):
         n = cfg.n_hat
-        y_hist = np.concatenate([y_k, state.history.y_past[: n - 1, 0]])
-        u_hist = np.concatenate([state.u_implemented, state.history.u_past[: n - 1, 0]])
+        y_past, u_past = past(state.history)
+        y_hist = np.concatenate([y_k, y_past[: n - 1, 0]])
+        u_hist = np.concatenate([state.u_implemented, u_past[: n - 1, 0]])
         u = least_squares_inputs(theta, y_hist, u_hist, ell or cfg.ell, cfg.r2)
         return abs(u_req[0] - u[0]) <= self.TOL * np.max(np.abs(u))
 

@@ -221,8 +221,9 @@ class TestIncompleteBetaOracle:
 
 # ---------------------------------------------------------------------------
 # Textbook forms of the scalar F statistic (two np.var calls) and of the RLS
-# update (an np.linalg.solve of I/beta + phi psi phi'), the references for the
-# implementation's dot-product variances and checked rank-1 update.
+# update (an np.linalg.solve of I/beta + phi psi phi' on the Kronecker-lifted
+# regressor), the references for the implementation's dot-product variances
+# and its matrix form with a checked scalar inner term.
 
 
 def textbook_statistic(errors, cfg):
@@ -236,7 +237,10 @@ def textbook_statistic(errors, cfg):
 
 
 def textbook_rls_update(state, phi, y, cfg):
-    """One RLS step in the solve form; returns the new state and beta."""
+    """One RLS step in the solve form; returns the new state and beta.
+
+    ``phi`` is the (p, d p) Kronecker-lifted regressor phi' kron I_p and
+    ``state.psi`` its (d p, d p) covariance (see :func:`lifted`)."""
     y = np.asarray(y, dtype=float).reshape(-1)
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     p = y.size
@@ -255,12 +259,19 @@ def textbook_rls_update(state, phi, y, cfg):
     return RlsState(theta, psi, window, state.step + 1), beta
 
 
-def drifting_data(rng, steps, p, dim):
-    """Regressors and outputs whose noise grows tenfold two thirds of the
-    way through, so the F-test forgets (beta > 1) after the change."""
-    theta = rng.standard_normal(dim)
+def lifted(phi, p):
+    """The (p, d p) regressor phi' kron I_p of the Kronecker-lifted RLS, in
+    which row i holds phi in columns i, i + p, i + 2p, ..."""
+    return np.kron(np.asarray(phi, dtype=float).reshape(1, -1), np.eye(p))
+
+
+def drifting_data(rng, steps, p, d):
+    """Regressors phi (d,) and outputs y = Theta' phi + noise (p,), whose
+    noise grows tenfold two thirds of the way through, so the F-test
+    forgets (beta > 1) after the change."""
+    theta = rng.standard_normal((d, p))
     for k in range(steps):
-        phi = rng.standard_normal((p, dim))
+        phi = rng.standard_normal(d)
         scale = 0.1 if k < 2 * steps // 3 else 1.0
         yield phi, phi @ theta + scale * rng.standard_normal(p)
 
@@ -280,7 +291,7 @@ class TestScalarStatistic:
                 assert compute_beta(g, cfg) == 1.0
                 # through the update: with phi = 0, beta alone scales psi
                 state = RlsState(np.zeros(2), np.eye(2), errors[:, None], cfg.tau_d)
-                new = rls_update(state, np.zeros((1, 2)), np.array([c]), cfg)
+                new = rls_update(state, np.zeros(2), np.array([c]), cfg)
                 np.testing.assert_array_equal(new.psi, np.eye(2))
 
     def test_equal_variances_negative(self):
@@ -391,8 +402,8 @@ class TestMultivariableStatistic:
         assert g == forgetting_statistic_scalar(errors[:, 0], cfg)
         # through the update: with phi = 0, beta alone scales psi
         window = np.concatenate((np.zeros((1, 2)), errors[:-1]))
-        state = RlsState(np.zeros(3), np.eye(3), window, cfg.tau_d)
-        new = rls_update(state, np.zeros((2, 3)), errors[-1], cfg)
+        state = RlsState(np.zeros(6), np.eye(3), window, cfg.tau_d)
+        new = rls_update(state, np.zeros(3), errors[-1], cfg)
         beta = compute_beta(g, cfg)
         assert beta > 1.0
         np.testing.assert_allclose(new.psi, beta * np.eye(3), rtol=1e-15)
@@ -461,7 +472,7 @@ class TestComputeBeta:
         cfg = ForgettingConfig(tau_n=40, tau_d=200)
         rng = np.random.default_rng(16)
         state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
-        for k, (phi, y) in enumerate(drifting_data(rng, 250, p, 3 * p)):
+        for k, (phi, y) in enumerate(drifting_data(rng, 250, p, 3)):
             before = dict(calls)
             state = rls_update(state, phi, y, cfg)
             step_calls = {n: calls[n] - before[n] for n in names}
@@ -477,7 +488,7 @@ class TestComputeBeta:
         def run(cfg):
             rng = np.random.default_rng(17 + p)
             state = RlsState.initialize(np.zeros(4 * p), 10.0, cfg, p)
-            for phi, y in drifting_data(rng, 300, p, 4 * p):
+            for phi, y in drifting_data(rng, 300, p, 4):
                 state = rls_update(state, phi, y, cfg)
             return state
 
@@ -580,14 +591,17 @@ class TestRlsUpdate:
             assert np.min(np.linalg.eigvalsh(state.psi)) > 0.0
 
     def test_vector_output_update(self):
+        # two outputs share the regressor: Theta is (3, 2) and P is (3, 3)
         cfg = ForgettingConfig(tau_n=5, tau_d=12, eta=0.1)
         rng = np.random.default_rng(14)
         state = RlsState.initialize(np.zeros(6), 1.0, cfg, p=2)
+        assert state.psi.shape == (3, 3)
         for _ in range(30):
-            phi = rng.standard_normal((2, 6))
+            phi = rng.standard_normal(3)
             y = rng.standard_normal(2)
             state = rls_update(state, phi, y, cfg)
         assert state.step == 30
+        assert state.theta.shape == (6,) and state.psi.shape == (3, 3)
         assert state.error_window.shape == (cfg.tau_d + 1, 2)
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -598,9 +612,9 @@ class TestRlsUpdate:
         state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
         errors = [np.zeros(p)] * (cfg.tau_d + 1)
         for _ in range(300):
-            phi = rng.standard_normal((p, 3 * p))
+            phi = rng.standard_normal(3)
             y = rng.standard_normal(p)
-            errors.append(y - phi @ state.theta)
+            errors.append(y - phi @ state.theta.reshape(3, p))
             state = rls_update(state, phi, y, cfg)
             np.testing.assert_array_equal(state.error_window,
                                           errors[-(cfg.tau_d + 1):])
@@ -610,6 +624,10 @@ class TestRlsUpdate:
         state = RlsState.initialize(np.zeros(4), 1.0, cfg)
         with pytest.raises(ValueError):
             rls_update(state, np.zeros((2, 4)), np.zeros(2), cfg)
+        with pytest.raises(ValueError):
+            rls_update(state, np.zeros(4), np.zeros(2), cfg)
+        with pytest.raises(ValueError, match="regressor"):
+            rls_update(state, np.zeros(3), np.zeros(1), cfg)
 
     def test_beta_one_during_warmup_even_with_noisy_errors(self):
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=10.0)
@@ -627,43 +645,65 @@ class TestRlsUpdate:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_textbook_solve_form(self, p):
-        # p = 1 is the checked rank-1 update, compared within 1e-12 over a
-        # run that forgets; p = 2 keeps the solve form and must be identical
+        # the matrix form with its scalar inner term against the Kronecker
+        # solve form on the lifted regressor phi' kron I_p, whose covariance
+        # stays P kron I_p: within 1e-12 relative over a run that forgets
         cfg = ForgettingConfig(tau_n=10, tau_d=30, eta=1.0, alpha=0.05)
         rng = np.random.default_rng(40 + p)
-        dim = 4 * p
-        state = ref = RlsState.initialize(np.zeros(dim), 10.0, cfg, p)
+        d = 4
+        state = RlsState.initialize(np.zeros(d * p), 10.0, cfg, p)
+        ref = RlsState(state.theta, np.kron(state.psi, np.eye(p)), state.error_window)
         betas = []
-        for phi, y in drifting_data(rng, 300, p, dim):
+        for phi, y in drifting_data(rng, 300, p, d):
             state = rls_update(state, phi, y, cfg)
-            ref, beta = textbook_rls_update(ref, phi, y, cfg)
+            ref, beta = textbook_rls_update(ref, lifted(phi, p), y, cfg)
             betas.append(beta)
-            if p == 1:
-                np.testing.assert_allclose(state.psi, ref.psi, rtol=1e-12,
-                                           atol=1e-12 * np.max(np.abs(ref.psi)))
-                np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12,
-                                           atol=1e-12)
-            else:
-                np.testing.assert_array_equal(state.psi, ref.psi)
-                np.testing.assert_array_equal(state.theta, ref.theta)
+            np.testing.assert_allclose(np.kron(state.psi, np.eye(p)), ref.psi,
+                                       rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.psi)))
+            np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(state.psi, state.psi.T)
         assert betas[0] == 1.0 and max(betas) > 1.0
 
+    @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("psi", [
-        [[-1.0, 0.0], [0.0, 0.0]],     # 1/beta + phi psi phi' = 0
+        [[-1.0, 0.0], [0.0, 0.0]],     # 1/beta + phi' P phi = 0
         [[np.inf, 0.0], [0.0, 1.0]],   # = inf
         [[np.nan, 0.0], [0.0, 1.0]],   # = nan
     ])
-    def test_bad_inner_term_raises_numerical_error(self, psi):
-        state = RlsState(np.zeros(2), np.array(psi), np.zeros((CFG.tau_d + 1, 1)))
+    def test_bad_inner_term_raises_numerical_error(self, psi, p):
+        # the inner term is one checked scalar for every p
+        state = RlsState(np.zeros(2 * p), np.array(psi), np.zeros((CFG.tau_d + 1, p)))
         with pytest.raises(NumericalError, match="inner term"):
-            rls_update(state, np.array([[1.0, 0.0]]), np.array([0.5]), CFG)
+            rls_update(state, np.array([1.0, 0.0]), np.full(p, 0.5), CFG)
 
-    def test_singular_vector_inner_term_raises_numerical_error(self):
-        state = RlsState(np.zeros(2), np.array([[-1.0, 0.0], [0.0, -1.0]]),
-                         np.zeros((CFG.tau_d + 1, 2)))
-        with pytest.raises(NumericalError, match="inner term"):
-            rls_update(state, np.eye(2), np.zeros(2), CFG)
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_is_named(self, bad, p):
+        # a bad measurement is reported as one, not as a diverged estimate
+        state = RlsState.initialize(np.zeros(2 * p), 1.0, CFG, p)
+        y = np.zeros(p)
+        y[-1] = bad
+        with pytest.raises(NumericalError, match="non-finite measured output"):
+            rls_update(state, np.array([1.0, 2.0]), y, CFG)
+
+    @pytest.mark.parametrize("p, theta0, field", [
+        (0, np.zeros(4), "p"),
+        (-1, np.zeros(4), "p"),
+        (1.0, np.zeros(4), "p"),
+        (3, np.zeros(4), "theta0"),
+        (1, np.zeros(0), "theta0"),
+        (2, np.zeros(0), "theta0"),
+    ])
+    def test_initialize_refuses_bad_shapes(self, p, theta0, field):
+        # P is (d, d) with d = theta0.size / p
+        with pytest.raises(ValueError, match=f"^{field} "):
+            RlsState.initialize(theta0, 1.0, CFG, p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_initialize_shapes(self, p):
+        state = RlsState.initialize(np.ones(6 * p), 0.5, CFG, p)
+        np.testing.assert_array_equal(state.psi, 0.5 * np.eye(6))
+        assert state.error_window.shape == (CFG.tau_d + 1, p)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
