@@ -95,15 +95,15 @@ class ArxBuffers:
     write into, given them as ``out``.
 
     What the data never changes is written here, once: the identity
-    superdiagonal blocks of A and the zero rows above the history in the
-    state's lag scratch.  A call then writes only -F_i and G_i, or the
+    superdiagonal blocks of A, and the entry of phi that each entry of the
+    state's lag matrix takes.  A call then writes only -F_i and G_i, or the
     history and the state, and returns arrays that the next call
     overwrites.  ``A`` and ``B`` are the column blocks of the Riccati
     sweep's Z = [A | B], so that the realization is written where the
     sweep reads it.
     """
 
-    __slots__ = ("A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_rows", "_windows")
+    __slots__ = ("A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_padded", "_index")
 
     def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
         n, p, m = dims.n_hat, dims.p, dims.m
@@ -117,18 +117,17 @@ class ArxBuffers:
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
         self._g = self.B.reshape(n, p, m)
-        self.lag = np.empty((n, n * (p + m)))
+        d = n * (p + m)
+        self.lag = np.empty((n, d))
         self.x = np.empty(n * p)
         self._x_blocks = self.x.reshape(n, p)
-        # Per signal, a (2n-1, width) scratch whose last n rows take the
-        # signal's block of phi, and its fixed Hankel view, paired with the
-        # signal's column block of the lag matrix: row j-1 of the block is
-        # history rows 1-j..n-j, zero where the row index is negative.
-        pads = [np.zeros((2 * n - 1, width)) for width in (p, m)]
-        self._rows = [pad[n - 1 :].reshape(-1) for pad in pads]
-        blocks = np.split(self.lag, [n * p], axis=1)
-        self._windows = [(np.ndarray(block.shape, buffer=pad, strides=pad.strides)[::-1],
-                          block) for pad, block in zip(pads, blocks)]
+        # phi and a zero after it; row r of the lag matrix takes, in each
+        # signal's block, lag l from phi's lag l - r, or the zero when l < r.
+        self._padded = np.zeros(d + 1)
+        lag_of = np.concatenate((np.repeat(np.arange(n), p), np.repeat(np.arange(n), m)))
+        width = np.repeat([p, m], [n * p, n * m])
+        r = np.arange(n)[:, None]
+        self._index = np.where(lag_of >= r, np.arange(d) - r * width, d)
 
 
 def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
@@ -187,12 +186,8 @@ def compute_bocf_state(
     """
     history.check_dims(dims)
     theta = _checked_theta(theta_next, dims)
-    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
-    # phi holds y negated.  The Hankel windows are copied into the contiguous
-    # lag matrix, because a strided operand changes the BLAS summation order.
-    np.copyto(out._rows[0], history.phi[:split])
-    np.copyto(out._rows[1], history.phi[split:])
-    for window, block in out._windows:
-        np.copyto(block, window)
-    out.lag.dot(theta.reshape(n * (p + m), p), out._x_blocks)
+    out._padded[:-1] = history.phi  # which holds y negated
+    # every index is in range; mode="raise" would check through a buffer
+    np.take(out._padded, out._index, out=out.lag, mode="clip")
+    out.lag.dot(theta.reshape(-1, dims.p), out._x_blocks)
     return out.x

@@ -80,7 +80,9 @@ class PcacConfig:
 
 @dataclass
 class PcacState:
-    """Controller state between samples: what the next step reads.
+    """Controller state between samples: what the next step reads, and what
+    the step that made it decided: ``fault`` (see :func:`pcac_step`), and
+    the forgetting decision that ``rls`` keeps.
 
     Every field but ``arx`` and ``sweep`` is a value that a step never
     writes into.  Those two, made once by :func:`pcac_init`, are the step's
@@ -93,6 +95,7 @@ class PcacState:
     history: IoHistory
     u_implemented: np.ndarray
     u_requested: np.ndarray
+    fault: str | None = None
     arx: ArxBuffers = field(kw_only=True, repr=False, compare=False)
     sweep: SweepBuffers = field(kw_only=True, repr=False, compare=False)
 
@@ -108,21 +111,21 @@ def pcac_init(cfg: PcacConfig) -> PcacState:
         rls=rls,
         history=IoHistory.zeros(cfg.dims),
         u_implemented=u0,
-        u_requested=u0.copy(),
+        u_requested=u0,
         arx=ArxBuffers(cfg.dims, sweep.A, sweep.B),
         sweep=sweep,
     )
 
 
-def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
-    """Advance one sample: returns (next state, fault).
+def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig) -> PcacState:
+    """Advance one sample: returns the next state.
 
-    The next state holds the controls for the next sample.  ``fault`` is
-    None, or the message of the NumericalError that the step caught from the
-    Riccati sweep, the gain or a non-finite request; the step then holds the
-    previous requested and implemented controls, and identification still
-    advances.  A NumericalError from the RLS update propagates, and
-    ``state`` is left as it was passed in.
+    The next state holds the controls for the next sample and the step's
+    ``fault``: None, or the message of the NumericalError that the step
+    caught from the Riccati sweep, the gain or a non-finite request; the
+    step then holds the previous requested and implemented controls, and
+    identification still advances.  A NumericalError from the RLS update
+    propagates, and ``state`` is left as it was passed in.
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
     arx, sweep = state.arx, state.sweep
@@ -146,15 +149,6 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig):
             u_impl = saturate(u_req, cfg.bounds)
         except NumericalError as exc:
             fault = str(exc)
-            u_req = state.u_requested.copy()
-            u_impl = state.u_implemented.copy()
+            u_req, u_impl = state.u_requested, state.u_implemented
 
-    new_state = PcacState(
-        rls=rls_next,
-        history=history,
-        u_implemented=u_impl,
-        u_requested=u_req,
-        arx=arx,
-        sweep=sweep,
-    )
-    return new_state, fault
+    return PcacState(rls_next, history, u_impl, u_req, fault, arx=arx, sweep=sweep)

@@ -98,7 +98,9 @@ RECORD_META = {"k_switch": int, "t_s": float}
 
 @dataclass
 class ExperimentRecord:
-    """Per-sample log of one experiment: ``RECORD_COLUMNS`` and ``step_wall``."""
+    """Per-sample log of one experiment: ``RECORD_COLUMNS`` and ``step_wall``,
+    and the counts of the closed-loop steps that faulted and that forgot
+    (beta > 1).  A record file holds neither count."""
 
     t: np.ndarray
     y: np.ndarray
@@ -111,6 +113,7 @@ class ExperimentRecord:
     k_switch: int
     t_s: float
     fault_count: int = 0
+    forgetting_steps: int = 0
 
 
 def default_spec(seed: int = 0) -> ExperimentSpec:
@@ -167,10 +170,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             break
         if k >= k_switch:
             t0 = time.perf_counter()
-            ctrl, fault = pcac_step(ctrl, np.array([y[k]]), spec.controller)
+            ctrl = pcac_step(ctrl, np.array([y[k]]), spec.controller)
             wall[k] = time.perf_counter() - t0
             log(k + 1, ctrl)
-            record.fault_count += fault is not None
+            record.fault_count += ctrl.fault is not None
+            record.forgetting_steps += ctrl.rls.beta > 1.0
         state = plant_zoh_step(state, u[k], params, spec.t_s)
 
     if spec.output_path is not None:
@@ -281,17 +285,17 @@ def peak_attenuation_db(record: ExperimentRecord):
     Returns (peak frequency, attenuation in dB); the attenuation is None
     when the closed loop has fewer than two samples, or too few to put a
     frequency bin in that band, and both are None when the open-loop
-    spectrum above 10 Hz is all zero, so that it has no peak.
+    spectrum has no peak: no bin above 10 Hz, or all zero there.
     """
     n_win, k_switch = round(1.0 / record.t_s), record.k_switch
     f_open, a_open = amplitude_spectrum(
         record.y[max(0, k_switch - n_win) : k_switch], record.t_s)
     sel = f_open > 10.0  # skip DC leakage
-    i_peak = np.argmax(a_open[sel])
-    f_peak = float(f_open[sel][i_peak])
-    a_peak = float(a_open[sel][i_peak])
-    if a_peak == 0.0:
+    f_open, a_open = f_open[sel], a_open[sel]
+    if not a_open.any():
         return None, None
+    i_peak = np.argmax(a_open)
+    f_peak, a_peak = float(f_open[i_peak]), float(a_open[i_peak])
     closed = record.y[max(k_switch, record.y.size - n_win) :]
     if closed.size < 2:
         return f_peak, None
@@ -309,7 +313,8 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
     """A run's figures; the four measured against the open-loop segment
     are None when it has fewer than two samples or is all zero.
     ``clamped_steps`` counts the samples after the switch whose implemented
-    control differs from the requested one, and ``budget_misses`` the steps
+    control differs from the requested one, ``forgetting_steps`` the steps
+    whose forgetting test fired (beta > 1), and ``budget_misses`` the steps
     that took longer than ``t_s``."""
     closed = record.phase == 1
     after = slice(record.k_switch + 1, None)
@@ -328,6 +333,7 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
                           if closed.any() else 0.0),
         "clamped_steps": int(np.count_nonzero(record.u_req[after] != record.u[after])),
         "fault_count": record.fault_count,
+        "forgetting_steps": record.forgetting_steps,
         "mean_step_ms": float(np.mean(wall) * 1e3) if wall.size else 0.0,
         "step_p50_ms": float(np.percentile(wall, 50) * 1e3) if wall.size else 0.0,
         "step_p99_ms": float(np.percentile(wall, 99) * 1e3) if wall.size else 0.0,
@@ -411,7 +417,9 @@ def run_ablation(
     re-suppression metric is not vacuously zero when the loop absorbs the
     frequency shift without any visible transient.  Each pair shares the
     plant seed; only eta differs between the runs.  A row's ``fault_count``
-    sums both runs'; a pair whose run raises is reported in ``status``.
+    sums both runs', and its ``forgetting_steps`` is the forgetting run's
+    (the other's is 0, as eta = 0 makes beta 1); a pair whose run raises is
+    reported in ``status``.
     A base spec with no open-loop sample, which re-suppression is measured
     against, or that the change cannot be added to, raises ValueError before
     any run and before ``out_dir`` is made.
@@ -433,6 +441,7 @@ def run_ablation(
             "resuppression_forgetting_s": resuppression_time(rec_on, t_event),
             "resuppression_no_forgetting_s": resuppression_time(rec_off, t_event),
             "fault_count": rec_on.fault_count + rec_off.fault_count,
+            "forgetting_steps": rec_on.forgetting_steps,
         }
 
     return _sweep(

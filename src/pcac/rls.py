@@ -61,16 +61,22 @@ class ForgettingConfig:
 
 @dataclass
 class RlsState:
-    """Estimate, covariance, trailing error window and step counter.
+    """Estimate, covariance, trailing error window and step counter, and
+    what the update that made the state decided.
 
     All p outputs share one regressor phi (d,), y_k = Theta' phi_k: ``theta``
     holds the (d, p) estimate Theta flat, and ``psi`` its (d, d) covariance P.
+    ``beta`` is the update's covariance inflation 1/lambda, and ``g`` the F
+    statistic it came from: 1.0 and None until the long window has filled.
+    The update's a-priori error e_k is ``error_window[-1]``.
     """
 
     theta: np.ndarray
     psi: np.ndarray
     error_window: np.ndarray  # (tau_d+1, p) a-priori errors, oldest first
     step: int = 0
+    beta: float = 1.0
+    g: float | None = None
 
     @classmethod
     def initialize(
@@ -326,7 +332,8 @@ def rls_update(
     The identification error entering the F-test window is the pre-update
     residual e_k = y_k - Theta_k' phi_k, and the window includes the current
     step before beta is computed.  Until the long window has filled once,
-    beta is 1 and no test runs.
+    beta is 1 and no test runs.  The returned state keeps e_k (the newest
+    row of its window), beta and the statistic g.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     phi = np.asarray(phi, dtype=float).reshape(-1)
@@ -338,7 +345,7 @@ def rls_update(
     e = y - phi.dot(state.theta.reshape(d, p))
 
     window = np.concatenate((state.error_window[1:], e[None]))
-    beta = 1.0
+    beta, g = 1.0, None
     if state.step >= cfg.tau_d:
         g = (forgetting_statistic_scalar(window[:, 0], cfg) if p == 1
              else forgetting_statistic_multivariable(window, cfg))
@@ -357,4 +364,4 @@ def rls_update(
     theta_next = state.theta + psi_next.dot(phi[:, None].dot(e[None])).reshape(-1)
     if not np.isfinite(theta_next).all():
         raise NumericalError("RLS estimate diverged")
-    return RlsState(theta_next, psi_next, window, state.step + 1)
+    return RlsState(theta_next, psi_next, window, state.step + 1, beta, g)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg, special
+from scipy import linalg
 
 from pcac import (
     ForgettingConfig,
@@ -36,6 +36,7 @@ from pcac.cli import main as cli_main
 from pcac.harness import grid_specs
 from test_arx import arx_buffers, current_state, predict_output
 from test_riccati import dare_hessian, sweep_holding
+from test_rls import f_cdf_quad
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -55,29 +56,6 @@ def batch_least_squares(phis, ys, psi0, theta0):
         H = H + phi.T @ phi
         b = b + phi.T @ y
     return np.linalg.solve(H, b)
-
-
-def f_pdf(x, d1, d2):
-    if x <= 0:
-        return 0.0
-    lognum = (
-        0.5 * d1 * np.log(d1 / d2)
-        + (0.5 * d1 - 1.0) * np.log(x)
-        - 0.5 * (d1 + d2) * np.log1p(d1 * x / d2)
-    )
-    return np.exp(lognum - special.betaln(0.5 * d1, 0.5 * d2))
-
-
-def f_cdf_quad(x, d1, d2):
-    if x <= 0:
-        return 0.0
-    if x <= 1.0:
-        val, _ = integrate.quad(f_pdf, 0, x, args=(d1, d2), epsabs=1e-13,
-                                epsrel=1e-13, limit=200)
-        return val
-    tail, _ = integrate.quad(f_pdf, x, np.inf, args=(d1, d2), epsabs=1e-13,
-                             epsrel=1e-13, limit=200)
-    return 1.0 - tail
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +264,8 @@ def test_grid_cell_records_replay_bit_for_bit(grid):
         state = pcac_init(spec.controller)
         u_req, u = [state.u_requested[0]], [state.u_implemented[0]]
         for y in rec.y[rec.k_switch : -1]:
-            state, fault = pcac_step(state, np.array([y]), spec.controller)
-            assert fault is None, (i, fault)
+            state = pcac_step(state, np.array([y]), spec.controller)
+            assert state.fault is None, (i, state.fault)
             u_req.append(state.u_requested[0])
             u.append(state.u_implemented[0])
         assert u_req == rec.u_req[rec.k_switch :].tolist(), i

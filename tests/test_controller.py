@@ -32,7 +32,7 @@ from pcac import (
     saturate,
     suppression_time,
 )
-from pcac import controller, harness, rls
+from pcac import controller, harness
 from pcac.controller import PcacConfig
 from pcac.harness import grid_specs
 
@@ -41,8 +41,8 @@ def run_sequence(cfg, measurements):
     state = pcac_init(cfg)
     u_req, u = [], []
     for y in measurements:
-        state, fault = pcac_step(state, np.atleast_1d(y), cfg)
-        assert fault is None
+        state = pcac_step(state, np.atleast_1d(y), cfg)
+        assert state.fault is None
         u_req.append(state.u_requested)
         u.append(state.u_implemented)
     return u_req, u, state
@@ -156,7 +156,7 @@ class TestInit:
 class TestStep:
     def test_near_zero_model_requests_near_zero_control(self):
         cfg = PcacConfig()
-        state, _ = pcac_step(pcac_init(cfg), np.array([50.0]), cfg)
+        state = pcac_step(pcac_init(cfg), np.array([50.0]), cfg)
         assert abs(state.u_requested[0]) < 1e-3
         assert abs(state.u_implemented[0]) < 1e-3
 
@@ -189,20 +189,12 @@ class TestStep:
         assert state.rls.step == 300
 
     @pytest.mark.parametrize("p, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
-    def test_matches_manual_composition(self, p, m, monkeypatch):
+    def test_matches_manual_composition(self, p, m):
         # a step must equal the four module operations called in order, the
         # layers here on fresh buffers rather than the step's own; short
         # windows, alpha = 0.5 and data that jumps 100x make forgetting fire
         cfg = PcacConfig(n_hat=4, p=p, m=m, tau_n=3, tau_d=8, alpha=0.5)
         betas = []
-
-        def recorded(compute_beta):
-            def wrapper(*args):
-                betas.append(compute_beta(*args))
-                return betas[-1]
-            return wrapper
-
-        monkeypatch.setattr(rls, "compute_beta", recorded(rls.compute_beta))
         rng = np.random.default_rng(34)
         state = pcac_init(cfg)
         for k in range(25):
@@ -219,10 +211,12 @@ class TestStep:
             expect_req = K @ x_next
             expect_impl = saturate(expect_req, cfg.bounds)
 
-            state, _ = pcac_step(state, y_k, cfg)
+            state = pcac_step(state, y_k, cfg)
             np.testing.assert_array_equal(state.u_requested, expect_req)
             np.testing.assert_array_equal(state.u_implemented, expect_impl)
             np.testing.assert_array_equal(state.rls.theta, rls_next.theta)
+            assert (state.rls.beta, state.rls.g) == (rls_next.beta, rls_next.g)
+            betas.append(state.rls.beta)
         assert max(betas) > 1.0
 
     def test_update_and_push_leave_previous_arrays_unchanged(self):
@@ -238,7 +232,7 @@ class TestStep:
             phi = build_regressor(history, cfg.dims)
             rls_update(rls, phi, y, cfg.forgetting)
             history.push(y, rng.standard_normal(1))
-            state, _ = pcac_step(state, y, cfg)
+            state = pcac_step(state, y, cfg)
             for a, b in zip(arrays, kept):
                 np.testing.assert_array_equal(a, b)
 
@@ -261,7 +255,7 @@ class TestStep:
         for _ in range(2000):
             y = -f1 * y1 - f2 * y2 + g1 * u1 + g2 * u2
             u_now = state.u_implemented[0]  # returned by the previous step
-            state, _ = pcac_step(state, np.array([y]), cfg)
+            state = pcac_step(state, np.array([y]), cfg)
             y2, y1 = y1, y
             u2, u1 = u1, u_now
             ys.append(abs(y))
@@ -302,14 +296,14 @@ class TestStep:
         rng = np.random.default_rng(35)
         state = pcac_init(cfg)
         for y in rng.normal(0, 30, 20):
-            state, _ = pcac_step(state, np.array([y]), cfg)
+            state = pcac_step(state, np.array([y]), cfg)
 
         def boom(*a, **k):
             raise NumericalError("forced failure")
 
         monkeypatch.setattr(ctl, "riccati_backward", boom)
-        new_state, fault = pcac_step(state, np.array([1.0]), cfg)
-        assert fault == "forced failure"
+        new_state = pcac_step(state, np.array([1.0]), cfg)
+        assert new_state.fault == "forced failure"
         np.testing.assert_array_equal(new_state.u_implemented, state.u_implemented)
         np.testing.assert_array_equal(new_state.u_requested, state.u_requested)
         assert new_state.rls.step == state.rls.step + 1  # identification still advanced
@@ -327,8 +321,8 @@ class TestStep:
         state = replace(state, rls=replace(state.rls, theta=theta))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new_state, fault = pcac_step(state, np.array([y]), cfg)
-        assert fault == "R2 + B'PB is not positive definite"
+            new_state = pcac_step(state, np.array([y]), cfg)
+        assert new_state.fault == "R2 + B'PB is not positive definite"
         np.testing.assert_array_equal(new_state.u_implemented, state.u_implemented)
 
     def test_rls_overflow_raises_numerical_error_under_warnings_as_errors(self):
@@ -342,8 +336,8 @@ class TestStep:
         cfg = PcacConfig(n_hat=2, ell=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state, fault = pcac_step(pcac_init(cfg), np.array([1e200]), cfg)
-            assert fault is None
+            state = pcac_step(pcac_init(cfg), np.array([1e200]), cfg)
+            assert state.fault is None
             with pytest.raises(NumericalError, match="RLS inner term"):
                 pcac_step(state, np.array([1e200]), cfg)
 
@@ -354,10 +348,11 @@ class TestBufferOwnership:
 
     @staticmethod
     def outputs(steps):
-        # every step's controls and estimate, as bytes, and its fault
+        # every step's controls and estimate, as bytes, and what it decided
         return [(b"".join(a.tobytes() for a in (s.u_requested, s.u_implemented,
-                                                 s.rls.theta, s.rls.psi)), fault)
-                for s, fault in steps]
+                                                 s.rls.theta, s.rls.psi)),
+                 s.rls.beta, s.rls.g, s.fault)
+                for s in steps]
 
     def test_interleaved_controllers_match_lone_runs(self):
         cfg = PcacConfig(tau_n=5, tau_d=20)
@@ -367,15 +362,15 @@ class TestBufferOwnership:
         assert not np.shares_memory(a.sweep.Z, b.sweep.Z)
         steps_a, steps_b = [], []
         for y_a, y_b in zip(ys_a, ys_b):
-            steps_a.append(pcac_step(a, y_a, cfg))
-            a = steps_a[-1][0]
-            steps_b.append(pcac_step(b, y_b, cfg))
-            b = steps_b[-1][0]
+            a = pcac_step(a, y_a, cfg)
+            steps_a.append(a)
+            b = pcac_step(b, y_b, cfg)
+            steps_b.append(b)
         for ys, steps in ((ys_a, steps_a), (ys_b, steps_b)):
             state, alone = pcac_init(cfg), []
             for y in ys:
-                alone.append(pcac_step(state, y, cfg))
-                state = alone[-1][0]
+                state = pcac_step(state, y, cfg)
+                alone.append(state)
             assert self.outputs(steps) == self.outputs(alone)
 
     def test_stepping_a_state_twice_repeats_and_leaves_it(self):
@@ -414,19 +409,19 @@ class TestBufferOwnership:
 
         with monkeypatch.context() as patch:
             patch.setattr(controller, "riccati_backward", boom)
-            state, fault = pcac_step(state, np.array([3.0]), cfg)
-        assert fault == "forced failure"
+            state = pcac_step(state, np.array([3.0]), cfg)
+        assert state.fault == "forced failure"
         fresh = pcac_init(cfg)
         twin = replace(state, arx=fresh.arx, sweep=fresh.sweep)
         assert twin.sweep is not state.sweep and twin.arx is not state.arx
         steps, twin_steps = [], []
         for y in rng.normal(0, 30, (20, 1)):
-            steps.append(pcac_step(state, y, cfg))
-            state = steps[-1][0]
-            twin_steps.append(pcac_step(twin, y, cfg))
-            twin = twin_steps[-1][0]
+            state = pcac_step(state, y, cfg)
+            steps.append(state)
+            twin = pcac_step(twin, y, cfg)
+            twin_steps.append(twin)
         assert self.outputs(steps) == self.outputs(twin_steps)
-        assert [fault for _, fault in steps] == [None] * 20
+        assert [s.fault for s in steps] == [None] * 20
 
     def test_rls_fault_propagates_and_leaves_the_state(self, monkeypatch):
         # only the optimizer's faults are held: one from the update raises,
@@ -468,8 +463,8 @@ def test_written_record_replays_bit_for_bit(tmp_path):
     state = pcac_init(spec.controller)
     u_req, u = [state.u_requested[0]], [state.u_implemented[0]]
     for y in rec.y[rec.k_switch : -1]:
-        state, fault = pcac_step(state, np.array([y]), spec.controller)
-        assert fault is None
+        state = pcac_step(state, np.array([y]), spec.controller)
+        assert state.fault is None
         u_req.append(state.u_requested[0])
         u.append(state.u_implemented[0])
     assert u_req == rec.u_req[rec.k_switch :].tolist()
@@ -493,13 +488,14 @@ class TestAgainstTextbookLayers:
         with monkeypatch.context() as patch:
             patch.setattr(controller, "riccati_backward", textbook_riccati_backward)
             patch.setattr(controller, "control_gain", textbook_control_gain)
-            patch.setattr(controller, "rls_update",
-                          lambda *args: textbook_rls_update(*args)[0])
+            patch.setattr(controller, "rls_update", textbook_rls_update)
             ref = run_experiment(spec)
         assert np.max(np.abs(rec.y - ref.y)) <= self.TOL
         assert np.max(np.abs(rec.u - ref.u)) <= self.TOL
         assert suppression_time(rec) == suppression_time(ref)
         assert rec.fault_count == ref.fault_count == 0
+        # the same forgetting decisions: 0, 41 and 0 steps
+        assert rec.forgetting_steps == ref.forgetting_steps
 
 
 class TestAgainstSymmetrizedP2Ending:
@@ -676,10 +672,10 @@ class TestAgainstLeastSquaresOracle:
                 history=IoHistory(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))),
                 u_implemented=rng.normal(size=1))
             y_k = rng.normal(size=1)
-            new, fault = pcac_step(state, y_k, cfg)
+            new = pcac_step(state, y_k, cfg)
             theta = new.rls.theta
             assert (spectral_radius(theta, n) > 1.0) == unstable, draw
-            assert fault is None, draw
+            assert new.fault is None, draw
             assert self.check(state, y_k, new.u_requested, theta, cfg), draw
 
     def test_steps_of_default_run(self, monkeypatch):
@@ -695,7 +691,7 @@ class TestAgainstLeastSquaresOracle:
         monkeypatch.setattr(harness, "pcac_step", capture)
         run_experiment(default_spec(0))
         assert len(seen) == 6
-        for i, (state, y_k, (new, _), cfg) in enumerate(seen):
+        for i, (state, y_k, new, cfg) in enumerate(seen):
             u_req, theta = new.u_requested, new.rls.theta
             assert self.check(state, y_k, u_req, theta, cfg), i
             if i >= 2:  # past the prior, the horizon's length shows

@@ -33,6 +33,7 @@ from pcac import controller, harness
 from pcac.cli import main as cli_main
 from pcac.harness import MAX_SAMPLES, RECORD_COLUMNS
 from test_arx import split_coefficients
+from test_controller import noisy_shift_spec
 
 
 def short_spec(**kw):
@@ -388,6 +389,20 @@ class TestRunExperiment:
         assert harness.peak_attenuation_db(rec) == (150.0, None)
         assert experiment_metrics(rec)["peak_attenuation_db"] is None
 
+    def test_peak_attenuation_without_open_loop_bin_above_10_hz_is_none(
+            self, tmp_path, capsys):
+        # at t_s = 0.05 the 20-sample open-loop window's top bin is 10 Hz, so
+        # no bin lies above 10 Hz: no peak.  This used to raise ValueError
+        # from an argmax over no bins, and `pcac run` died after the record.
+        path = tmp_path / "spec.txt"
+        path.write_text("sim.t_s = 0.05\nsim.t_open = 2.0\nsim.t_total = 4.0\n"
+                        "plant.omega = 10.0\nplant.mu = 0.5\n")
+        assert cli_main(["run", "--spec", str(path), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "peak_freq_hz: None" in out and "peak_attenuation_db: None" in out
+        rec = read_record(str(tmp_path / "record.csv"))
+        assert harness.peak_attenuation_db(rec) == (None, None)
+
     def test_final_attenuation_reads_only_closed_loop_samples(self):
         # 0.2 s of closed loop: the final RMS is over those 201 samples, not
         # the last 0.5 s of the run, 300 of which are open loop
@@ -413,7 +428,7 @@ class TestRunExperiment:
             result = step(state, y, cfg)
             if not thetas:
                 thetas.append(state.rls.theta.copy())
-            thetas.append(result[0].rls.theta.copy())
+            thetas.append(result.rls.theta.copy())
             return result
 
         monkeypatch.setattr(harness, "pcac_step", capture)
@@ -427,6 +442,25 @@ class TestRunExperiment:
         np.testing.assert_array_equal(rec.theta_g_norm[closed],
                                       [np.linalg.norm(g) for g in G])
         assert np.all(rec.theta_f_norm[closed] > 0)
+
+    @pytest.mark.parametrize("spec, count", [(default_spec(0), 0),
+                                             (noisy_shift_spec(0), 41)],
+                             ids=["default_0", "noisy_shift_0"])
+    def test_forgetting_steps_count_the_steps_that_forgot(self, spec, count,
+                                                          monkeypatch):
+        # beta > 1 on the state each closed-loop step returns; noise-free,
+        # the F-test never fires
+        step, betas = harness.pcac_step, []
+
+        def capture(state, y, cfg):
+            result = step(state, y, cfg)
+            betas.append(result.rls.beta)
+            return result
+
+        monkeypatch.setattr(harness, "pcac_step", capture)
+        rec = run_experiment(spec)
+        assert rec.forgetting_steps == sum(b > 1.0 for b in betas) == count
+        assert experiment_metrics(rec)["forgetting_steps"] == count
 
     def test_mid_grid_cell_suppresses(self):
         # the headline behavior: developed limit cycle, switch, suppression
@@ -653,7 +687,8 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "record.csv").exists()
         out = capsys.readouterr().out
-        for key in ("attenuation_db", "max_abs_u_req", "clamped_steps"):
+        for key in ("attenuation_db", "max_abs_u_req", "clamped_steps",
+                    "forgetting_steps"):
             assert f"\n{key}: " in out, key
 
     def test_run_open_loop_only(self, tmp_path, spec_file):
@@ -1000,14 +1035,16 @@ def test_budget_misses_count_steps_over_the_record_sample_time():
 
 def stub_runs(monkeypatch, fail_on=None, fault_count=0):
     """Replace run_experiment: record each spec, raise on call ``fail_on``,
-    else return ``synthetic_record(fault_count)``.  Returns the specs."""
+    else return ``synthetic_record(fault_count)``, with 7 forgetting steps
+    when eta > 0.  Returns the specs."""
     calls = []
 
     def fake_run(spec):
         calls.append(spec)
         if len(calls) == fail_on:
             raise RuntimeError("injected run failure")
-        return synthetic_record(fault_count)
+        forgot = 7 if spec.controller.eta > 0 else 0
+        return replace(synthetic_record(fault_count), forgetting_steps=forgot)
 
     monkeypatch.setattr(harness, "run_experiment", fake_run)
     return calls
@@ -1024,11 +1061,13 @@ class TestAblation:
 
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[1] == ("cell,freq_hz,mu,status,resuppression_forgetting_s,"
-                            "resuppression_no_forgetting_s,fault_count")
+                            "resuppression_no_forgetting_s,fault_count,forgetting_steps")
         statuses = [line.split(",")[3] for line in lines[2:]]
         assert len(statuses) == 9
         assert statuses[0] == "failed: injected run failure"
         assert statuses[1:] == ["ok"] * 8
+        # the forgetting run's count; the eta = 0 run's is 0
+        assert [line.split(",")[-1] for line in lines[3:]] == ["7"] * 8
 
         assert len(calls) == 18
         t_open = default_spec().t_open
@@ -1067,7 +1106,8 @@ class TestAblation:
                        "0/1 cells measured; 1 not measurable (all-zero "
                        "pre-switch output)"]
         row = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[2]
-        assert row.endswith(",ok,None,None,0")
+        # no fault; the forgetting run forgot on 45 steps after the kick
+        assert row.endswith(",ok,None,None,0,45")
 
     def test_no_open_loop_segment_refused_before_any_run(self, tmp_path,
                                                          monkeypatch, capsys):

@@ -237,7 +237,8 @@ def textbook_statistic(errors, cfg):
 
 
 def textbook_rls_update(state, phi, y, cfg):
-    """One RLS step in the solve form; returns the new state and beta.
+    """One RLS step in the solve form; returns the new state, which keeps
+    beta and g as rls_update's does.
 
     ``phi`` is the (p, d p) Kronecker-lifted regressor phi' kron I_p and
     ``state.psi`` its (d p, d p) covariance (see :func:`lifted`)."""
@@ -246,7 +247,7 @@ def textbook_rls_update(state, phi, y, cfg):
     p = y.size
     e = y - phi @ state.theta
     window = np.concatenate((state.error_window[1:], e[None]))
-    beta = 1.0
+    beta, g = 1.0, None
     if state.step >= cfg.tau_d:
         g = (textbook_statistic(window[:, 0], cfg) if p == 1
              else forgetting_statistic_multivariable(window, cfg))
@@ -256,7 +257,7 @@ def textbook_rls_update(state, phi, y, cfg):
     psi = beta * (state.psi - gain @ np.linalg.solve(inner, gain.T))
     psi = 0.5 * (psi + psi.T)
     theta = state.theta + psi @ (phi.T @ e)
-    return RlsState(theta, psi, window, state.step + 1), beta
+    return RlsState(theta, psi, window, state.step + 1, beta, g)
 
 
 def lifted(phi, p):
@@ -656,13 +657,43 @@ class TestRlsUpdate:
         betas = []
         for phi, y in drifting_data(rng, 300, p, d):
             state = rls_update(state, phi, y, cfg)
-            ref, beta = textbook_rls_update(ref, lifted(phi, p), y, cfg)
-            betas.append(beta)
+            ref = textbook_rls_update(ref, lifted(phi, p), y, cfg)
+            betas.append(ref.beta)
             np.testing.assert_allclose(np.kron(state.psi, np.eye(p)), ref.psi,
                                        rtol=1e-12, atol=1e-12 * np.max(np.abs(ref.psi)))
             np.testing.assert_allclose(state.theta, ref.theta, rtol=1e-12, atol=1e-12)
             np.testing.assert_array_equal(state.psi, state.psi.T)
         assert betas[0] == 1.0 and max(betas) > 1.0
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_state_keeps_the_forgetting_decision(self, p, monkeypatch):
+        # beta is what compute_beta returned and g the statistic on the
+        # window the state keeps, whose newest row is e_k; until the long
+        # window fills, beta is 1.0, g is None and no test runs
+        cfg = ForgettingConfig(tau_n=10, tau_d=30, eta=1.0, alpha=0.05)
+        statistic = (forgetting_statistic_scalar if p == 1
+                     else forgetting_statistic_multivariable)
+        returned = []
+
+        def spy(g, cfg):
+            returned.append(compute_beta(g, cfg))
+            return returned[-1]
+
+        monkeypatch.setattr(rls, "compute_beta", spy)
+        rng = np.random.default_rng(50 + p)
+        state = RlsState.initialize(np.zeros(4 * p), 10.0, cfg, p)
+        assert (state.beta, state.g) == (1.0, None)
+        for k, (phi, y) in enumerate(drifting_data(rng, 300, p, 4)):
+            calls, e = len(returned), y - phi @ state.theta.reshape(4, p)
+            state = rls_update(state, phi, y, cfg)
+            np.testing.assert_array_equal(state.error_window[-1], e)
+            if k < cfg.tau_d:
+                assert (state.beta, state.g, len(returned)) == (1.0, None, calls), k
+                continue
+            window = state.error_window[:, 0] if p == 1 else state.error_window
+            assert state.g == statistic(window, cfg), k
+            assert (state.beta, len(returned)) == (returned[-1], calls + 1), k
+        assert max(returned) > 1.0 and min(returned) == 1.0
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("psi", [
