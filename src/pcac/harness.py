@@ -18,7 +18,8 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,8 +100,8 @@ RECORD_META = {"k_switch": int, "t_s": float}
 @dataclass
 class ExperimentRecord:
     """Per-sample log of one experiment: ``RECORD_COLUMNS`` and ``step_wall``,
-    and the counts of the closed-loop steps that faulted and that forgot
-    (beta > 1).  A record file holds neither count."""
+    the closed-loop steps that faulted (counted, and tallied by fault message)
+    and that forgot (beta > 1).  A record file holds none of these."""
 
     t: np.ndarray
     y: np.ndarray
@@ -114,6 +115,7 @@ class ExperimentRecord:
     t_s: float
     fault_count: int = 0
     forgetting_steps: int = 0
+    fault_reasons: Counter[str] = field(default_factory=Counter)
 
 
 def default_spec(seed: int = 0) -> ExperimentSpec:
@@ -173,7 +175,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             ctrl = pcac_step(ctrl, np.array([y[k]]), spec.controller)
             wall[k] = time.perf_counter() - t0
             log(k + 1, ctrl)
-            record.fault_count += ctrl.fault is not None
+            if ctrl.fault is not None:
+                record.fault_count += 1
+                record.fault_reasons[ctrl.fault] += 1
             record.forgetting_steps += ctrl.rls.beta > 1.0
         state = plant_zoh_step(state, u[k], params, spec.t_s)
 
@@ -313,9 +317,9 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
     """A run's figures; the four measured against the open-loop segment
     are None when it has fewer than two samples or is all zero.
     ``clamped_steps`` counts the samples after the switch whose implemented
-    control differs from the requested one, ``forgetting_steps`` the steps
-    whose forgetting test fired (beta > 1), and ``budget_misses`` the steps
-    that took longer than ``t_s``."""
+    control differs from the requested one, ``fault_reasons`` the faulted
+    steps by message, ``forgetting_steps`` the steps whose forgetting test
+    fired (beta > 1), and ``budget_misses`` the steps longer than ``t_s``."""
     closed = record.phase == 1
     after = slice(record.k_switch + 1, None)
     wall = record.step_wall[record.step_wall > 0]
@@ -333,6 +337,7 @@ def experiment_metrics(record: ExperimentRecord) -> dict:
                           if closed.any() else 0.0),
         "clamped_steps": int(np.count_nonzero(record.u_req[after] != record.u[after])),
         "fault_count": record.fault_count,
+        "fault_reasons": dict(record.fault_reasons),
         "forgetting_steps": record.forgetting_steps,
         "mean_step_ms": float(np.mean(wall) * 1e3) if wall.size else 0.0,
         "step_p50_ms": float(np.percentile(wall, 50) * 1e3) if wall.size else 0.0,

@@ -28,7 +28,7 @@ _EPS = sys.float_info.epsilon
 _CF_MAX_TERMS = 2000
 # Stirling series of lgamma, the coefficients of x^-1, x^-3, ..., x^-11.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-# Ridge added to the long-window covariance before inversion (p > 1 case).
+# Ridge added to each eigenvalue of the long-window correlation (p > 1 case).
 _COV_RIDGE = 1e-12
 # Directions of the unit-variance long-window correlation (p > 1 case) whose
 # eigenvalue is at most this fraction of the largest are taken as collinear.
@@ -271,15 +271,15 @@ def multivariable_dof(p: int, cfg: ForgettingConfig):
 def forgetting_statistic_multivariable(
     errors: np.ndarray, cfg: ForgettingConfig
 ) -> float:
-    """Test statistic g for vector outputs (p > 1), via covariance matrices.
+    """Test statistic g for vector outputs (p > 1), in one pass.
 
-    Channels that are constant over the long window carry no evidence and
-    are left out; the rest are tested with their own p (the scalar test
-    when one is left), each scaled to unit long-window variance, so that g
-    does not depend on the scale of the errors.  When the live channels are
-    collinear over the long window, the test runs on their projection onto
-    the eigenvectors of the long-window correlation that span it, with p
-    equal to its rank.
+    Channels constant over the long window carry no evidence and are left
+    out; the rest are scaled to unit long-window variance, so that g does
+    not depend on the errors' scale.  In the eigenbasis (lambda_i, v_i) of
+    their long-window correlation, tr((Sigma_long + ridge I)^-1 Sigma_short)
+    is the sum of var_short(errors v_i) / (lambda_i + ridge) over the
+    non-collinear directions; p is their count, and one live channel or
+    direction takes the scalar test.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2 or errors.shape[0] != cfg.tau_d + 1:
@@ -295,21 +295,15 @@ def forgetting_statistic_multivariable(
         return forgetting_statistic_scalar(errors[:, live[0]], cfg)
     # unit long-window variances make the rank floor and the ridge relative
     errors = errors[:, live] / np.sqrt(var[live])
-    p = live.size
-    sig_long = np.cov(errors, rowvar=False, ddof=1)
-    lam, vec = np.linalg.eigh(sig_long)
+    lam, vec = np.linalg.eigh(np.cov(errors, rowvar=False, ddof=1))
     keep = lam > _RANK_RTOL * lam[-1]
-    if not keep.all():
-        # Collinear channels: test the errors' independent combinations.
-        return forgetting_statistic_multivariable(errors.dot(vec[:, keep]), cfg)
-    sig_long = sig_long + _COV_RIDGE * np.eye(p)
-    sig_short = np.cov(errors[-(cfg.tau_n + 1) :], rowvar=False, ddof=1)
-    try:
-        ratio = np.linalg.solve(sig_long, sig_short)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("long-window covariance is singular") from exc
+    errors = errors.dot(vec[:, keep])
+    p = errors.shape[1]
+    if p == 1:
+        return forgetting_statistic_scalar(errors[:, 0], cfg)
+    ratio = errors[-(cfg.tau_n + 1) :].var(axis=0, ddof=1) / (lam[keep] + _COV_RIDGE)
     _, b, c = multivariable_dof(p, cfg)
-    stat = cfg.tau_n / (c * cfg.tau_d) * float(np.trace(ratio))
+    stat = cfg.tau_n / (c * cfg.tau_d) * float(ratio.sum())
     quant = _cached_f_quantile(float(p * cfg.tau_n), float(b), 1.0 - cfg.alpha)
     return float(np.sqrt(stat) - np.sqrt(quant))
 

@@ -36,26 +36,13 @@ from pcac.cli import main as cli_main
 from pcac.harness import grid_specs
 from test_arx import arx_buffers, current_state, predict_output
 from test_riccati import dare_hessian, sweep_holding
-from test_rls import f_cdf_quad
+from test_rls import batch_solution, f_cdf_quad
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def report(n, text):
     print(f"criterion {n} PASS: {text}")
-
-
-# ---------------------------------------------------------------------------
-# Oracles
-
-
-def batch_least_squares(phis, ys, psi0, theta0):
-    H = np.linalg.inv(psi0)
-    b = H @ theta0
-    for phi, y in zip(phis, ys):
-        H = H + phi.T @ phi
-        b = b + phi.T @ y
-    return np.linalg.solve(H, b)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +82,7 @@ def test_criterion_01_rls_batch_equivalence():
         state = rls_update(state, phi, y, cfg)
         phis.append(phi)
         ys.append(y)
-        ref = batch_least_squares(phis, ys, psi0_scale * np.eye(4), theta0)
+        ref = batch_solution(phis, ys, psi0_scale * np.eye(4), theta0)
         worst = max(worst, np.linalg.norm(state.theta - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8

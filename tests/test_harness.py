@@ -943,6 +943,43 @@ class TestCli:
         assert ([row["status"] for row in harness.run_grid(short_spec())]
                 == ["failed: forced RLS failure"] * 9)
 
+    def test_sweep_faults_tallied_by_message(self, tmp_path, spec_file, capsys,
+                                             monkeypatch):
+        # the held faults of a run, by the message pcac_step caught
+        sweep, calls = controller.riccati_backward, []
+
+        def flaky(*args):
+            calls.append(None)
+            if len(calls) % 10 in (3, 7):
+                raise NumericalError(f"forced failure {len(calls) % 10}")
+            return sweep(*args)
+
+        monkeypatch.setattr(controller, "riccati_backward", flaky)
+        rec = run_experiment(short_spec())
+        n = len(calls)
+        assert rec.fault_reasons == {"forced failure 3": (n + 7) // 10,
+                                     "forced failure 7": (n + 3) // 10}
+        assert sum(rec.fault_reasons.values()) == rec.fault_count > 0
+        m = experiment_metrics(rec)
+        assert m["fault_reasons"] == rec.fault_reasons
+        assert m["fault_count"] == rec.fault_count
+
+        assert cli_main(["run", "--spec", spec_file,
+                         "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        line = next(s for s in out.splitlines() if s.startswith("fault_reasons: "))
+        assert "'forced failure 3': " in line and "'forced failure 7': " in line
+
+        rows = harness.run_grid(short_spec(), out_dir=str(tmp_path / "grid"))
+        for row in rows:
+            assert set(row["fault_reasons"]) == {"forced failure 3", "forced failure 7"}
+            assert sum(row["fault_reasons"].values()) == row["fault_count"]
+        with open(tmp_path / "grid" / "summary.csv", newline="") as fh:
+            fh.readline()
+            read = list(csv.DictReader(fh))
+        assert [r["fault_reasons"] for r in read] == [
+            str(row["fault_reasons"]) for row in rows]
+
     def test_sweeps_have_no_workers_option(self):
         for command in ("grid", "ablate"):
             with pytest.raises(SystemExit):

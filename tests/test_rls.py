@@ -20,6 +20,9 @@ from pcac import (
 )
 from pcac import rls
 from pcac.rls import (
+    _COV_RIDGE,
+    _EPS,
+    _RANK_RTOL,
     _VAR_FLOOR,
     _beta_residual,
     _betainc,
@@ -234,6 +237,33 @@ def textbook_statistic(errors, cfg):
     var_short = float(np.var(errors[-(cfg.tau_n + 1):], ddof=1))
     quant = _cached_f_quantile(float(cfg.tau_n), float(cfg.tau_d), 1.0 - cfg.alpha)
     return float(np.sqrt(var_short / var_long) - np.sqrt(quant))
+
+
+def recursive_multivariable_statistic(errors, cfg):
+    """The multivariable statistic in its earlier two-pass form, the
+    reference for the one-pass eigenbasis form: a rank-deficient window
+    recurses on its projection onto the kept eigenvectors, and a full-rank
+    one solves the ridged long-window covariance against the short one."""
+    errors = np.asarray(errors, dtype=float)
+    mean, var = errors.mean(axis=0), errors.var(axis=0, ddof=1)
+    live = np.flatnonzero(var > _VAR_FLOOR + (errors.shape[0] * _EPS * mean) ** 2)
+    if live.size == 0:
+        return 0.0
+    if live.size == 1:
+        return forgetting_statistic_scalar(errors[:, live[0]], cfg)
+    errors = errors[:, live] / np.sqrt(var[live])
+    p = live.size
+    sig_long = np.cov(errors, rowvar=False, ddof=1)
+    lam, vec = np.linalg.eigh(sig_long)
+    keep = lam > _RANK_RTOL * lam[-1]
+    if not keep.all():
+        return recursive_multivariable_statistic(errors.dot(vec[:, keep]), cfg)
+    sig_short = np.cov(errors[-(cfg.tau_n + 1):], rowvar=False, ddof=1)
+    ratio = np.linalg.solve(sig_long + _COV_RIDGE * np.eye(p), sig_short)
+    _, b, c = multivariable_dof(p, cfg)
+    stat = cfg.tau_n / (c * cfg.tau_d) * float(np.trace(ratio))
+    quant = _cached_f_quantile(float(p * cfg.tau_n), float(b), 1.0 - cfg.alpha)
+    return float(np.sqrt(stat) - np.sqrt(quant))
 
 
 def textbook_rls_update(state, phi, y, cfg):
@@ -451,6 +481,27 @@ class TestMultivariableStatistic:
         assert g == pytest.approx(0.9022506825187755, rel=1e-14)
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["full_rank", "collinear", "near_collinear"])
+    def test_one_pass_matches_recursive_form(self, kind, p, seed):
+        # the eigenbasis trace against the recursion and solve it replaced;
+        # the largest gap measured on such windows was below 1e-12
+        cfg = ForgettingConfig()
+        rng = np.random.default_rng(seed)
+        errors = rng.standard_normal((cfg.tau_d + 1, p))
+        errors[-(cfg.tau_n + 1):] *= 10.0
+        if kind != "full_rank":
+            extra = errors[:, 0] - 0.5 * errors[:, 1]
+            if kind == "near_collinear":
+                extra = extra + 1e-4 * rng.standard_normal(cfg.tau_d + 1)
+            errors = np.column_stack((errors, extra))
+        g = forgetting_statistic_multivariable(errors, cfg)
+        assert g > 0.0
+        assert g == pytest.approx(
+            recursive_multivariable_statistic(errors, cfg), rel=1e-12)
+
+
 class TestComputeBeta:
     @pytest.mark.parametrize("p", [1, 2])
     def test_hooks_called_once_per_update_after_warmup(self, p, monkeypatch):
@@ -516,7 +567,6 @@ class TestComputeBeta:
 
 def batch_solution(phis, ys, psi0, theta0):
     """Regularized batch least squares, the oracle for no-forgetting RLS."""
-    n = theta0.size
     H = np.linalg.inv(psi0)
     b = H @ theta0
     for phi, y in zip(phis, ys):
