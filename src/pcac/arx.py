@@ -5,14 +5,11 @@ inputs,
 
     y_k = -sum_i F_i y_{k-i} + sum_i G_i u_{k-i},
 
-with coefficient matrices F_i (p x p) and G_i (p x m) stacked into a single
-parameter vector theta = [vec[F_1 ... F_n] ; vec[G_1 ... G_n]].  The vec is
-column-major, so each F_i and G_i occupies a contiguous run of theta:
-theta[:n p^2].reshape(n, p, p)[i] is F_{i+1} transposed, and
-theta[n p^2:].reshape(n, m, p)[i] is G_{i+1} transposed.  The same
-coefficients define a block-companion state-space realization whose state is
-an explicit function of past data, which is what makes full-state receding
-horizon control implementable from output measurements alone.
+with coefficient matrices F_i (p x p) and G_i (p x m) stacked as the
+(n_hat (p+m), p) parameter matrix Theta = [F_1'; ...; F_n'; G_1'; ...; G_n'].
+The same coefficients define a block-companion state-space realization whose
+state is an explicit function of past data, which is what makes full-state
+receding horizon control implementable from output measurements alone.
 """
 from __future__ import annotations
 
@@ -35,14 +32,9 @@ class ModelDims:
         check_fields(self, [(name, COUNT) for name in ("n_hat", "p", "m")])
 
     @property
-    def n_theta(self) -> int:
-        """Length of the stacked parameter vector."""
-        return self.n_hat * self.p * (self.m + self.p)
-
-    @property
-    def n_f(self) -> int:
-        """Length of vec[F_1 ... F_n], the head of the parameter vector."""
-        return self.n_hat * self.p * self.p
+    def n_phi(self) -> int:
+        """Length d of the regressor, the row count of Theta."""
+        return self.n_hat * (self.p + self.m)
 
     @property
     def n_state(self) -> int:
@@ -117,7 +109,7 @@ class ArxBuffers:
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
         self._g = self.B.reshape(n, p, m)
-        d = n * (p + m)
+        d = dims.n_phi
         self.lag = np.empty((n, d))
         self.x = np.empty(n * p)
         self._x_blocks = self.x.reshape(n, p)
@@ -132,9 +124,9 @@ class ArxBuffers:
 
 def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (dims.n_theta,):
+    if theta.shape != (dims.n_phi, dims.p):
         raise ValueError(
-            f"theta length {theta.shape} does not match expected ({dims.n_theta},)"
+            f"theta shape {theta.shape} does not match expected ({dims.n_phi}, {dims.p})"
         )
     return theta
 
@@ -143,8 +135,7 @@ def build_regressor(history: IoHistory, dims: ModelDims) -> np.ndarray:
     """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'].
 
     One (n_hat (p+m),) vector for every p: the ARX prediction is
-    phi_k' Theta for theta as stored, viewed as the (n_hat (p+m), p) matrix
-    Theta = [F_1' ... F_n'; G_1' ... G_n'].  It is the history's ``phi``.
+    phi_k' Theta.  It is the history's ``phi``.
     """
     history.check_dims(dims)
     return history.phi
@@ -160,7 +151,7 @@ def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
     which reads the first state block, is [I_p 0 ... 0].
     """
     theta = _checked_theta(theta_next, dims)
-    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
+    n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
     np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
     out._g[...] = theta[split:].reshape(n, m, p).transpose(0, 2, 1)
     return out.A, out.B
@@ -179,7 +170,7 @@ def compute_bocf_state(
 
     which is A x_k + B u_k for the state x_k whose first block is y_k.
     All n blocks come from one product, the block-Hankel lag matrix [-Y | U]
-    times theta as stored, [F_1' ... F_n'; G_1' ... G_n']: block j pairs
+    times Theta: block j pairs
     lag l = 0..n-1 (coefficients F_{l+1}, G_{l+1}) with history row l-j+1
     and reads zero padding where that row index is negative.  Row 0 of
     the lag matrix, ``out.lag[0]``, is the history's phi.
@@ -189,5 +180,5 @@ def compute_bocf_state(
     out._padded[:-1] = history.phi  # which holds y negated
     # every index is in range; mode="raise" would check through a buffer
     np.take(out._padded, out._index, out=out.lag, mode="clip")
-    out.lag.dot(theta.reshape(-1, dims.p), out._x_blocks)
+    out.lag.dot(theta, out._x_blocks)
     return out.x

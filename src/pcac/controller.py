@@ -103,8 +103,8 @@ class PcacState:
 def pcac_init(cfg: PcacConfig) -> PcacState:
     """Fresh controller state: prior estimate, zeroed history, initial
     control, and the step's buffers."""
-    theta0 = cfg.theta0_scale * np.ones(cfg.dims.n_theta)
-    rls = RlsState.initialize(theta0, cfg.psi0_scale, cfg.forgetting, cfg.p)
+    theta0 = cfg.theta0_scale * np.ones((cfg.dims.n_phi, cfg.p))
+    rls = RlsState.initialize(theta0, cfg.psi0_scale, cfg.forgetting)
     u0 = np.zeros(cfg.m)
     sweep = SweepBuffers(cfg.dims.n_state, cfg.m)
     return PcacState(

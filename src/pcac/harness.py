@@ -100,8 +100,9 @@ RECORD_META = {"k_switch": int, "t_s": float}
 @dataclass
 class ExperimentRecord:
     """Per-sample log of one experiment: ``RECORD_COLUMNS`` and ``step_wall``,
-    the closed-loop steps that faulted (counted, and tallied by fault message)
-    and that forgot (beta > 1).  A record file holds none of these."""
+    the closed-loop steps that faulted (tallied by fault message, and
+    counted by ``fault_count``) and that forgot (beta > 1).  A record file
+    holds none of these."""
 
     t: np.ndarray
     y: np.ndarray
@@ -113,9 +114,12 @@ class ExperimentRecord:
     step_wall: np.ndarray  # controller wall time per step, s (0 in open loop)
     k_switch: int
     t_s: float
-    fault_count: int = 0
     forgetting_steps: int = 0
     fault_reasons: Counter[str] = field(default_factory=Counter)
+
+    @property
+    def fault_count(self) -> int:
+        return sum(self.fault_reasons.values())
 
 
 def default_spec(seed: int = 0) -> ExperimentSpec:
@@ -139,14 +143,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
     th_f, th_g, wall = record.theta_f_norm, record.theta_g_norm, record.step_wall
     t[:] = np.arange(n + 1) * spec.t_s
 
-    # theta is vec F followed by vec G; the norm of each contiguous half is
-    # np.linalg.norm of F and G, to the bit.
-    n_f = spec.controller.dims.n_f
+    # Theta's first n_state rows are the F_i', the rest the G_i'; the norm of
+    # each contiguous block is np.linalg.norm of F and G, to the bit.
+    split = spec.controller.dims.n_state
 
     def log(k: int, ctrl) -> None:
         u_req[k] = ctrl.u_requested[0]
         u[k] = ctrl.u_implemented[0]
-        f, g = ctrl.rls.theta[:n_f], ctrl.rls.theta[n_f:]
+        f, g = ctrl.rls.theta[:split].ravel(), ctrl.rls.theta[split:].ravel()
         th_f[k] = math.sqrt(f.dot(f))
         th_g[k] = math.sqrt(g.dot(g))
 
@@ -176,7 +180,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentRecord:
             wall[k] = time.perf_counter() - t0
             log(k + 1, ctrl)
             if ctrl.fault is not None:
-                record.fault_count += 1
                 record.fault_reasons[ctrl.fault] += 1
             record.forgetting_steps += ctrl.rls.beta > 1.0
         state = plant_zoh_step(state, u[k], params, spec.t_s)
@@ -422,9 +425,9 @@ def run_ablation(
     re-suppression metric is not vacuously zero when the loop absorbs the
     frequency shift without any visible transient.  Each pair shares the
     plant seed; only eta differs between the runs.  A row's ``fault_count``
-    sums both runs', and its ``forgetting_steps`` is the forgetting run's
-    (the other's is 0, as eta = 0 makes beta 1); a pair whose run raises is
-    reported in ``status``.
+    and ``fault_reasons`` sum both runs', and its ``forgetting_steps`` is
+    the forgetting run's (the other's is 0, as eta = 0 makes beta 1); a pair
+    whose run raises is reported in ``status``.
     A base spec with no open-loop sample, which re-suppression is measured
     against, or that the change cannot be added to, raises ValueError before
     any run and before ``out_dir`` is made.
@@ -446,6 +449,7 @@ def run_ablation(
             "resuppression_forgetting_s": resuppression_time(rec_on, t_event),
             "resuppression_no_forgetting_s": resuppression_time(rec_off, t_event),
             "fault_count": rec_on.fault_count + rec_off.fault_count,
+            "fault_reasons": dict(rec_on.fault_reasons + rec_off.fault_reasons),
             "forgetting_steps": rec_on.forgetting_steps,
         }
 

@@ -65,7 +65,7 @@ class RlsState:
     what the update that made the state decided.
 
     All p outputs share one regressor phi (d,), y_k = Theta' phi_k: ``theta``
-    holds the (d, p) estimate Theta flat, and ``psi`` its (d, d) covariance P.
+    is the (d, p) estimate Theta, and ``psi`` its (d, d) covariance P.
     ``beta`` is the update's covariance inflation 1/lambda, and ``g`` the F
     statistic it came from: 1.0 and None until the long window has filled.
     The update's a-priori error e_k is ``error_window[-1]``.
@@ -80,21 +80,19 @@ class RlsState:
 
     @classmethod
     def initialize(
-        cls, theta0: np.ndarray, psi0_scale: float, cfg: ForgettingConfig, p: int = 1
+        cls, theta0: np.ndarray, psi0_scale: float, cfg: ForgettingConfig
     ) -> "RlsState":
-        theta0 = np.asarray(theta0, dtype=float).reshape(-1)
+        """The state of the prior estimate Theta_0, (d, p), and P_0 =
+        ``psi0_scale`` I_d."""
+        theta0 = np.asarray(theta0, dtype=float)
         if not 0 < psi0_scale < math.inf:
             raise ValueError(f"psi0_scale must be positive and finite, got {psi0_scale!r}")
-        if not COUNT[0](p):
-            raise ValueError(f"p must be {COUNT[1]}, got {p!r}")
-        if theta0.size == 0 or theta0.size % p:  # P is (d, d), d = theta0.size / p
-            raise ValueError(f"theta0 length must be a positive multiple of p = {p}, "
-                             f"got {theta0.size}")
-        if not np.isfinite(theta0).all():
-            raise ValueError("theta0 must be finite")
-        psi0 = psi0_scale * np.eye(theta0.size // p)
+        if theta0.ndim != 2 or theta0.size == 0 or not np.isfinite(theta0).all():
+            raise ValueError(f"theta0 must be a non-empty, finite (d, p) array, "
+                             f"got shape {theta0.shape}")
+        d, p = theta0.shape
         # The F-test waits until every zero row is shifted out (rls_update).
-        return cls(theta0, psi0, np.zeros((cfg.tau_d + 1, p)), 0)
+        return cls(theta0, psi0_scale * np.eye(d), np.zeros((cfg.tau_d + 1, p)), 0)
 
 
 def inverse_f_cdf(d1: float, d2: float, prob: float) -> float:
@@ -277,9 +275,11 @@ def forgetting_statistic_multivariable(
     out; the rest are scaled to unit long-window variance, so that g does
     not depend on the errors' scale.  In the eigenbasis (lambda_i, v_i) of
     their long-window correlation, tr((Sigma_long + ridge I)^-1 Sigma_short)
-    is the sum of var_short(errors v_i) / (lambda_i + ridge) over the
-    non-collinear directions; p is their count, and one live channel or
-    direction takes the scalar test.
+    is the sum of var_short(errors v_i) / (var_long(errors v_i) + ridge)
+    over the non-collinear directions; p is their count, and one live
+    channel or direction takes the scalar test.  var_long(errors v_i) is
+    lambda_i, read from the projection: eigh's lambda_i is off by about
+    eps lambda_max, which near the rank floor is not small against it.
     """
     errors = np.asarray(errors, dtype=float)
     if errors.ndim != 2 or errors.shape[0] != cfg.tau_d + 1:
@@ -301,7 +301,8 @@ def forgetting_statistic_multivariable(
     p = errors.shape[1]
     if p == 1:
         return forgetting_statistic_scalar(errors[:, 0], cfg)
-    ratio = errors[-(cfg.tau_n + 1) :].var(axis=0, ddof=1) / (lam[keep] + _COV_RIDGE)
+    var_long = errors.var(axis=0, ddof=1)
+    ratio = errors[-(cfg.tau_n + 1) :].var(axis=0, ddof=1) / (var_long + _COV_RIDGE)
     _, b, c = multivariable_dof(p, cfg)
     stat = cfg.tau_n / (c * cfg.tau_d) * float(ratio.sum())
     quant = _cached_f_quantile(float(p * cfg.tau_n), float(b), 1.0 - cfg.alpha)
@@ -331,17 +332,17 @@ def rls_update(
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     phi = np.asarray(phi, dtype=float).reshape(-1)
-    p, d = y.size, state.psi.shape[0]
-    if phi.size != d:  # theta's reshape checks p
-        raise ValueError(f"regressor length {phi.size} does not match P {state.psi.shape}")
+    if (phi.size, y.size) != state.theta.shape:
+        raise ValueError(f"regressor and output sizes ({phi.size}, {y.size}) do not "
+                         f"match theta {state.theta.shape}")
     if not all(map(math.isfinite, y.tolist())):
         raise NumericalError(f"non-finite measured output y = {y}")
-    e = y - phi.dot(state.theta.reshape(d, p))
+    e = y - phi.dot(state.theta)
 
     window = np.concatenate((state.error_window[1:], e[None]))
     beta, g = 1.0, None
     if state.step >= cfg.tau_d:
-        g = (forgetting_statistic_scalar(window[:, 0], cfg) if p == 1
+        g = (forgetting_statistic_scalar(window[:, 0], cfg) if y.size == 1
              else forgetting_statistic_multivariable(window, cfg))
         beta = compute_beta(g, cfg)
 
@@ -355,7 +356,7 @@ def rls_update(
     psi_next = 0.5 * (psi_next + psi_next.T)
     if not np.isfinite(psi_next).all() or psi_next.diagonal().min() <= 0:
         raise NumericalError("RLS covariance lost positive definiteness")
-    theta_next = state.theta + psi_next.dot(phi[:, None].dot(e[None])).reshape(-1)
+    theta_next = state.theta + psi_next.dot(phi[:, None].dot(e[None]))
     if not np.isfinite(theta_next).all():
         raise NumericalError("RLS estimate diverged")
     return RlsState(theta_next, psi_next, window, state.step + 1, beta, g)

@@ -71,7 +71,7 @@ def test_criterion_01_rls_batch_equivalence():
     t0 = time.perf_counter()
     cfg = ForgettingConfig(tau_n=40, tau_d=200, eta=0.0)
     rng = np.random.default_rng(101)
-    theta0 = rng.standard_normal(4)
+    theta0 = rng.standard_normal((4, 1))
     psi0_scale = 0.7
     state = RlsState.initialize(theta0, psi0_scale, cfg)
     phis, ys = [], []
@@ -82,8 +82,8 @@ def test_criterion_01_rls_batch_equivalence():
         state = rls_update(state, phi, y, cfg)
         phis.append(phi)
         ys.append(y)
-        ref = batch_solution(phis, ys, psi0_scale * np.eye(4), theta0)
-        worst = max(worst, np.linalg.norm(state.theta - ref) / np.linalg.norm(ref))
+        ref = batch_solution(phis, ys, psi0_scale * np.eye(4), theta0[:, 0])
+        worst = max(worst, np.linalg.norm(state.theta[:, 0] - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 1.0
@@ -95,9 +95,9 @@ def test_criterion_02_rls_consistency():
     t0 = time.perf_counter()
     cfg = ForgettingConfig(tau_n=40, tau_d=200, eta=0.0)
     dims = ModelDims(3, 1, 1)
-    theta_true = np.array([-1.2, 0.5, -0.1, 0.8, 0.3, -0.4])
+    theta_true = np.array([[-1.2], [0.5], [-0.1], [0.8], [0.3], [-0.4]])
     rng = np.random.default_rng(102)
-    state = RlsState.initialize(np.zeros(6), 1e10, cfg)
+    state = RlsState.initialize(np.zeros((6, 1)), 1e10, cfg)
     h = IoHistory.zeros(dims)
     hit = None
     for k in range(200):
@@ -146,7 +146,7 @@ def test_criterion_04_bocf_equivalence():
         m = int(rng.integers(1, 3))
         n = int(rng.integers(1, 6))
         dims = ModelDims(n, p, m)
-        theta = rng.standard_normal(dims.n_theta)
+        theta = rng.standard_normal((dims.n_phi, p))
         h = IoHistory(rng.standard_normal((n, p)), rng.standard_normal((n, m)))
         y_now = rng.standard_normal(p)
         u_now = rng.standard_normal(m)

@@ -23,13 +23,13 @@ def arx_buffers(dims):
 
 
 def split_coefficients(theta, dims):
-    """Coefficient stacks F (n_hat, p, p) and G (n_hat, p, m) of theta, as
+    """Coefficient stacks F (n_hat, p, p) and G (n_hat, p, m) of Theta, as
     views: the layout that the pcac.arx module docstring states."""
     theta = np.asarray(theta, dtype=float)
-    assert theta.shape == (dims.n_theta,)
+    assert theta.shape == (dims.n_phi, dims.p)
     n, p, m = dims.n_hat, dims.p, dims.m
-    F = theta[: n * p * p].reshape(n, p, p).transpose(0, 2, 1)
-    G = theta[n * p * p :].reshape(n, m, p).transpose(0, 2, 1)
+    F = theta[: n * p].reshape(n, p, p).transpose(0, 2, 1)
+    G = theta[n * p :].reshape(n, m, p).transpose(0, 2, 1)
     return F, G
 
 
@@ -37,15 +37,16 @@ def pack_coefficients(F, G):
     """Inverse of :func:`split_coefficients`."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    return np.concatenate([F.transpose(0, 2, 1).ravel(), G.transpose(0, 2, 1).ravel()])
+    p = F.shape[1]
+    return np.vstack([F.transpose(0, 2, 1).reshape(-1, p), G.transpose(0, 2, 1).reshape(-1, p)])
 
 
 def predict_output(theta, phi):
-    """One-step ARX prediction y_hat = Theta' phi, Theta = theta viewed as
-    (d, p) for the d-vector regressor phi."""
+    """One-step ARX prediction y_hat = Theta' phi for the d-vector regressor
+    phi and the (d, p) Theta."""
     theta = np.asarray(theta, dtype=float)
-    assert theta.size % phi.size == 0
-    return phi @ theta.reshape(phi.size, -1)
+    assert theta.shape[0] == phi.size
+    return phi @ theta
 
 
 def past(history):
@@ -57,7 +58,7 @@ def past(history):
 
 def random_model(rng, n, p, m):
     dims = ModelDims(n, p, m)
-    theta = rng.standard_normal(dims.n_theta)
+    theta = rng.standard_normal((dims.n_phi, p))
     history = IoHistory(rng.standard_normal((n, p)), rng.standard_normal((n, m)))
     return dims, theta, history
 
@@ -107,8 +108,8 @@ class TestRegressor:
         assert np.array_equal(phi, np.zeros(4))
 
     def test_vector_output_kron(self):
-        # the p=2 regressor is one vector, whose product with theta viewed
-        # as (d, p) must reproduce -F1 y + G1 u for any coefficients
+        # the p=2 regressor is one vector, whose product with the (d, p)
+        # Theta must reproduce -F1 y + G1 u for any coefficients
         dims = ModelDims(1, 2, 1)
         h = IoHistory(np.array([[1.0, 2.0]]), np.array([[5.0]]))
         phi = build_regressor(h, dims)
@@ -165,12 +166,12 @@ class TestPredict:
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
         phi = build_regressor(h, dims)
-        assert predict_output(np.zeros(4), phi) == 0.0
+        assert predict_output(np.zeros((4, 1)), phi) == 0.0
 
     def test_hand_example(self):
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[4.0]]), np.array([[1.0]]))
-        theta = np.array([0.5, 2.0])
+        theta = np.array([[0.5], [2.0]])
         y_hat = predict_output(theta, build_regressor(h, dims))
         assert y_hat[0] == pytest.approx(-0.5 * 4 + 2 * 1, abs=1e-15)
 
@@ -193,21 +194,21 @@ class TestPredict:
 class TestBocfAssembly:
     def test_second_order_scalar_pattern(self):
         dims = ModelDims(2, 1, 1)
-        theta = np.array([0.4, 0.7, 1.2, -0.9])  # f1 f2 g1 g2
+        theta = np.array([[0.4], [0.7], [1.2], [-0.9]])  # f1 f2 g1 g2
         A, B = assemble_bocf(theta, dims, arx_buffers(dims))
         np.testing.assert_array_equal(A, [[-0.4, 1.0], [-0.7, 0.0]])
         np.testing.assert_array_equal(B, [[1.2], [-0.9]])
 
     def test_first_order_degenerate(self):
         dims = ModelDims(1, 1, 1)
-        A, B = assemble_bocf(np.array([0.3, 2.0]), dims, arx_buffers(dims))
+        A, B = assemble_bocf(np.array([[0.3], [2.0]]), dims, arx_buffers(dims))
         assert A == np.array([[-0.3]]) and B == np.array([[2.0]])
 
     def test_characteristic_polynomial(self):
         # det(zI - A) must equal det(z^n I + F1 z^{n-1} + ... + Fn)
         rng = np.random.default_rng(42)
         dims = ModelDims(3, 2, 1)
-        theta = rng.standard_normal(dims.n_theta)
+        theta = rng.standard_normal((dims.n_phi, dims.p))
         F, _ = split_coefficients(theta, dims)
         A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         for z in rng.standard_normal(5) + 1j * rng.standard_normal(5):
@@ -220,9 +221,9 @@ class TestBocfAssembly:
     def test_sparsity_structure(self):
         rng = np.random.default_rng(3)
         dims = ModelDims(4, 2, 1)
-        theta = rng.standard_normal(dims.n_theta)
+        theta = rng.standard_normal((dims.n_phi, dims.p))
         # avoid accidental zeros in the coefficient blocks
-        theta[: dims.n_hat * dims.p**2] += np.sign(theta[: dims.n_hat * dims.p**2])
+        theta[: dims.n_state] += np.sign(theta[: dims.n_state])
         A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
         n, p = dims.n_hat, dims.p
         mask = np.zeros_like(A, dtype=bool)
@@ -238,13 +239,13 @@ class TestBocfState:
         # n = 1: the state is the one-step prediction -F_1 y_k + G_1 u_k
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[7.0]]), np.array([[1.0]]))
-        x = compute_bocf_state(h, np.array([0.5, 1.0]), dims, arx_buffers(dims))
+        x = compute_bocf_state(h, np.array([[0.5], [1.0]]), dims, arx_buffers(dims))
         assert np.array_equal(x, [-0.5 * 7.0 + 1.0])
 
     def test_second_order_hand_value(self):
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[7.0], [2.0]]), np.array([[5.0], [1.0]]))
-        theta = np.array([0.1, 0.3, 0.7, 1.5])  # f1 f2 g1 g2; f2, g2 enter block 2
+        theta = np.array([[0.1], [0.3], [0.7], [1.5]])  # f1 f2 g1 g2; f2, g2 enter block 2
         x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
         np.testing.assert_allclose(
             x, [-0.1 * 7 - 0.3 * 2 + 0.7 * 5 + 1.5 * 1, -0.3 * 7 + 1.5 * 5])
@@ -332,7 +333,7 @@ class TestBuffers:
             if on_z:
                 np.testing.assert_array_equal(Z, np.hstack(ref))
             h = h.push(rng.standard_normal(p), rng.standard_normal(m))
-            theta = rng.standard_normal(dims.n_theta)
+            theta = rng.standard_normal((dims.n_phi, p))
 
     def test_rejects_blocks_of_another_shape(self):
         dims = ModelDims(3, 1, 2)
@@ -340,18 +341,23 @@ class TestBuffers:
             ArxBuffers(dims, np.empty((3, 3)), np.empty((3, 1)))
 
     def test_theta_length_checked_with_buffers(self):
+        # a flat theta of d p entries is refused, as is a (d, p) of another d
         dims = ModelDims(2, 1, 1)
         out = arx_buffers(dims)
         with pytest.raises(ValueError, match="theta"):
-            assemble_bocf(np.zeros(5), dims, out)
+            assemble_bocf(np.zeros((5, 1)), dims, out)
         with pytest.raises(ValueError, match="theta"):
-            compute_bocf_state(IoHistory.zeros(dims), np.zeros(3), dims, out)
+            assemble_bocf(np.zeros(4), dims, out)
+        with pytest.raises(ValueError, match="theta"):
+            compute_bocf_state(IoHistory.zeros(dims), np.zeros((3, 1)), dims, out)
+        with pytest.raises(ValueError, match="theta"):
+            compute_bocf_state(IoHistory.zeros(dims), np.zeros(4), dims, out)
 
 
 def test_split_pack_roundtrip():
     rng = np.random.default_rng(5)
     dims = ModelDims(3, 2, 2)
-    theta = rng.standard_normal(dims.n_theta)
+    theta = rng.standard_normal((dims.n_phi, dims.p))
     F, G = split_coefficients(theta, dims)
     np.testing.assert_array_equal(pack_coefficients(F, G), theta)
 
@@ -361,12 +367,13 @@ def test_dims_validation():
         ModelDims(0, 1, 1)
     with pytest.raises(ValueError):
         ModelDims(1, 0, 1)
-    assert ModelDims(10, 1, 1).n_theta == 20
+    assert ModelDims(10, 1, 1).n_phi == 20
 
 
 def test_f_length_is_the_head_of_theta():
-    # theta is vec[F_1 ... F_n] (n p^2 entries) followed by vec[G_1 ... G_n]
+    # Theta's first n_state rows are F_1' ... F_n', the rest G_1' ... G_n'
     dims = ModelDims(4, 2, 3)
-    assert dims.n_f == 4 * 2 * 2
-    F, _ = split_coefficients(np.arange(dims.n_theta, dtype=float), dims)
-    assert F.max() == dims.n_f - 1
+    assert (dims.n_phi, dims.n_state) == (4 * (2 + 3), 4 * 2)
+    theta = np.arange(dims.n_phi * dims.p, dtype=float).reshape(dims.n_phi, dims.p)
+    F, _ = split_coefficients(theta, dims)
+    assert F.max() == dims.n_state * dims.p - 1

@@ -52,7 +52,7 @@ class TestInit:
     def test_stock_configuration(self):
         cfg = PcacConfig()
         state = pcac_init(cfg)
-        assert state.rls.theta.shape == (20,)
+        assert state.rls.theta.shape == (20, 1)
         assert np.all(state.rls.theta == 1e-10)
         np.testing.assert_array_equal(state.rls.psi, 1e-4 * np.eye(20))
         assert state.u_implemented[0] == 0.0
@@ -108,11 +108,11 @@ class TestInit:
                            "P_terminal"),
         "nan_u_min": (lambda: SaturationBounds([np.nan], [1.0]), "u_min"),
         "nan_u_max": (lambda: SaturationBounds([-1.0], [np.nan]), "u_max"),
-        "nan_psi0_scale": (lambda: RlsState.initialize(np.zeros(2), np.nan,
+        "nan_psi0_scale": (lambda: RlsState.initialize(np.zeros((2, 1)), np.nan,
                                                        ForgettingConfig()), "psi0_scale"),
-        "inf_psi0_scale": (lambda: RlsState.initialize(np.zeros(2), np.inf,
+        "inf_psi0_scale": (lambda: RlsState.initialize(np.zeros((2, 1)), np.inf,
                                                        ForgettingConfig()), "psi0_scale"),
-        "nan_theta0": (lambda: RlsState.initialize(np.array([0.0, np.nan]), 1.0,
+        "nan_theta0": (lambda: RlsState.initialize(np.array([[0.0], [np.nan]]), 1.0,
                                                    ForgettingConfig()), "theta0"),
         "short_tau_d_for_p": (lambda: PcacConfig(p=2, tau_n=1, tau_d=5), "tau_d"),
     }
@@ -262,7 +262,7 @@ class TestStep:
         assert max(ys) < 200.0, "loop failed to contain the unstable plant"
         assert max(ys[1600:]) < 0.2 * max(ys), "late amplitude did not shrink"
         # and it identified the plant it stabilized
-        np.testing.assert_allclose(state.rls.theta, [f1, f2, g1, g2], atol=1e-2)
+        np.testing.assert_allclose(state.rls.theta[:, 0], [f1, f2, g1, g2], atol=1e-2)
         A, B = assemble_bocf(state.rls.theta, cfg.dims, arx_buffers(cfg.dims))
         K = first_gain(cfg.weights, sweep_holding(A, B))
         assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
@@ -317,7 +317,7 @@ class TestStep:
 
         cfg = PcacConfig(n_hat=2, ell=3)
         state = pcac_init(cfg)
-        theta = np.array([-1e200, 0.0, 1.0, 1.0])
+        theta = np.array([[-1e200], [0.0], [1.0], [1.0]])
         state = replace(state, rls=replace(state.rls, theta=theta))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -547,15 +547,15 @@ class TestAgainstTwoProductState:
 
     @staticmethod
     def two_product_state(history, theta_next, dims, out):
-        n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_f
+        n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
         offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
         y_past, u_past = past(history)
         y_pad = np.vstack([np.zeros((n - 1, p)), y_past])
         u_pad = np.vstack([np.zeros((n - 1, m)), u_past])
         y_lag, u_lag = y_pad[offset].reshape(n, n * p), u_pad[offset].reshape(n, n * m)
         blocks = out.x.reshape(n, p)
-        u_lag.dot(theta_next[split:].reshape(n * m, p), blocks)
-        blocks -= y_lag.dot(theta_next[:split].reshape(n * p, p))
+        u_lag.dot(theta_next[split:], blocks)
+        blocks -= y_lag.dot(theta_next[:split])
         return out.x
 
     @pytest.mark.parametrize("spec", [default_spec(0), noisy_shift_spec(0)],
@@ -667,13 +667,13 @@ class TestAgainstLeastSquaresOracle:
             # a covariance of 1e-8 leaves theta near the drawn model
             state = replace(
                 pcac_init(cfg),
-                rls=RlsState.initialize(random_arx_theta(rng, n, unstable), 1e-8,
+                rls=RlsState.initialize(random_arx_theta(rng, n, unstable)[:, None], 1e-8,
                                         cfg.forgetting),
                 history=IoHistory(rng.normal(size=(n, 1)), rng.normal(size=(n, 1))),
                 u_implemented=rng.normal(size=1))
             y_k = rng.normal(size=1)
             new = pcac_step(state, y_k, cfg)
-            theta = new.rls.theta
+            theta = new.rls.theta[:, 0]
             assert (spectral_radius(theta, n) > 1.0) == unstable, draw
             assert new.fault is None, draw
             assert self.check(state, y_k, new.u_requested, theta, cfg), draw
@@ -692,7 +692,7 @@ class TestAgainstLeastSquaresOracle:
         run_experiment(default_spec(0))
         assert len(seen) == 6
         for i, (state, y_k, new, cfg) in enumerate(seen):
-            u_req, theta = new.u_requested, new.rls.theta
+            u_req, theta = new.u_requested, new.rls.theta[:, 0]
             assert self.check(state, y_k, u_req, theta, cfg), i
             if i >= 2:  # past the prior, the horizon's length shows
                 for ell in (cfg.ell - 1, cfg.ell + 1):

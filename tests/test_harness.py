@@ -2,6 +2,7 @@
 import csv
 import math
 import sys
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -970,15 +971,21 @@ class TestCli:
         line = next(s for s in out.splitlines() if s.startswith("fault_reasons: "))
         assert "'forced failure 3': " in line and "'forced failure 7': " in line
 
-        rows = harness.run_grid(short_spec(), out_dir=str(tmp_path / "grid"))
-        for row in rows:
-            assert set(row["fault_reasons"]) == {"forced failure 3", "forced failure 7"}
-            assert sum(row["fault_reasons"].values()) == row["fault_count"]
-        with open(tmp_path / "grid" / "summary.csv", newline="") as fh:
-            fh.readline()
-            read = list(csv.DictReader(fh))
-        assert [r["fault_reasons"] for r in read] == [
-            str(row["fault_reasons"]) for row in rows]
+        # a grid row holds its run's tally, an ablation row its two runs'
+        # summed; the ablation's runs shortened
+        monkeypatch.setattr(harness, "ABLATION_DELAY_S", 0.05)
+        monkeypatch.setattr(harness, "ABLATION_TAIL_S", 0.1)
+        for run_sweep, rows_file in ((harness.run_grid, "summary.csv"),
+                                     (harness.run_ablation, "ablation.csv")):
+            rows = run_sweep(short_spec(), out_dir=str(tmp_path / run_sweep.__name__))
+            for row in rows:
+                assert set(row["fault_reasons"]) == {"forced failure 3", "forced failure 7"}
+                assert sum(row["fault_reasons"].values()) == row["fault_count"]
+            with open(tmp_path / run_sweep.__name__ / rows_file, newline="") as fh:
+                fh.readline()
+                read = list(csv.DictReader(fh))
+            assert [r["fault_reasons"] for r in read] == [
+                str(row["fault_reasons"]) for row in rows]
 
     def test_sweeps_have_no_workers_option(self):
         for command in ("grid", "ablate"):
@@ -988,7 +995,8 @@ class TestCli:
 
 def synthetic_record(fault_count=0):
     """A 5.5 s record at t_s = 0.1: oscillating until the switch at 3 s,
-    silent after it except one sample at 4.5 s."""
+    silent after it except one sample at 4.5 s; ``fault_count`` steps
+    faulted with the message "stub fault"."""
     t = np.arange(56) * 0.1
     y = np.where(t < 3.0, 1.0, 0.0)
     y[45] = 1.0
@@ -996,7 +1004,7 @@ def synthetic_record(fault_count=0):
     return harness.ExperimentRecord(
         t=t, y=y, u_req=zeros, u=zeros, theta_f_norm=zeros,
         theta_g_norm=zeros, phase=(t >= 3.0).astype(int), step_wall=zeros,
-        k_switch=30, t_s=0.1, fault_count=fault_count,
+        k_switch=30, t_s=0.1, fault_reasons=Counter(["stub fault"] * fault_count),
     )
 
 
@@ -1098,7 +1106,8 @@ class TestAblation:
 
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[1] == ("cell,freq_hz,mu,status,resuppression_forgetting_s,"
-                            "resuppression_no_forgetting_s,fault_count,forgetting_steps")
+                            "resuppression_no_forgetting_s,fault_count,fault_reasons,"
+                            "forgetting_steps")
         statuses = [line.split(",")[3] for line in lines[2:]]
         assert len(statuses) == 9
         assert statuses[0] == "failed: injected run failure"
@@ -1143,8 +1152,9 @@ class TestAblation:
                        "0/1 cells measured; 1 not measurable (all-zero "
                        "pre-switch output)"]
         row = (tmp_path / "out" / "ablation.csv").read_text().splitlines()[2]
-        # no fault; the forgetting run forgot on 45 steps after the kick
-        assert row.endswith(",ok,None,None,0,45")
+        # no fault, an empty tally; the forgetting run forgot on 45 steps
+        # after the kick
+        assert row.endswith(",ok,None,None,0,{},45")
 
     def test_no_open_loop_segment_refused_before_any_run(self, tmp_path,
                                                          monkeypatch, capsys):

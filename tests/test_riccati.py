@@ -89,7 +89,7 @@ def random_problem(rng, bocf, shape=None):
     ell, r2 = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 1)
     if bocf:
         dims = ModelDims(n, 1, m)
-        A, B = assemble_bocf(0.5 * rng.standard_normal(n * (1 + m)), dims,
+        A, B = assemble_bocf(0.5 * rng.standard_normal((n * (1 + m), 1)), dims,
                              arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(n, p=1, m=m, ell=ell, r2=r2)
     A, B = random_stable_system(rng, n, m, sprad=rng.uniform(0.5, 1.2))
@@ -190,7 +190,7 @@ class TestRiccatiBackward:
         rng = np.random.default_rng(27)
         for _ in range(60):
             dims = ModelDims(6, 1, 2)
-            A, B = assemble_bocf(0.5 * rng.standard_normal(18), dims,
+            A, B = assemble_bocf(0.5 * rng.standard_normal((18, 1)), dims,
                                  arx_buffers(dims))
             w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
             out = sweep_holding(A, B)
@@ -216,7 +216,7 @@ class TestScratchBuffers:
     def problem(seed, m, ell):
         rng = np.random.default_rng(seed)
         dims = ModelDims(6, 1, m)
-        A, B = assemble_bocf(0.5 * rng.standard_normal(6 * (1 + m)), dims,
+        A, B = assemble_bocf(0.5 * rng.standard_normal((6 * (1 + m), 1)), dims,
                              arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(6, p=1, m=m, ell=ell, r2=1e-2)
 
@@ -401,7 +401,7 @@ class TestHorizonWeights:
         # second output is controllable.  Weighting the first output alone
         # left K = 0 and the second output unstable at 1.05.
         cfg = PcacConfig(n_hat=1, p=2)
-        A, B = assemble_bocf(np.array([-1.05, 0.0, 0.0, -1.05, 0.0, 1.0]),
+        A, B = assemble_bocf(np.array([[-1.05, 0.0], [0.0, -1.05], [0.0, 1.0]]),
                              cfg.dims, arx_buffers(cfg.dims))
         C = np.eye(2)  # [I_p 0 ... 0], the BOCF output matrix, for n_hat = 1
         w = cfg.weights

@@ -266,16 +266,43 @@ def recursive_multivariable_statistic(errors, cfg):
     return float(np.sqrt(stat) - np.sqrt(quant))
 
 
+def long_double_trace(errors, cfg):
+    """tr((Sigma_long + ridge I)^-1 Sigma_short) of the unit-variance
+    channels, all in np.longdouble (a Gauss-Jordan solve): the reference for
+    the multivariable statistic's trace term on a full-rank window."""
+    e = np.asarray(errors, dtype=np.longdouble)
+    e = e - e.mean(axis=0)
+    e = e / np.sqrt((e * e).sum(axis=0) / (e.shape[0] - 1))
+
+    def cov(x):
+        x = x - x.mean(axis=0)
+        return x.T @ x / (x.shape[0] - 1)
+
+    p = e.shape[1]
+    m = np.hstack((cov(e) + np.longdouble(_COV_RIDGE) * np.eye(p, dtype=np.longdouble),
+                   cov(e[-(cfg.tau_n + 1):])))
+    for i in range(p):
+        pivot = i + int(np.argmax(np.abs(m[i:, i])))
+        m[[i, pivot]] = m[[pivot, i]]
+        m[i] /= m[i, i]
+        for j in range(p):
+            if j != i:
+                m[j] -= m[j, i] * m[i]
+    return np.trace(m[:, p:])
+
+
 def textbook_rls_update(state, phi, y, cfg):
     """One RLS step in the solve form; returns the new state, which keeps
     beta and g as rls_update's does.
 
     ``phi`` is the (p, d p) Kronecker-lifted regressor phi' kron I_p and
-    ``state.psi`` its (d p, d p) covariance (see :func:`lifted`)."""
+    ``state.psi`` its (d p, d p) covariance (see :func:`lifted`); the (d, p)
+    estimate Theta is updated in its lifted form, Theta raveled."""
     y = np.asarray(y, dtype=float).reshape(-1)
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     p = y.size
-    e = y - phi @ state.theta
+    theta = state.theta.ravel()
+    e = y - phi @ theta
     window = np.concatenate((state.error_window[1:], e[None]))
     beta, g = 1.0, None
     if state.step >= cfg.tau_d:
@@ -286,13 +313,14 @@ def textbook_rls_update(state, phi, y, cfg):
     inner = np.eye(p) / beta + phi @ gain
     psi = beta * (state.psi - gain @ np.linalg.solve(inner, gain.T))
     psi = 0.5 * (psi + psi.T)
-    theta = state.theta + psi @ (phi.T @ e)
-    return RlsState(theta, psi, window, state.step + 1, beta, g)
+    theta = theta + psi @ (phi.T @ e)
+    return RlsState(theta.reshape(state.theta.shape), psi, window, state.step + 1, beta, g)
 
 
 def lifted(phi, p):
     """The (p, d p) regressor phi' kron I_p of the Kronecker-lifted RLS, in
-    which row i holds phi in columns i, i + p, i + 2p, ..."""
+    which row i holds phi in columns i, i + p, i + 2p, ...: its estimate is
+    the (d, p) Theta raveled."""
     return np.kron(np.asarray(phi, dtype=float).reshape(1, -1), np.eye(p))
 
 
@@ -321,7 +349,7 @@ class TestScalarStatistic:
                 assert g == 0.0
                 assert compute_beta(g, cfg) == 1.0
                 # through the update: with phi = 0, beta alone scales psi
-                state = RlsState(np.zeros(2), np.eye(2), errors[:, None], cfg.tau_d)
+                state = RlsState(np.zeros((2, 1)), np.eye(2), errors[:, None], cfg.tau_d)
                 new = rls_update(state, np.zeros(2), np.array([c]), cfg)
                 np.testing.assert_array_equal(new.psi, np.eye(2))
 
@@ -433,7 +461,7 @@ class TestMultivariableStatistic:
         assert g == forgetting_statistic_scalar(errors[:, 0], cfg)
         # through the update: with phi = 0, beta alone scales psi
         window = np.concatenate((np.zeros((1, 2)), errors[:-1]))
-        state = RlsState(np.zeros(6), np.eye(3), window, cfg.tau_d)
+        state = RlsState(np.zeros((3, 2)), np.eye(3), window, cfg.tau_d)
         new = rls_update(state, np.zeros(3), errors[-1], cfg)
         beta = compute_beta(g, cfg)
         assert beta > 1.0
@@ -502,6 +530,31 @@ class TestMultivariableStatistic:
             recursive_multivariable_statistic(errors, cfg), rel=1e-12)
 
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_near_rank_floor_matches_long_double_trace(self, p):
+        # p channels and e0 - 0.5 e1 + 1e-4 noise: full rank, its smallest
+        # eigenvalue 1.4e-9 to 2.6e-9 of the largest.  Divided by the eigh
+        # eigenvalue, which is off by about eps lambda_max, the trace term
+        # was off by up to 1.2e-7 relative; by the projection's own variance,
+        # by 5.5e-11
+        cfg = ForgettingConfig()
+        assert np.finfo(np.longdouble).eps < _EPS  # an extended-precision reference
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            errors = rng.standard_normal((cfg.tau_d + 1, p))
+            scale = rng.uniform(0.5, 3.0)
+            extra = errors[:, 0] - 0.5 * errors[:, 1] + 1e-4 * rng.standard_normal(
+                cfg.tau_d + 1)
+            errors = np.column_stack((errors, extra))
+            errors[-(cfg.tau_n + 1):] *= scale
+            _, b, c = multivariable_dof(p + 1, cfg)
+            quant = _cached_f_quantile(float((p + 1) * cfg.tau_n), float(b),
+                                       1.0 - cfg.alpha)
+            stat = (forgetting_statistic_multivariable(errors, cfg) + np.sqrt(quant)) ** 2
+            ref = cfg.tau_n / (c * cfg.tau_d) * long_double_trace(errors, cfg)
+            assert abs(stat - ref) <= 1e-9 * ref, seed
+
+
 class TestComputeBeta:
     @pytest.mark.parametrize("p", [1, 2])
     def test_hooks_called_once_per_update_after_warmup(self, p, monkeypatch):
@@ -523,7 +576,7 @@ class TestComputeBeta:
             monkeypatch.setattr(rls, name, counted(name, getattr(rls, name)))
         cfg = ForgettingConfig(tau_n=40, tau_d=200)
         rng = np.random.default_rng(16)
-        state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
+        state = RlsState.initialize(np.zeros((3, p)), 1.0, cfg)
         for k, (phi, y) in enumerate(drifting_data(rng, 250, p, 3)):
             before = dict(calls)
             state = rls_update(state, phi, y, cfg)
@@ -539,7 +592,7 @@ class TestComputeBeta:
 
         def run(cfg):
             rng = np.random.default_rng(17 + p)
-            state = RlsState.initialize(np.zeros(4 * p), 10.0, cfg, p)
+            state = RlsState.initialize(np.zeros((4, p)), 10.0, cfg)
             for phi, y in drifting_data(rng, 300, p, 4):
                 state = rls_update(state, phi, y, cfg)
             return state
@@ -578,19 +631,19 @@ def batch_solution(phis, ys, psi0, theta0):
 class TestRlsUpdate:
     def test_single_step_hand_values(self):
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=0.0)
-        state = RlsState.initialize(np.zeros(1), 1.0, cfg)
+        state = RlsState.initialize(np.zeros((1, 1)), 1.0, cfg)
         new = rls_update(state, np.array([[1.0]]), np.array([2.0]), cfg)
         assert new.psi[0, 0] == pytest.approx(0.5)
-        assert new.theta[0] == pytest.approx(1.0)
+        assert new.theta[0, 0] == pytest.approx(1.0)
         # matches the minimizer of (2 - th)^2 + th^2
-        assert new.theta[0] == pytest.approx(
+        assert new.theta[0, 0] == pytest.approx(
             batch_solution([np.array([[1.0]])], [np.array([2.0])],
                            np.eye(1), np.zeros(1))[0]
         )
 
     def test_zero_regressor_scales_psi(self):
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=0.5)
-        state = RlsState.initialize(np.array([1.5, -2.0]), 3.0, cfg)
+        state = RlsState.initialize(np.array([[1.5], [-2.0]]), 3.0, cfg)
         new = rls_update(state, np.zeros((1, 2)), np.array([7.0]), cfg)
         np.testing.assert_array_equal(new.theta, state.theta)
         np.testing.assert_allclose(new.psi, state.psi)  # beta=1 during warmup
@@ -601,7 +654,7 @@ class TestRlsUpdate:
         cfg = ForgettingConfig(tau_n=10, tau_d=20, eta=0.0)
         rng = np.random.default_rng(11)
         dim = 4
-        theta0 = rng.standard_normal(dim)
+        theta0 = rng.standard_normal((dim, 1))
         state = RlsState.initialize(theta0, 2.5, cfg)
         psi0 = 2.5 * np.eye(dim)
         phis, ys = [], []
@@ -611,15 +664,15 @@ class TestRlsUpdate:
             state = rls_update(state, phi, y, cfg)
             phis.append(phi)
             ys.append(y)
-            expect = batch_solution(phis, ys, psi0, theta0)
-            np.testing.assert_allclose(state.theta, expect, rtol=1e-8)
+            expect = batch_solution(phis, ys, psi0, theta0[:, 0])
+            np.testing.assert_allclose(state.theta[:, 0], expect, rtol=1e-8)
 
     def test_consistency_noise_free_arx(self):
         # persistently exciting data from a fixed scalar model: exact recovery
         cfg = ForgettingConfig(tau_n=40, tau_d=200, eta=0.1)
         rng = np.random.default_rng(12)
         theta_true = np.array([-1.2, 0.5, 0.8, 0.3])  # y_k = 1.2y1 -0.5y2 +...
-        state = RlsState.initialize(np.zeros(4), 1e6, cfg)
+        state = RlsState.initialize(np.zeros((4, 1)), 1e6, cfg)
         y1 = y2 = u1 = u2 = 0.0
         for _ in range(120):
             u = rng.standard_normal()
@@ -628,12 +681,12 @@ class TestRlsUpdate:
             state = rls_update(state, phi, np.array([y]), cfg)
             y2, y1 = y1, y
             u2, u1 = u1, u
-        assert np.linalg.norm(state.theta - theta_true) < 1e-6
+        assert np.linalg.norm(state.theta[:, 0] - theta_true) < 1e-6
 
     def test_psi_stays_symmetric_positive(self):
         cfg = ForgettingConfig(tau_n=5, tau_d=12, eta=0.3)
         rng = np.random.default_rng(13)
-        state = RlsState.initialize(np.zeros(3), 10.0, cfg)
+        state = RlsState.initialize(np.zeros((3, 1)), 10.0, cfg)
         for _ in range(200):
             phi = rng.standard_normal((1, 3))
             y = rng.standard_normal(1)
@@ -645,14 +698,14 @@ class TestRlsUpdate:
         # two outputs share the regressor: Theta is (3, 2) and P is (3, 3)
         cfg = ForgettingConfig(tau_n=5, tau_d=12, eta=0.1)
         rng = np.random.default_rng(14)
-        state = RlsState.initialize(np.zeros(6), 1.0, cfg, p=2)
+        state = RlsState.initialize(np.zeros((3, 2)), 1.0, cfg)
         assert state.psi.shape == (3, 3)
         for _ in range(30):
             phi = rng.standard_normal(3)
             y = rng.standard_normal(2)
             state = rls_update(state, phi, y, cfg)
         assert state.step == 30
-        assert state.theta.shape == (6,) and state.psi.shape == (3, 3)
+        assert state.theta.shape == (3, 2) and state.psi.shape == (3, 3)
         assert state.error_window.shape == (cfg.tau_d + 1, 2)
 
     @pytest.mark.parametrize("p", [1, 2])
@@ -660,22 +713,23 @@ class TestRlsUpdate:
         # oldest first, the zero rows of the initial window shifted out
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=0.1)
         rng = np.random.default_rng(16 + p)
-        state = RlsState.initialize(np.zeros(3 * p), 1.0, cfg, p)
+        state = RlsState.initialize(np.zeros((3, p)), 1.0, cfg)
         errors = [np.zeros(p)] * (cfg.tau_d + 1)
         for _ in range(300):
             phi = rng.standard_normal(3)
             y = rng.standard_normal(p)
-            errors.append(y - phi @ state.theta.reshape(3, p))
+            errors.append(y - phi @ state.theta)
             state = rls_update(state, phi, y, cfg)
             np.testing.assert_array_equal(state.error_window,
                                           errors[-(cfg.tau_d + 1):])
 
     def test_error_width_must_match_window(self):
         cfg = ForgettingConfig(tau_n=4, tau_d=10)
-        state = RlsState.initialize(np.zeros(4), 1.0, cfg)
-        with pytest.raises(ValueError):
+        # phi and y must have Theta's (d, p) sizes
+        state = RlsState.initialize(np.zeros((4, 1)), 1.0, cfg)
+        with pytest.raises(ValueError, match="regressor"):
             rls_update(state, np.zeros((2, 4)), np.zeros(2), cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="regressor"):
             rls_update(state, np.zeros(4), np.zeros(2), cfg)
         with pytest.raises(ValueError, match="regressor"):
             rls_update(state, np.zeros(3), np.zeros(1), cfg)
@@ -684,8 +738,8 @@ class TestRlsUpdate:
         cfg = ForgettingConfig(tau_n=4, tau_d=10, eta=10.0)
         rng = np.random.default_rng(15)
         # run eta=10 and eta=0 side by side: identical until the window fills
-        s_a = RlsState.initialize(np.zeros(2), 1.0, cfg)
-        s_b = RlsState.initialize(np.zeros(2), 1.0,
+        s_a = RlsState.initialize(np.zeros((2, 1)), 1.0, cfg)
+        s_b = RlsState.initialize(np.zeros((2, 1)), 1.0,
                                   ForgettingConfig(tau_n=4, tau_d=10, eta=0.0))
         for _ in range(cfg.tau_d):
             phi = rng.standard_normal((1, 2))
@@ -702,7 +756,7 @@ class TestRlsUpdate:
         cfg = ForgettingConfig(tau_n=10, tau_d=30, eta=1.0, alpha=0.05)
         rng = np.random.default_rng(40 + p)
         d = 4
-        state = RlsState.initialize(np.zeros(d * p), 10.0, cfg, p)
+        state = RlsState.initialize(np.zeros((d, p)), 10.0, cfg)
         ref = RlsState(state.theta, np.kron(state.psi, np.eye(p)), state.error_window)
         betas = []
         for phi, y in drifting_data(rng, 300, p, d):
@@ -731,10 +785,10 @@ class TestRlsUpdate:
 
         monkeypatch.setattr(rls, "compute_beta", spy)
         rng = np.random.default_rng(50 + p)
-        state = RlsState.initialize(np.zeros(4 * p), 10.0, cfg, p)
+        state = RlsState.initialize(np.zeros((4, p)), 10.0, cfg)
         assert (state.beta, state.g) == (1.0, None)
         for k, (phi, y) in enumerate(drifting_data(rng, 300, p, 4)):
-            calls, e = len(returned), y - phi @ state.theta.reshape(4, p)
+            calls, e = len(returned), y - phi @ state.theta
             state = rls_update(state, phi, y, cfg)
             np.testing.assert_array_equal(state.error_window[-1], e)
             if k < cfg.tau_d:
@@ -753,7 +807,7 @@ class TestRlsUpdate:
     ])
     def test_bad_inner_term_raises_numerical_error(self, psi, p):
         # the inner term is one checked scalar for every p
-        state = RlsState(np.zeros(2 * p), np.array(psi), np.zeros((CFG.tau_d + 1, p)))
+        state = RlsState(np.zeros((2, p)), np.array(psi), np.zeros((CFG.tau_d + 1, p)))
         with pytest.raises(NumericalError, match="inner term"):
             rls_update(state, np.array([1.0, 0.0]), np.full(p, 0.5), CFG)
 
@@ -761,29 +815,26 @@ class TestRlsUpdate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_output_is_named(self, bad, p):
         # a bad measurement is reported as one, not as a diverged estimate
-        state = RlsState.initialize(np.zeros(2 * p), 1.0, CFG, p)
+        state = RlsState.initialize(np.zeros((2, p)), 1.0, CFG)
         y = np.zeros(p)
         y[-1] = bad
         with pytest.raises(NumericalError, match="non-finite measured output"):
             rls_update(state, np.array([1.0, 2.0]), y, CFG)
 
-    @pytest.mark.parametrize("p, theta0, field", [
-        (0, np.zeros(4), "p"),
-        (-1, np.zeros(4), "p"),
-        (1.0, np.zeros(4), "p"),
-        (3, np.zeros(4), "theta0"),
-        (1, np.zeros(0), "theta0"),
-        (2, np.zeros(0), "theta0"),
-    ])
-    def test_initialize_refuses_bad_shapes(self, p, theta0, field):
-        # P is (d, d) with d = theta0.size / p
-        with pytest.raises(ValueError, match=f"^{field} "):
-            RlsState.initialize(theta0, 1.0, CFG, p)
+    @pytest.mark.parametrize("theta0", [
+        np.zeros(4), np.zeros(0), np.zeros((0, 1)), np.zeros((2, 0)),
+        np.zeros((2, 2, 1)), np.array([[0.0], [np.inf]]),
+    ], ids=["flat", "empty", "no_rows", "no_columns", "3d", "inf"])
+    def test_initialize_refuses_bad_shapes(self, theta0):
+        # Theta_0 is a non-empty (d, p) array: P is (d, d) and the window p wide
+        with pytest.raises(ValueError, match="^theta0 "):
+            RlsState.initialize(theta0, 1.0, CFG)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_initialize_shapes(self, p):
-        state = RlsState.initialize(np.ones(6 * p), 0.5, CFG, p)
+        state = RlsState.initialize(np.ones((6, p)), 0.5, CFG)
         np.testing.assert_array_equal(state.psi, 0.5 * np.eye(6))
+        assert state.theta.shape == (6, p)
         assert state.error_window.shape == (CFG.tau_d + 1, p)
 
     def test_config_validation(self):
@@ -792,4 +843,4 @@ class TestRlsUpdate:
         with pytest.raises(ValueError):
             ForgettingConfig(tau_n=5, tau_d=10, eta=-1.0)
         with pytest.raises(ValueError):
-            RlsState.initialize(np.zeros(2), 0.0, CFG)
+            RlsState.initialize(np.zeros((2, 1)), 0.0, CFG)
