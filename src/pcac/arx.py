@@ -84,7 +84,8 @@ class IoHistory:
 
 class ArxBuffers:
     """The arrays that :func:`assemble_bocf` and :func:`compute_bocf_state`
-    write into, given them as ``out``.
+    write into, given them as ``out``: made once for ``dims``, which they
+    check Theta and the history against.
 
     What the data never changes is written here, once: the identity
     superdiagonal blocks of A, and the entry of phi that each entry of the
@@ -95,7 +96,8 @@ class ArxBuffers:
     sweep reads it.
     """
 
-    __slots__ = ("A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_padded", "_index")
+    __slots__ = ("dims", "A", "B", "lag", "x", "_neg_f", "_g", "_x_blocks", "_padded",
+                 "_index")
 
     def __init__(self, dims: ModelDims, A: np.ndarray, B: np.ndarray):
         n, p, m = dims.n_hat, dims.p, dims.m
@@ -104,7 +106,7 @@ class ArxBuffers:
                 f"A {A.shape} and B {B.shape} must be "
                 f"({n * p}, {n * p}) and ({n * p}, {m})"
             )
-        self.A, self.B = A, B
+        self.dims, self.A, self.B = dims, A, B
         A[...] = np.eye(n * p, k=p)
         # Block i of A's first block column, -F_{i+1}, and of B, G_{i+1}.
         self._neg_f = self.A[:, :p].reshape(n, p, p)
@@ -131,17 +133,17 @@ def _checked_theta(theta: np.ndarray, dims: ModelDims) -> np.ndarray:
     return theta
 
 
-def build_regressor(history: IoHistory, dims: ModelDims) -> np.ndarray:
+def build_regressor(history: IoHistory) -> np.ndarray:
     """Regressor phi_k = [-y_{k-1}' ... -y_{k-n}'  u_{k-1}' ... u_{k-n}'].
 
     One (n_hat (p+m),) vector for every p: the ARX prediction is
-    phi_k' Theta.  It is the history's ``phi``.
+    phi_k' Theta.  It is the history's ``phi``, kept a named call so that
+    the benchmark's span tracer can time it.
     """
-    history.check_dims(dims)
     return history.phi
 
 
-def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
+def assemble_bocf(theta_next: np.ndarray, out: ArxBuffers):
     """Build (A, B) of the block observable canonical form.
 
     ``theta_next`` holds the coefficient estimate used for the realization
@@ -150,6 +152,7 @@ def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
     and B stacks the G_i: ``out.A`` and ``out.B``.  The output matrix,
     which reads the first state block, is [I_p 0 ... 0].
     """
+    dims = out.dims
     theta = _checked_theta(theta_next, dims)
     n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
     np.negative(theta[:split].reshape(n, p, p).transpose(0, 2, 1), out=out._neg_f)
@@ -157,9 +160,8 @@ def assemble_bocf(theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers):
     return out.A, out.B
 
 
-def compute_bocf_state(
-    history: IoHistory, theta_next: np.ndarray, dims: ModelDims, out: ArxBuffers
-) -> np.ndarray:
+def compute_bocf_state(history: IoHistory, theta_next: np.ndarray,
+                       out: ArxBuffers) -> np.ndarray:
     """Explicit BOCF state x_{k+1|k} after the newest pair, ``out.x``.
 
     The newest sample of ``history`` is (y_k, u_k).  Block j = 1..n
@@ -175,8 +177,8 @@ def compute_bocf_state(
     and reads zero padding where that row index is negative.  Row 0 of
     the lag matrix, ``out.lag[0]``, is the history's phi.
     """
-    history.check_dims(dims)
-    theta = _checked_theta(theta_next, dims)
+    history.check_dims(out.dims)
+    theta = _checked_theta(theta_next, out.dims)
     out._padded[:-1] = history.phi  # which holds y negated
     # every index is in range; mode="raise" would check through a buffer
     np.take(out._padded, out._index, out=out.lag, mode="clip")

@@ -60,6 +60,12 @@ def _any_failed(rows: list[dict]) -> int:
     return int(any(r["status"] != "ok" or r["fault_count"] > 0 for r in rows))
 
 
+def _faults(row: dict) -> str:
+    """An ok row's ``, <n> faults``, with their ``fault_reasons`` when n > 0."""
+    n = row["fault_count"]
+    return f", {n} faults" + (f" ({row['fault_reasons']})" if n else "")
+
+
 def _cmd_grid(args) -> int:
     spec = _load_spec(args)
     summary = _or_exit_2(harness.run_grid, spec, args.out, args.seed or 0)
@@ -70,7 +76,7 @@ def _cmd_grid(args) -> int:
             supp, atten = row["suppression_time_s"], row["attenuation_db"]
             line += (", suppression " + ("None" if supp is None else f"{supp} s")
                      + ", attenuation " + ("None" if atten is None else f"{atten:.1f} dB")
-                     + f", {row['budget_misses']} budget misses")
+                     + f", {row['budget_misses']} budget misses" + _faults(row))
         print(line)
     print(f"summary written to {args.out}/summary.csv")
     return _any_failed(summary)
@@ -90,25 +96,31 @@ def _cmd_spectrum(args) -> int:
 def _cmd_ablate(args) -> int:
     """A spec the ablation cannot measure, or an --out that cannot be a
     directory, exits with 2 before any run.  A cell whose re-suppression
-    times are None prints them so and counts as no win."""
+    times are None prints them so and counts as no win, as does a cell
+    whose runs faulted."""
     spec = _load_spec(args)
     rows = _or_exit_2(harness.run_ablation, spec, out_dir=args.out,
                       base_seed=args.seed or 0)
     ok = [row for row in rows if row["status"] == "ok"]
     # both runs of a pair share the open loop: both times are None, or neither
     measured = [row for row in ok if row["resuppression_forgetting_s"] is not None]
+    counted = [row for row in measured if row["fault_count"] == 0]
     wins = sum(row["resuppression_forgetting_s"] <= row["resuppression_no_forgetting_s"]
-               for row in measured)
+               for row in counted)
     for row in rows:
         on, off = ("None" if t is None else f"{t:.3f} s" for t in (
             row.get("resuppression_forgetting_s"),
             row.get("resuppression_no_forgetting_s")))
-        print(f"cell {row['cell']}: " + (f"forgetting {on} vs {off} without"
-                                         if row["status"] == "ok" else row["status"]))
+        line = (f"forgetting {on} vs {off} without" + _faults(row)
+                if row["status"] == "ok" else row["status"])
+        print(f"cell {row['cell']}: {line}")
     print(f"forgetting re-suppressed at least as fast on {wins}/{len(rows)} cells")
     if len(measured) < len(ok):
         print(f"{len(measured)}/{len(rows)} cells measured; {len(ok) - len(measured)} "
               "not measurable (all-zero pre-switch output)")
+    if len(counted) < len(measured):
+        print(f"{len(measured) - len(counted)}/{len(rows)} measured cells left out "
+              "for numerical faults")
     return _any_failed(rows)
 
 

@@ -85,9 +85,10 @@ class PcacState:
     the forgetting decision that ``rls`` keeps.
 
     Every field but ``arx`` and ``sweep`` is a value that a step never
-    writes into.  Those two, made once by :func:`pcac_init`, are the step's
-    scratch, shared by the states a controller passes through; the
-    realization is written into the sweep's Z = [A | B].  Every step
+    writes into.  Those two, made once by :func:`pcac_init` for the model
+    dimensions and horizon weights of its ``cfg``, are the step's scratch,
+    shared by the states a controller passes through; the realization is
+    written into the sweep's Z = [A | B].  Every step
     overwrites all of it before reading it, so nothing in it carries over.
     """
 
@@ -106,7 +107,7 @@ def pcac_init(cfg: PcacConfig) -> PcacState:
     theta0 = cfg.theta0_scale * np.ones((cfg.dims.n_phi, cfg.p))
     rls = RlsState.initialize(theta0, cfg.psi0_scale, cfg.forgetting)
     u0 = np.zeros(cfg.m)
-    sweep = SweepBuffers(cfg.dims.n_state, cfg.m)
+    sweep = SweepBuffers(cfg.weights)
     return PcacState(
         rls=rls,
         history=IoHistory.zeros(cfg.dims),
@@ -125,23 +126,24 @@ def pcac_step(state: PcacState, y_k: np.ndarray, cfg: PcacConfig) -> PcacState:
     caught from the Riccati sweep, the gain or a non-finite request; the
     step then holds the previous requested and implemented controls, and
     identification still advances.  A NumericalError from the RLS update
-    propagates, and ``state`` is left as it was passed in.
+    propagates, and ``state`` is left as it was passed in.  ``cfg`` is the
+    configuration that :func:`pcac_init` made the state's buffers for.
     """
     y_k = np.atleast_1d(np.asarray(y_k, float))
     arx, sweep = state.arx, state.sweep
-    phi = build_regressor(state.history, cfg.dims)
+    phi = build_regressor(state.history)
     # An overflow to inf or nan is left to the finiteness checks, which
     # raise NumericalError, rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
         history = state.history.push(y_k, state.u_implemented)
 
-        assemble_bocf(rls_next.theta, cfg.dims, arx)
+        assemble_bocf(rls_next.theta, arx)
 
         fault = None
         try:
-            x_next = compute_bocf_state(history, rls_next.theta, cfg.dims, arx)
-            riccati_backward(cfg.weights, sweep)
+            x_next = compute_bocf_state(history, rls_next.theta, arx)
+            riccati_backward(sweep)
             K = control_gain(sweep)
             u_req = K.dot(x_next)
             if not np.isfinite(u_req).all():

@@ -132,39 +132,43 @@ def _gain_into(M: np.ndarray, n: int, out: np.ndarray) -> Callable[[], np.ndarra
 
 class SweepBuffers:
     """The model and scratch of :func:`riccati_backward` and
-    :func:`control_gain`, given to them as ``out``: made once for an
-    n-state, m-input model and written in place by every call.
+    :func:`control_gain`, given to them as ``out``: made once for the
+    weights ``w``, whose R1 and R2 give the model's n states and m inputs,
+    kept as ``self.weights``, and written in place by every call.
 
     Two stacked (2k x k) buffers, k = n + m, hold W = [Z; KZ; Z; [0 | I]]
     and V = [M W[:k]; R1 Z; [0 | R2]], so that one product W'V is the next
     M = W[:k]' M W[:k] + Z'R1Z + diag(0, R2); with P_terminal Z for R1 Z,
     that of their last two blocks is the first M.  Z = [A | B], W's third
     block, is the model the sweep reads, as it stands: the caller writes
-    it into Z's column blocks ``self.A`` and ``self.B``.  W's
-    [0 | I] and the zeros beside V's R2 are written here, the rest by every
-    sweep, which leaves the first stage's Hessian in M for the gain K.
+    it into Z's column blocks ``self.A`` and ``self.B``.  W's [0 | I] and
+    V's [0 | R2] are written here, the rest by every sweep, which leaves
+    the first stage's Hessian in M for the gain K.
     """
 
-    __slots__ = ("Z", "A", "B", "W", "V", "M", "K", "_gain", "_w_z", "_w_kz",
-                 "_w_top", "_v_top", "_v_z", "_v_r2", "_w_low", "_v_low")
+    __slots__ = ("weights", "Z", "A", "B", "W", "V", "M", "K", "_gain", "_w_z",
+                 "_w_kz", "_w_top", "_v_top", "_v_z", "_w_low", "_v_low")
 
-    def __init__(self, n: int, m: int):
+    def __init__(self, w: HorizonWeights):
+        n, m = w.R1.shape[0], w.R2.shape[0]
         k = n + m
+        self.weights = w
         self.W, self.V = np.zeros((2 * k, k)), np.zeros((2 * k, k))
         self.M, self.K = np.empty((k, k)), np.empty((m, n))
         self.W[k + n :, n:] = np.eye(m)
+        self.V[k + n :, n:] = w.R2
         self.Z = self.W[k : k + n]
         self.A, self.B = self.Z[:, :n], self.Z[:, n:]
         self._gain = _gain_into(self.M, n, self.K)
         self._w_z, self._w_kz, self._w_top = self.W[:n], self.W[n:k], self.W[:k]
-        self._v_top, self._v_z, self._v_r2 = self.V[:k], self.V[k:-m], self.V[-m:, n:]
+        self._v_top, self._v_z = self.V[:k], self.V[k:-m]
         self._w_low, self._v_low = self.W[k:].T, self.V[k:]
 
 
-def riccati_backward(w: HorizonWeights, out: SweepBuffers) -> np.ndarray:
-    """Sweep the Riccati recursion backward over the horizon, for the
-    model Z = [A | B] that ``out`` holds, and return the first prediction
-    step's cost Hessian M_1 = Z' P_2 Z + diag(0, R2) as ``out.M``.
+def riccati_backward(out: SweepBuffers) -> np.ndarray:
+    """Sweep the Riccati recursion backward over ``out.weights``' horizon,
+    for the model Z = [A | B] that ``out`` holds, and return the first
+    prediction step's cost Hessian M_1 = Z' P_2 Z + diag(0, R2) as ``out.M``.
 
     Starting from the terminal weight, the recursion
 
@@ -176,31 +180,21 @@ def riccati_backward(w: HorizonWeights, out: SweepBuffers) -> np.ndarray:
     makes ell - 1 such stages from M_ell = Z' P_terminal Z + diag(0, R2),
     none for ell = 1, stores no iterate and symmetrizes none, M_1 included.
     """
-    R1, n = w.R1, out.Z.shape[0]
-    if R1.shape != (n, n) or w.P_terminal.shape != (n, n):
-        raise ValueError(
-            f"R1 {R1.shape} and P_terminal {w.P_terminal.shape} must be "
-            f"({n}, {n}) for A's {n} states"
-        )
-    if w.R2.shape != out._v_r2.shape:
-        raise ValueError(f"R2 must be {out._v_r2.shape} for a B with "
-                         f"{out.B.shape[1]} columns, got {w.R2.shape}")
-    Z, M, gain = out.Z, out.M, out._gain
-    np.copyto(out._v_r2, w.R2)
+    w, Z, M, gain = out.weights, out.Z, out.M, out._gain
     w.P_terminal.dot(Z, out._v_z)
     out._w_low.dot(out._v_low, M)
-    if w.ell > 1:
-        np.copyto(out._w_z, Z)
-        R1.dot(Z, out._v_z)
-        W_t, W_kz, W_top, V, V_top = out.W.T, out._w_kz, out._w_top, out.V, out._v_top
-        # ndarray.dot, not np.dot or @: on these 11x11 operands all three
-        # make the same BLAS call, with bit-identical results, but the method
-        # skips the __array_function__ dispatcher, and the step's cost is
-        # dispatch rather than arithmetic.
-        for _ in range(w.ell - 1):
-            gain().dot(Z, W_kz)
-            M.dot(W_top, V_top)
-            W_t.dot(V, M)
+    # the stages' Z and R1 Z; for ell = 1, scratch that nothing reads
+    np.copyto(out._w_z, Z)
+    w.R1.dot(Z, out._v_z)
+    W_t, W_kz, W_top, V, V_top = out.W.T, out._w_kz, out._w_top, out.V, out._v_top
+    # ndarray.dot, not np.dot or @: on these 11x11 operands all three make
+    # the same BLAS call, with bit-identical results, but the method skips
+    # the __array_function__ dispatcher, and the step's cost is dispatch
+    # rather than arithmetic.
+    for _ in range(w.ell - 1):
+        gain().dot(Z, W_kz)
+        M.dot(W_top, V_top)
+        W_t.dot(V, M)
     if not np.isfinite(M).all():
         raise NumericalError("Riccati sweep diverged")
     return M

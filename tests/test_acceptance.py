@@ -101,7 +101,7 @@ def test_criterion_02_rls_consistency():
     h = IoHistory.zeros(dims)
     hit = None
     for k in range(200):
-        phi = build_regressor(h, dims)
+        phi = build_regressor(h)
         y = predict_output(theta_true, phi)
         state = rls_update(state, phi, y, cfg)
         u = rng.standard_normal(1)  # persistently exciting input
@@ -151,14 +151,14 @@ def test_criterion_04_bocf_equivalence():
         y_now = rng.standard_normal(p)
         u_now = rng.standard_normal(m)
 
-        A, B = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, B = assemble_bocf(theta, arx_buffers(dims))
         x_prop = A @ current_state(h, y_now, theta, dims) + B @ u_now
         pushed = h.push(y_now, u_now)
-        x_next = compute_bocf_state(pushed, theta, dims, arx_buffers(dims))
+        x_next = compute_bocf_state(pushed, theta, arx_buffers(dims))
         scale = max(1.0, np.max(np.abs(x_next)))
         worst_state = max(worst_state, np.max(np.abs(x_prop - x_next)) / scale)
 
-        phi = build_regressor(pushed, dims)
+        phi = build_regressor(pushed)
         y_arx = predict_output(theta, phi)
         scale = max(np.linalg.norm(np.atleast_1d(y_arx)), 1.0)
         worst = max(worst, np.linalg.norm(np.atleast_1d(x_prop[:p] - y_arx)) / scale)
@@ -183,14 +183,14 @@ def test_criterion_05_riccati_dare_agreement():
                            P_terminal=np.zeros((n, n)))
         # the sweep ends in M_1 = Z'P_2Z + diag(0, R2); at the fixed point
         # P_2 is the DARE solution P*
-        M = riccati_backward(w, sweep_holding(A, B))
+        M = riccati_backward(sweep_holding(A, B, w))
         P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
         M_star = dare_hessian(A, B, P_star, np.eye(m))
         worst = max(worst, np.linalg.norm(M - M_star) / np.linalg.norm(M_star))
-    scalar = riccati_backward(
+    scalar = riccati_backward(sweep_holding(
+        [[1.0]], [[1.0]],
         HorizonWeights(ell=500, R1=[[1.0]], R2=[[1.0]], P_terminal=[[0.0]]),
-        sweep_holding([[1.0]], [[1.0]]),
-    )[0, 0]
+    ))[0, 0]
     golden_err = abs(scalar - GOLDEN)
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-6

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcac import (
+    HorizonWeights,
     IoHistory,
     ModelDims,
     assemble_bocf,
@@ -15,10 +16,15 @@ from pcac.arx import ArxBuffers
 from pcac.riccati import SweepBuffers
 
 
+def sweep_buffers(n, p, m):
+    """SweepBuffers made for output-weighted weights on n states, m inputs."""
+    return SweepBuffers(HorizonWeights.output_weighted(n, p, m, ell=2, r2=1.0))
+
+
 def arx_buffers(dims):
     """ArxBuffers on the column blocks of a fresh sweep's Z = [A | B], as
     pcac_init makes them."""
-    sweep = SweepBuffers(dims.n_state, dims.m)
+    sweep = sweep_buffers(dims.n_state, dims.p, dims.m)
     return ArxBuffers(dims, sweep.A, sweep.B)
 
 
@@ -91,28 +97,26 @@ def current_state(history, y_now, theta, dims):
     """x_k, the state whose first block is the measured y_k: the state of
     the history before (y_k, u_k) is pushed, its first block (the
     prediction of y_k) replaced by y_k."""
-    x = compute_bocf_state(history, theta, dims, arx_buffers(dims)).copy()
+    x = compute_bocf_state(history, theta, arx_buffers(dims)).copy()
     x[: dims.p] = y_now
     return x
 
 
 class TestRegressor:
     def test_first_order_scalar(self):
-        dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[3.0]]), np.array([[2.0]]))
-        assert np.array_equal(build_regressor(h, dims), [-3.0, 2.0])
+        assert np.array_equal(build_regressor(h), [-3.0, 2.0])
 
     def test_zero_history(self):
         dims = ModelDims(2, 1, 1)
-        phi = build_regressor(IoHistory.zeros(dims), dims)
+        phi = build_regressor(IoHistory.zeros(dims))
         assert np.array_equal(phi, np.zeros(4))
 
     def test_vector_output_kron(self):
         # the p=2 regressor is one vector, whose product with the (d, p)
         # Theta must reproduce -F1 y + G1 u for any coefficients
-        dims = ModelDims(1, 2, 1)
         h = IoHistory(np.array([[1.0, 2.0]]), np.array([[5.0]]))
-        phi = build_regressor(h, dims)
+        phi = build_regressor(h)
         assert np.array_equal(phi, [-1.0, -2.0, 5.0])
         rng = np.random.default_rng(7)
         F1 = rng.standard_normal((2, 2))
@@ -122,10 +126,12 @@ class TestRegressor:
         np.testing.assert_allclose(predict_output(theta, phi), expect, rtol=1e-13)
 
     def test_dimension_mismatch(self):
+        # the regressor is the history's phi as it stands; a history of
+        # another model is refused where buffers for one model read it
         dims = ModelDims(3, 1, 1)
         h = IoHistory.zeros(ModelDims(2, 1, 1))
-        with pytest.raises(ValueError):
-            build_regressor(h, dims)
+        with pytest.raises(ValueError, match="history dimensions"):
+            compute_bocf_state(h, np.zeros((dims.n_phi, 1)), arx_buffers(dims))
 
     def test_history_holds_phi_newest_first(self):
         # outputs negated, then inputs, each newest sample first
@@ -157,22 +163,20 @@ class TestRegressor:
         out = arx_buffers(dims)
         for _ in range(6):
             h = h.push(rng.standard_normal(p), rng.standard_normal(m))
-            compute_bocf_state(h, theta, dims, out)
-            assert build_regressor(h, dims).tobytes() == out.lag[0].tobytes()
+            compute_bocf_state(h, theta, out)
+            assert build_regressor(h).tobytes() == out.lag[0].tobytes()
 
 
 class TestPredict:
     def test_zero_parameters(self):
-        dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[1.0], [2.0]]), np.array([[3.0], [4.0]]))
-        phi = build_regressor(h, dims)
+        phi = build_regressor(h)
         assert predict_output(np.zeros((4, 1)), phi) == 0.0
 
     def test_hand_example(self):
-        dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[4.0]]), np.array([[1.0]]))
         theta = np.array([[0.5], [2.0]])
-        y_hat = predict_output(theta, build_regressor(h, dims))
+        y_hat = predict_output(theta, build_regressor(h))
         assert y_hat[0] == pytest.approx(-0.5 * 4 + 2 * 1, abs=1e-15)
 
     @settings(max_examples=60, deadline=None)
@@ -186,7 +190,7 @@ class TestPredict:
         # phi @ theta must equal the explicit double sum to 1e-12 relative
         rng = np.random.default_rng(seed)
         dims, theta, h = random_model(rng, n, p, m)
-        y_hat = predict_output(theta, build_regressor(h, dims))
+        y_hat = predict_output(theta, build_regressor(h))
         expect = arx_sum(theta, dims, *past(h))
         np.testing.assert_allclose(y_hat, expect, rtol=1e-12, atol=1e-12)
 
@@ -195,13 +199,13 @@ class TestBocfAssembly:
     def test_second_order_scalar_pattern(self):
         dims = ModelDims(2, 1, 1)
         theta = np.array([[0.4], [0.7], [1.2], [-0.9]])  # f1 f2 g1 g2
-        A, B = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, B = assemble_bocf(theta, arx_buffers(dims))
         np.testing.assert_array_equal(A, [[-0.4, 1.0], [-0.7, 0.0]])
         np.testing.assert_array_equal(B, [[1.2], [-0.9]])
 
     def test_first_order_degenerate(self):
         dims = ModelDims(1, 1, 1)
-        A, B = assemble_bocf(np.array([[0.3], [2.0]]), dims, arx_buffers(dims))
+        A, B = assemble_bocf(np.array([[0.3], [2.0]]), arx_buffers(dims))
         assert A == np.array([[-0.3]]) and B == np.array([[2.0]])
 
     def test_characteristic_polynomial(self):
@@ -210,7 +214,7 @@ class TestBocfAssembly:
         dims = ModelDims(3, 2, 1)
         theta = rng.standard_normal((dims.n_phi, dims.p))
         F, _ = split_coefficients(theta, dims)
-        A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, _ = assemble_bocf(theta, arx_buffers(dims))
         for z in rng.standard_normal(5) + 1j * rng.standard_normal(5):
             lhs = np.linalg.det(z * np.eye(6) - A)
             rhs = np.linalg.det(
@@ -224,7 +228,7 @@ class TestBocfAssembly:
         theta = rng.standard_normal((dims.n_phi, dims.p))
         # avoid accidental zeros in the coefficient blocks
         theta[: dims.n_state] += np.sign(theta[: dims.n_state])
-        A, _ = assemble_bocf(theta, dims, arx_buffers(dims))
+        A, _ = assemble_bocf(theta, arx_buffers(dims))
         n, p = dims.n_hat, dims.p
         mask = np.zeros_like(A, dtype=bool)
         mask[:, :p] = True
@@ -239,14 +243,14 @@ class TestBocfState:
         # n = 1: the state is the one-step prediction -F_1 y_k + G_1 u_k
         dims = ModelDims(1, 1, 1)
         h = IoHistory(np.array([[7.0]]), np.array([[1.0]]))
-        x = compute_bocf_state(h, np.array([[0.5], [1.0]]), dims, arx_buffers(dims))
+        x = compute_bocf_state(h, np.array([[0.5], [1.0]]), arx_buffers(dims))
         assert np.array_equal(x, [-0.5 * 7.0 + 1.0])
 
     def test_second_order_hand_value(self):
         dims = ModelDims(2, 1, 1)
         h = IoHistory(np.array([[7.0], [2.0]]), np.array([[5.0], [1.0]]))
         theta = np.array([[0.1], [0.3], [0.7], [1.5]])  # f1 f2 g1 g2; f2, g2 enter block 2
-        x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+        x = compute_bocf_state(h, theta, arx_buffers(dims))
         np.testing.assert_allclose(
             x, [-0.1 * 7 - 0.3 * 2 + 0.7 * 5 + 1.5 * 1, -0.3 * 7 + 1.5 * 5])
 
@@ -260,13 +264,13 @@ class TestBocfState:
             p, m = (int(v) for v in rng.integers(1, 4, size=2))
             dims, theta, h = random_model(rng, n, p, m)
             theta *= 0.3
-            A, B = assemble_bocf(theta, dims, arx_buffers(dims))
+            A, B = assemble_bocf(theta, arx_buffers(dims))
             y = rng.standard_normal(p)
             for _ in range(n + 2):
                 x = current_state(h, y, theta, dims)
                 u = rng.standard_normal(m)
                 h = h.push(y, u)
-                x_next = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+                x_next = compute_bocf_state(h, theta, arx_buffers(dims))
                 scale = max(1.0, np.max(np.abs(x_next)))
                 np.testing.assert_allclose(
                     A @ x + B @ u, x_next, rtol=0, atol=1e-12 * scale
@@ -287,7 +291,7 @@ class TestBocfState:
             np.testing.assert_array_equal(u_new, np.vstack([u, u_past[:-1]]))
             h = pushed
             np.testing.assert_array_equal(
-                compute_bocf_state(h, theta, dims, arx_buffers(dims)),
+                compute_bocf_state(h, theta, arx_buffers(dims)),
                 gathered_state(h, theta, dims),
             )
 
@@ -295,7 +299,7 @@ class TestBocfState:
         # C x_{k+1|k}, with C = [I_p 0 ... 0], is the ARX prediction of y_{k+1}
         rng = np.random.default_rng(8)
         dims, theta, h = random_model(rng, 4, 2, 2)
-        x = compute_bocf_state(h, theta, dims, arx_buffers(dims))
+        x = compute_bocf_state(h, theta, arx_buffers(dims))
         C = np.eye(dims.p, dims.n_state)
         np.testing.assert_allclose(C @ x, arx_sum(theta, dims, *past(h)),
                                    rtol=1e-12, atol=1e-12)
@@ -325,33 +329,39 @@ class TestBuffers:
         else:
             out = ArxBuffers(dims, np.empty((n, n)), np.empty((n, m)))
         for _ in range(4):
-            ref = assemble_bocf(theta, dims, arx_buffers(dims))
-            for got, want in zip(assemble_bocf(theta, dims, out), ref):
+            ref = assemble_bocf(theta, arx_buffers(dims))
+            for got, want in zip(assemble_bocf(theta, out), ref):
                 assert got.tobytes() == want.tobytes()
-            x_ref = compute_bocf_state(h, theta, dims, arx_buffers(dims))
-            assert compute_bocf_state(h, theta, dims, out).tobytes() == x_ref.tobytes()
+            x_ref = compute_bocf_state(h, theta, arx_buffers(dims))
+            assert compute_bocf_state(h, theta, out).tobytes() == x_ref.tobytes()
             if on_z:
                 np.testing.assert_array_equal(Z, np.hstack(ref))
             h = h.push(rng.standard_normal(p), rng.standard_normal(m))
             theta = rng.standard_normal((dims.n_phi, p))
 
     def test_rejects_blocks_of_another_shape(self):
+        # among them the blocks of a sweep made for weights with another
+        # state count (R1 and P_terminal for 2 states, or 1) or another
+        # input count (R2 for 1 input): a model its weights do not fit
         dims = ModelDims(3, 1, 2)
-        with pytest.raises(ValueError):
-            ArxBuffers(dims, np.empty((3, 3)), np.empty((3, 1)))
+        sweeps = [sweep_buffers(2, 1, 2), sweep_buffers(1, 1, 2), sweep_buffers(3, 1, 1)]
+        blocks = [(np.empty((3, 3)), np.empty((3, 1)))] + [(s.A, s.B) for s in sweeps]
+        for A, B in blocks:
+            with pytest.raises(ValueError, match="must be"):
+                ArxBuffers(dims, A, B)
 
     def test_theta_length_checked_with_buffers(self):
         # a flat theta of d p entries is refused, as is a (d, p) of another d
         dims = ModelDims(2, 1, 1)
         out = arx_buffers(dims)
         with pytest.raises(ValueError, match="theta"):
-            assemble_bocf(np.zeros((5, 1)), dims, out)
+            assemble_bocf(np.zeros((5, 1)), out)
         with pytest.raises(ValueError, match="theta"):
-            assemble_bocf(np.zeros(4), dims, out)
+            assemble_bocf(np.zeros(4), out)
         with pytest.raises(ValueError, match="theta"):
-            compute_bocf_state(IoHistory.zeros(dims), np.zeros((3, 1)), dims, out)
+            compute_bocf_state(IoHistory.zeros(dims), np.zeros((3, 1)), out)
         with pytest.raises(ValueError, match="theta"):
-            compute_bocf_state(IoHistory.zeros(dims), np.zeros(4), dims, out)
+            compute_bocf_state(IoHistory.zeros(dims), np.zeros(4), out)
 
 
 def test_split_pack_roundtrip():

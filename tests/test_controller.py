@@ -199,14 +199,14 @@ class TestStep:
         state = pcac_init(cfg)
         for k in range(25):
             y_k = rng.normal(0, 10 if k < 18 else 1000, p)
-            phi = build_regressor(state.history, cfg.dims)
+            phi = build_regressor(state.history)
             rls_next = rls_update(state.rls, phi, y_k, cfg.forgetting)
             history = state.history.push(y_k, state.u_implemented)
-            A, B = assemble_bocf(rls_next.theta, cfg.dims, arx_buffers(cfg.dims))
-            x_next = compute_bocf_state(history, rls_next.theta, cfg.dims,
+            A, B = assemble_bocf(rls_next.theta, arx_buffers(cfg.dims))
+            x_next = compute_bocf_state(history, rls_next.theta,
                                         arx_buffers(cfg.dims))
-            sweep = sweep_holding(A, B)
-            riccati_backward(cfg.weights, sweep)
+            sweep = sweep_holding(A, B, cfg.weights)
+            riccati_backward(sweep)
             K = control_gain(sweep)
             expect_req = K @ x_next
             expect_impl = saturate(expect_req, cfg.bounds)
@@ -229,7 +229,7 @@ class TestStep:
             rls, history = state.rls, state.history
             arrays = (rls.theta, rls.psi, rls.error_window, history.phi)
             kept = [a.copy() for a in arrays]
-            phi = build_regressor(history, cfg.dims)
+            phi = build_regressor(history)
             rls_update(rls, phi, y, cfg.forgetting)
             history.push(y, rng.standard_normal(1))
             state = pcac_step(state, y, cfg)
@@ -263,8 +263,8 @@ class TestStep:
         assert max(ys[1600:]) < 0.2 * max(ys), "late amplitude did not shrink"
         # and it identified the plant it stabilized
         np.testing.assert_allclose(state.rls.theta[:, 0], [f1, f2, g1, g2], atol=1e-2)
-        A, B = assemble_bocf(state.rls.theta, cfg.dims, arx_buffers(cfg.dims))
-        K = first_gain(cfg.weights, sweep_holding(A, B))
+        A, B = assemble_bocf(state.rls.theta, arx_buffers(cfg.dims))
+        K = first_gain(sweep_holding(A, B, cfg.weights))
         assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
     def test_calls_each_layer_by_name_once_per_step(self, monkeypatch):
@@ -397,13 +397,12 @@ class TestBufferOwnership:
         _, _, state = run_sequence(cfg, rng.normal(0, 30, 40))
         sweep = controller.riccati_backward
 
-        def boom(w, out):
-            # everything the sweep writes: W's copy of Z and KZ, V but the
-            # zeros beside R2, M and K
-            sweep(w, out)
+        def boom(out):
+            # everything the sweep writes: W's copy of Z and KZ, V but its
+            # [0 | R2] block, M and K
+            sweep(out)
             k, n = out.M.shape[0], out.Z.shape[0]
-            for scratch in (out.W[:k], out.V[:k + n], out.V[k + n:, n:],
-                            out.M, out.K):
+            for scratch in (out.W[:k], out.V[:k + n], out.M, out.K):
                 scratch.fill(np.nan)
             raise NumericalError("forced failure")
 
@@ -510,11 +509,13 @@ class TestAgainstSymmetrizedP2Ending:
     TOL = 1e-7
 
     @staticmethod
-    def p2_ending_sweep(w, out):
+    def p2_ending_sweep(out):
+        w = out.weights
         (n, m), P2 = out.B.shape, w.P_terminal
         if w.ell > 1:
-            M = riccati_backward(replace(w, ell=w.ell - 1), out)  # M_2
-            P2 = M[:n, n:] @ control_gain(out) + M[:n, :n] + w.R1
+            short = sweep_holding(out.A, out.B, replace(w, ell=w.ell - 1))
+            M = riccati_backward(short)  # M_2
+            P2 = M[:n, n:] @ control_gain(short) + M[:n, :n] + w.R1
         P2 = (P2 + P2.T) * 0.5
         pick = np.eye(m, n + m, n)  # [0 | I]
         W, V = np.vstack([out.Z, pick]), np.vstack([P2 @ out.Z, w.R2 @ pick])
@@ -546,7 +547,8 @@ class TestAgainstTwoProductState:
     TOL = 1e-9
 
     @staticmethod
-    def two_product_state(history, theta_next, dims, out):
+    def two_product_state(history, theta_next, out):
+        dims = out.dims
         n, p, m, split = dims.n_hat, dims.p, dims.m, dims.n_state
         offset = np.arange(n) - np.arange(n)[:, None] + (n - 1)
         y_past, u_past = past(history)

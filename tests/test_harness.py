@@ -987,6 +987,24 @@ class TestCli:
             assert [r["fault_reasons"] for r in read] == [
                 str(row["fault_reasons"]) for row in rows]
 
+        # each cell's line ends in its fault count, with both messages; a
+        # faulted ablation cell counts no win; both commands exit 1
+        path = str(tmp_path / "short_spec.txt")
+        write_spec_file(short_spec(), path)
+        for command in ("grid", "ablate"):
+            assert cli_main([command, "--spec", path,
+                             "--out", str(tmp_path / command)]) == 1
+            out = capsys.readouterr().out.splitlines()
+            cells = [line for line in out if line.startswith("cell ")]
+            assert len(cells) == 9
+            for line in cells:
+                head, reasons = line.split(" faults (")
+                assert int(head.rsplit(", ", 1)[1]) > 0
+                assert "'forced failure 3': " in reasons
+                assert "'forced failure 7': " in reasons
+        assert "forgetting re-suppressed at least as fast on 0/9 cells" in out
+        assert "9/9 measured cells left out for numerical faults" in out
+
     def test_sweeps_have_no_workers_option(self):
         for command in ("grid", "ablate"):
             with pytest.raises(SystemExit):
@@ -1147,7 +1165,7 @@ class TestAblation:
         assert cli_main(["ablate", "--spec", str(path),
                          "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == ["cell 0: forgetting None vs None without",
+        assert out == ["cell 0: forgetting None vs None without, 0 faults",
                        "forgetting re-suppressed at least as fast on 0/1 cells",
                        "0/1 cells measured; 1 not measurable (all-zero "
                        "pre-switch output)"]

@@ -35,9 +35,14 @@ def random_stable_system(rng, n, m, sprad=0.9):
     return A, B
 
 
-def sweep_holding(A, B):
-    """A fresh SweepBuffers whose Z = [A | B] holds the model (A, B)."""
-    out = SweepBuffers(*np.shape(B))
+def sweep_holding(A, B, w):
+    """A fresh SweepBuffers for the weights ``w`` whose Z = [A | B] holds
+    the model (A, B).  A model of another shape than w's is refused, which
+    numpy would otherwise broadcast into Z: a (3, 1) B into a (3, 2) one."""
+    out = SweepBuffers(w)
+    if (np.shape(A), np.shape(B)) != (out.A.shape, out.B.shape):
+        raise ValueError(f"A {np.shape(A)} and B {np.shape(B)} do not fit weights "
+                         f"for A {out.A.shape} and B {out.B.shape}")
     out.A[...], out.B[...] = A, B
     return out
 
@@ -50,12 +55,14 @@ def dare_hessian(A, B, P, R2):
     return M
 
 
-def textbook_riccati_backward(w, out):
+def textbook_riccati_backward(out):
     """The reference for the fused sweep: the textbook recursion
-    P <- A'P(A - B Gamma) + R1 on the model that ``out`` holds, symmetrized
-    every iteration, down to P_2, and from it M_1 = Z'P_2Z + diag(0, R2).
-    Returns M_1, and writes it into ``out.M`` as the sweep does, for
-    :func:`textbook_control_gain`; ``out`` is otherwise only read."""
+    P <- A'P(A - B Gamma) + R1 on the model and weights that ``out`` holds,
+    symmetrized every iteration, down to P_2, and from it
+    M_1 = Z'P_2Z + diag(0, R2).  Returns M_1, and writes it into ``out.M``
+    as the sweep does, for :func:`textbook_control_gain`; ``out`` is
+    otherwise only read."""
+    w = out.weights
     A, B, P = out.A, out.B, w.P_terminal
     for _ in range(w.ell - 1):
         BtP = B.T @ P
@@ -72,9 +79,9 @@ def textbook_control_gain(out):
     return -np.linalg.solve(out.M[n:, n:], out.M[n:, :n])
 
 
-def first_gain(w, out):
+def first_gain(out):
     """The sweep, then the gain it leaves for: ``out.K``."""
-    riccati_backward(w, out)
+    riccati_backward(out)
     return control_gain(out)
 
 
@@ -89,7 +96,7 @@ def random_problem(rng, bocf, shape=None):
     ell, r2 = int(rng.integers(2, 41)), 10.0 ** rng.uniform(-3, 1)
     if bocf:
         dims = ModelDims(n, 1, m)
-        A, B = assemble_bocf(0.5 * rng.standard_normal((n * (1 + m), 1)), dims,
+        A, B = assemble_bocf(0.5 * rng.standard_normal((n * (1 + m), 1)),
                              arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(n, p=1, m=m, ell=ell, r2=r2)
     A, B = random_stable_system(rng, n, m, sprad=rng.uniform(0.5, 1.2))
@@ -118,17 +125,17 @@ class TestRiccatiBackward:
     the scalar tests, M_1[0, 0] is P_2."""
 
     def test_unit_horizon_returns_terminal(self):
-        M = riccati_backward(scalar_weights(ell=1), sweep_holding([[1.0]], [[1.0]]))
+        M = riccati_backward(sweep_holding([[1.0]], [[1.0]], scalar_weights(ell=1)))
         np.testing.assert_array_equal(M, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_single_step_hand_value(self):
         # P_2 = 1: M_1 = [[1, 1], [1, 1 + 1]]
-        M = riccati_backward(scalar_weights(ell=2), sweep_holding([[1.0]], [[1.0]]))
+        M = riccati_backward(sweep_holding([[1.0]], [[1.0]], scalar_weights(ell=2)))
         np.testing.assert_allclose(M, [[1.0, 1.0], [1.0, 2.0]])
 
     def test_long_horizon_reaches_golden_ratio(self):
         # fixed point of P = 1 + P - P^2/(1+P) for A=B=R1=R2=1
-        M = riccati_backward(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
+        M = riccati_backward(sweep_holding([[1.0]], [[1.0]], scalar_weights(ell=200)))
         assert M[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
 
     def test_scalar_sequence_monotone(self):
@@ -138,9 +145,9 @@ class TestRiccatiBackward:
             b = rng.uniform(0.2, 2.0)
             r1 = rng.uniform(0.1, 3.0)
             r2 = rng.uniform(0.1, 3.0)
-            out = sweep_holding([[a]], [[b]])
             values = [
-                riccati_backward(scalar_weights(ell, r1, r2), out)[0, 0]
+                riccati_backward(
+                    sweep_holding([[a]], [[b]], scalar_weights(ell, r1, r2)))[0, 0]
                 for ell in range(1, 12)
             ]
             assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
@@ -154,7 +161,7 @@ class TestRiccatiBackward:
             w = HorizonWeights(
                 ell=500, R1=np.eye(n), R2=np.eye(m), P_terminal=np.zeros((n, n))
             )
-            M = riccati_backward(w, sweep_holding(A, B))
+            M = riccati_backward(sweep_holding(A, B, w))
             P_star = linalg.solve_discrete_are(A, B, np.eye(n), np.eye(m))
             M_star = dare_hessian(A, B, P_star, np.eye(m))
             err = np.linalg.norm(M - M_star) / np.linalg.norm(M_star)
@@ -168,7 +175,7 @@ class TestRiccatiBackward:
             w = HorizonWeights(
                 ell=ell, R1=np.eye(4), R2=np.eye(1), P_terminal=np.zeros((4, 4))
             )
-            M = riccati_backward(w, sweep_holding(A, B))
+            M = riccati_backward(sweep_holding(A, B, w))
             assert np.min(np.linalg.eigvalsh(0.5 * (M + M.T))) >= -1e-12
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
@@ -176,10 +183,10 @@ class TestRiccatiBackward:
         rng = np.random.default_rng(26 + bocf)
         for _ in range(150):
             A, B, w = random_problem(rng, bocf)
-            out = sweep_holding(A, B)
-            M_ref = textbook_riccati_backward(w, out)
+            out = sweep_holding(A, B, w)
+            M_ref = textbook_riccati_backward(out)
             K_ref = textbook_control_gain(out)
-            assert max_rel_gap(riccati_backward(w, out), M_ref) <= ORACLE_RTOL
+            assert max_rel_gap(riccati_backward(out), M_ref) <= ORACLE_RTOL
             assert max_rel_gap(control_gain(out), K_ref) <= ORACLE_RTOL
 
     def test_multi_input_cheap_control_matches_textbook(self):
@@ -190,13 +197,13 @@ class TestRiccatiBackward:
         rng = np.random.default_rng(27)
         for _ in range(60):
             dims = ModelDims(6, 1, 2)
-            A, B = assemble_bocf(0.5 * rng.standard_normal((18, 1)), dims,
+            A, B = assemble_bocf(0.5 * rng.standard_normal((18, 1)),
                                  arx_buffers(dims))
             w = HorizonWeights.output_weighted(6, p=1, m=2, ell=40, r2=1e-3)
-            out = sweep_holding(A, B)
-            M_ref = textbook_riccati_backward(w, out)
+            out = sweep_holding(A, B, w)
+            M_ref = textbook_riccati_backward(out)
             K_ref = textbook_control_gain(out)
-            assert max_rel_gap(riccati_backward(w, out), M_ref) <= ORACLE_RTOL
+            assert max_rel_gap(riccati_backward(out), M_ref) <= ORACLE_RTOL
             assert max_rel_gap(control_gain(out), K_ref) <= ORACLE_RTOL
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -205,7 +212,7 @@ class TestRiccatiBackward:
                            P_terminal=np.eye(2))
         A = np.array([[np.nan, 0.0], [0.0, 0.5]])
         with pytest.raises(NumericalError):
-            riccati_backward(w, sweep_holding(A, np.ones((2, m))))
+            riccati_backward(sweep_holding(A, np.ones((2, m)), w))
 
 
 class TestScratchBuffers:
@@ -216,7 +223,7 @@ class TestScratchBuffers:
     def problem(seed, m, ell):
         rng = np.random.default_rng(seed)
         dims = ModelDims(6, 1, m)
-        A, B = assemble_bocf(0.5 * rng.standard_normal((6 * (1 + m), 1)), dims,
+        A, B = assemble_bocf(0.5 * rng.standard_normal((6 * (1 + m), 1)),
                              arx_buffers(dims))
         return A, B, HorizonWeights.output_weighted(6, p=1, m=m, ell=ell, r2=1e-2)
 
@@ -224,10 +231,10 @@ class TestScratchBuffers:
     @pytest.mark.parametrize("ell", [1, 2, 20])
     def test_inputs_unchanged_and_result_not_shared(self, m, ell):
         A, B, w = self.problem(30, m, ell)
-        out = sweep_holding(A, B)
+        out = sweep_holding(A, B, w)
         held = (out.A, out.B, w.P_terminal, w.R1, w.R2)
         before = [x.copy() for x in held]
-        M = riccati_backward(w, out)
+        M = riccati_backward(out)
         K = control_gain(out)
         for x, x0 in zip(held, before):
             np.testing.assert_array_equal(x, x0)
@@ -239,27 +246,27 @@ class TestScratchBuffers:
     def test_sweeps_do_not_carry_over(self, m, ell):
         A1, B1, w = self.problem(31, m, ell)
         A2, B2, _ = self.problem(32, m, ell)
-        out = sweep_holding(A1, B1)
-        first = riccati_backward(w, out).tobytes()
+        out = sweep_holding(A1, B1, w)
+        first = riccati_backward(out).tobytes()
         out.A[...], out.B[...] = A2, B2
-        riccati_backward(w, out)
+        riccati_backward(out)
         out.A[...], out.B[...] = A1, B1
-        assert riccati_backward(w, out).tobytes() == first
+        assert riccati_backward(out).tobytes() == first
 
 
 class TestSweepBuffers:
     """A sweep or gain on a buffer set reused across calls and models
-    returns, bit for bit, what it returns on a fresh set holding the same
-    model."""
+    returns, bit for bit, what it returns on a fresh set made for the same
+    weights and holding the same model."""
 
     @staticmethod
-    def check(A, B, w, out):
+    def check(A, B, out):
         # writes (A, B) into the reused set ``out`` as the realization does
-        fresh = sweep_holding(A, B)
-        M_ref = riccati_backward(w, fresh)
+        fresh = sweep_holding(A, B, out.weights)
+        M_ref = riccati_backward(fresh)
         K_ref = control_gain(fresh)
         out.A[...], out.B[...] = A, B
-        assert riccati_backward(w, out).tobytes() == M_ref.tobytes()
+        assert riccati_backward(out).tobytes() == M_ref.tobytes()
         assert control_gain(out).tobytes() == K_ref.tobytes()
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
@@ -268,55 +275,31 @@ class TestSweepBuffers:
         rng = np.random.default_rng(40 + bocf)
         for _ in range(40):
             A, B, w = random_problem(rng, bocf)
-            out = sweep_holding(A, B)
-            self.check(A, B, w, out)
-            self.check(A, B, w, out)
+            out = sweep_holding(A, B, w)
+            self.check(A, B, out)
+            self.check(A, B, out)
 
     @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
     def test_buffers_holding_another_model(self, bocf):
-        # Z holds model 1 when model 2 (its own weights, R2 included) is
-        # written over it: the sweep must read model 2, then model 1 again
+        # Z holds model 1 when model 2 of the same shape is written over it:
+        # the sweep must read model 2, then model 1 again
         rng = np.random.default_rng(42 + bocf)
         for _ in range(40):
-            A1, B1, w1 = random_problem(rng, bocf)
-            out = sweep_holding(A1, B1)
-            riccati_backward(w1, out)
-            A2, B2, w2 = random_problem(rng, bocf, B1.shape)
-            self.check(A2, B2, w2, out)
-            self.check(A1, B1, w1, out)
-
-    @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
-    def test_one_buffer_set_serves_weights_in_turn(self, bocf):
-        # every call writes its own R2 into the buffers: weights with another
-        # r2 and ell, alternating on one set, each get their own gain
-        rng = np.random.default_rng(44 + bocf)
-        for _ in range(20):
-            A, B, _ = random_problem(rng, bocf)
-            (n, m), out = B.shape, sweep_holding(A, B)
-            cheap = HorizonWeights(ell=3, R1=np.eye(n), R2=1e-3 * np.eye(m),
-                                   P_terminal=np.eye(n))
-            dear = HorizonWeights.output_weighted(n, p=1, m=m, ell=30, r2=3.0)
-            for w in (cheap, dear, cheap, dear):
-                textbook_riccati_backward(w, out)
-                K_ref = textbook_control_gain(out)
-                assert max_rel_gap(first_gain(w, out), K_ref) <= ORACLE_RTOL
-
-    def test_rejects_a_model_of_another_shape(self):
-        # weights for two states on buffers for three (a two-input R2 on
-        # buffers for one: test_r2_must_match_the_inputs)
-        out = SweepBuffers(3, 1)
-        w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
-        with pytest.raises(ValueError, match="R1"):
-            riccati_backward(w, out)
+            A1, B1, w = random_problem(rng, bocf)
+            out = sweep_holding(A1, B1, w)
+            riccati_backward(out)
+            A2, B2, _ = random_problem(rng, bocf, B1.shape)
+            self.check(A2, B2, out)
+            self.check(A1, B1, out)
 
 
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
-        K = first_gain(scalar_weights(ell=1), sweep_holding([[0.7]], [[1.3]]))
+        K = first_gain(sweep_holding([[0.7]], [[1.3]], scalar_weights(ell=1)))
         assert K[0, 0] == 0.0
 
     def test_scalar_fixed_point_gain(self):
-        K = first_gain(scalar_weights(ell=200), sweep_holding([[1.0]], [[1.0]]))
+        K = first_gain(sweep_holding([[1.0]], [[1.0]], scalar_weights(ell=200)))
         assert K[0, 0] == pytest.approx(-GOLDEN / (1.0 + GOLDEN), abs=1e-9)
 
     def test_long_horizon_gain_stabilizes(self):
@@ -327,7 +310,7 @@ class TestControlGain:
             w = HorizonWeights(
                 ell=300, R1=np.eye(n), R2=np.eye(1), P_terminal=np.zeros((n, n))
             )
-            K = first_gain(w, sweep_holding(A, B))
+            K = first_gain(sweep_holding(A, B, w))
             assert np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
     def test_gain_invariant_under_common_weight_scaling(self):
@@ -339,7 +322,7 @@ class TestControlGain:
                 ell=40, R1=scale * R1, R2=scale * 1e-2 * np.eye(1),
                 P_terminal=scale * R1,
             )
-            K = first_gain(w, sweep_holding(A, B))
+            K = first_gain(sweep_holding(A, B, w))
             if scale == 1e-3:
                 K_ref = K
             else:
@@ -402,12 +385,12 @@ class TestHorizonWeights:
         # left K = 0 and the second output unstable at 1.05.
         cfg = PcacConfig(n_hat=1, p=2)
         A, B = assemble_bocf(np.array([[-1.05, 0.0], [0.0, -1.05], [0.0, 1.0]]),
-                             cfg.dims, arx_buffers(cfg.dims))
+                             arx_buffers(cfg.dims))
         C = np.eye(2)  # [I_p 0 ... 0], the BOCF output matrix, for n_hat = 1
         w = cfg.weights
         np.testing.assert_array_equal(w.R1, C.T @ C)
         np.testing.assert_array_equal(w.P_terminal, C.T @ C)
-        K = first_gain(w, sweep_holding(A, B))
+        K = first_gain(sweep_holding(A, B, w))
         closed = A + B @ K
         assert closed[0, 1] == 0.0  # lower triangular: [1, 1] is output 2's pole
         assert abs(closed[1, 1]) < 1.0
@@ -433,20 +416,6 @@ class TestHorizonWeights:
         with pytest.raises(ValueError, match="R1"):
             HorizonWeights(ell=5, R1=np.ones((3, 2)), R2=np.eye(1),
                            P_terminal=np.eye(3))
-
-    def test_r2_must_match_the_inputs(self):
-        # a two-input R2 on a one-input B used to sweep silently
-        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
-        w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(2), P_terminal=np.eye(3))
-        with pytest.raises(ValueError, match="R2"):
-            riccati_backward(w, sweep_holding(A, B))
-
-    def test_terminal_weight_must_match_the_states(self):
-        # used to fail inside numpy: shapes (1,1) and (3,4) not aligned
-        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
-        w = HorizonWeights(ell=5, R1=np.eye(1), R2=np.eye(1), P_terminal=np.eye(1))
-        with pytest.raises(ValueError, match="P_terminal"):
-            riccati_backward(w, sweep_holding(A, B))
 
     def test_holds_read_only_copies(self):
         # the caller's arrays stay the caller's, and the held ones keep the
