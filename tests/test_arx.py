@@ -16,15 +16,11 @@ from pcac.arx import ArxBuffers
 from pcac.riccati import SweepBuffers
 
 
-def sweep_buffers(n, p, m):
-    """SweepBuffers made for output-weighted weights on n states, m inputs."""
-    return SweepBuffers(HorizonWeights.output_weighted(n, p, m, ell=2, r2=1.0))
-
-
 def arx_buffers(dims):
     """ArxBuffers on the column blocks of a fresh sweep's Z = [A | B], as
     pcac_init makes them."""
-    sweep = sweep_buffers(dims.n_state, dims.p, dims.m)
+    sweep = SweepBuffers(
+        HorizonWeights.output_weighted(dims.n_state, dims.p, dims.m, ell=2, r2=1.0))
     return ArxBuffers(dims, sweep.A, sweep.B)
 
 
@@ -340,15 +336,11 @@ class TestBuffers:
             theta = rng.standard_normal((dims.n_phi, p))
 
     def test_rejects_blocks_of_another_shape(self):
-        # among them the blocks of a sweep made for weights with another
-        # state count (R1 and P_terminal for 2 states, or 1) or another
-        # input count (R2 for 1 input): a model its weights do not fit
+        # the blocks of a sweep made for weights of another shape are
+        # refused too: tests/test_riccati.py, refuse_model_on_weights
         dims = ModelDims(3, 1, 2)
-        sweeps = [sweep_buffers(2, 1, 2), sweep_buffers(1, 1, 2), sweep_buffers(3, 1, 1)]
-        blocks = [(np.empty((3, 3)), np.empty((3, 1)))] + [(s.A, s.B) for s in sweeps]
-        for A, B in blocks:
-            with pytest.raises(ValueError, match="must be"):
-                ArxBuffers(dims, A, B)
+        with pytest.raises(ValueError, match="must be"):
+            ArxBuffers(dims, np.empty((3, 3)), np.empty((3, 1)))
 
     def test_theta_length_checked_with_buffers(self):
         # a flat theta of d p entries is refused, as is a (d, p) of another d

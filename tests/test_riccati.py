@@ -19,6 +19,7 @@ from pcac import (
     riccati_backward,
     saturate,
 )
+from pcac.arx import ArxBuffers
 from pcac.riccati import SweepBuffers
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -45,6 +46,19 @@ def sweep_holding(A, B, w):
                          f"for A {out.A.shape} and B {out.B.shape}")
     out.A[...], out.B[...] = A, B
     return out
+
+
+def refuse_model_on_weights(A, B, w):
+    """A model (A, B) of another shape than the weights ``w`` is refused
+    where it meets the buffers made for them: by the realization's
+    ArxBuffers on the sweep's A and B, as pcac_init makes them, and by
+    :func:`sweep_holding`, before any sweep reads it."""
+    n_state, m = np.shape(B)
+    out = SweepBuffers(w)
+    with pytest.raises(ValueError, match="must be"):
+        ArxBuffers(ModelDims(n_state, 1, m), out.A, out.B)
+    with pytest.raises(ValueError, match="do not fit"):
+        sweep_holding(A, B, w)
 
 
 def dare_hessian(A, B, P, R2):
@@ -292,6 +306,30 @@ class TestSweepBuffers:
             self.check(A2, B2, out)
             self.check(A1, B1, out)
 
+    @pytest.mark.parametrize("bocf", [True, False], ids=["bocf", "general"])
+    def test_buffer_sets_for_other_weights_in_turn(self, bocf):
+        # R2 is written once, when a set is made: sets made for weights with
+        # another r2 and ell, holding one model and swept alternately, each
+        # keep giving the gain of their own weights
+        rng = np.random.default_rng(44 + bocf)
+        for _ in range(20):
+            A, B, _ = random_problem(rng, bocf)
+            n, m = B.shape
+            cheap = HorizonWeights(ell=3, R1=np.eye(n), R2=1e-3 * np.eye(m),
+                                   P_terminal=np.eye(n))
+            dear = HorizonWeights.output_weighted(n, p=1, m=m, ell=30, r2=3.0)
+            sets = [sweep_holding(A, B, cheap), sweep_holding(A, B, dear)]
+            for out in sets + sets:
+                textbook_riccati_backward(out)
+                K_ref = textbook_control_gain(out)
+                assert max_rel_gap(first_gain(out), K_ref) <= ORACLE_RTOL
+
+    def test_rejects_a_model_of_another_shape(self):
+        # weights for two states and a model of three (a two-input R2 and a
+        # one-input model: test_r2_must_match_the_inputs)
+        w = HorizonWeights(ell=5, R1=np.eye(2), R2=np.eye(1), P_terminal=np.eye(2))
+        refuse_model_on_weights(np.diag([0.5, 0.4, 0.3]), np.ones((3, 1)), w)
+
 
 class TestControlGain:
     def test_zero_riccati_weight_gives_zero_gain(self):
@@ -416,6 +454,19 @@ class TestHorizonWeights:
         with pytest.raises(ValueError, match="R1"):
             HorizonWeights(ell=5, R1=np.ones((3, 2)), R2=np.eye(1),
                            P_terminal=np.eye(3))
+
+    def test_r2_must_match_the_inputs(self):
+        # a two-input R2 and a one-input B, which numpy would broadcast into
+        # the sweep's two B columns
+        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
+        w = HorizonWeights(ell=5, R1=np.eye(3), R2=np.eye(2), P_terminal=np.eye(3))
+        refuse_model_on_weights(A, B, w)
+
+    def test_terminal_weight_must_match_the_states(self):
+        # one-state R1 and P_terminal and a three-state model
+        A, B = np.diag([0.5, 0.4, 0.3]), np.ones((3, 1))
+        w = HorizonWeights(ell=5, R1=np.eye(1), R2=np.eye(1), P_terminal=np.eye(1))
+        refuse_model_on_weights(A, B, w)
 
     def test_holds_read_only_copies(self):
         # the caller's arrays stay the caller's, and the held ones keep the
